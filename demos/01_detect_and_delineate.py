@@ -7,7 +7,7 @@ truth. Run with:  python demos/01_detect_and_delineate.py
 
 import numpy as np
 
-from ecgalarm.segmentation import delineate, detect_r_peaks
+from ecgalarm.segmentation import LANDMARKS, delineate, detect_r_peaks
 from ecgalarm.synthetic import synthetic_ecg
 
 FS = 250.0
@@ -24,20 +24,19 @@ errors = [np.min(np.abs(peaks - t)) for t in ecg.r_locations]
 print(f"worst R localization error: {max(errors)} samples ({max(errors) * 1000 / FS:.0f} ms)")
 
 # ----- delineate the full beat -----
-seq = delineate(ecg.samples, FS, peaks)
-print(f"delineated {len(seq)} beats (edge beats without a full P or T window are dropped)")
+marks = delineate(ecg.samples, FS, peaks)  # (N, 7, 2): (x, y) per landmark
+print(f"delineated {len(marks)} beats (edge beats without a full P or T window are dropped)")
 
-beat = seq.beats[len(seq.beats) // 2]
+R = LANDMARKS.index("R")
+beat = marks[len(marks) // 2]
+r_x = beat[R, 0]
 print("\none beat, offsets from R in samples (and mV):")
-for name in ("P", "Q", "R", "S", "T", "OnQRS", "OffQRS"):
-    x, y = beat.xy(name)
-    print(f"  {name:7s} x = {x - beat.rx:+4d}   y = {y:+.3f}")
+for name, (x, y) in zip(LANDMARKS, beat):
+    print(f"  {name:7s} x = {x - r_x:+4.0f}   y = {y:+.3f}")
 
 # ----- landmark accuracy against the generator's ground truth -----
 print("\nmean |error| per landmark (ms):")
-for wave in ("P", "Q", "R", "S", "T"):
-    errs = []
-    for b in seq.beats:
-        ti = int(np.argmin(np.abs(ecg.landmarks["R"] - b.rx)))
-        errs.append(abs(b.xy(wave)[0] - ecg.landmarks[wave][ti]))
+nearest = [int(np.argmin(np.abs(ecg.landmarks["R"] - r))) for r in marks[:, R, 0]]
+for j, wave in enumerate(LANDMARKS[:5]):  # P, Q, R, S, T
+    errs = np.abs(marks[:, j, 0] - ecg.landmarks[wave][nearest])
     print(f"  {wave}: {np.mean(errs) * 1000 / FS:.1f}")

@@ -18,10 +18,10 @@ from ecgalarm.synthetic import synthetic_ecg
 FS = 250.0
 
 ecg = synthetic_ecg(duration_s=120, bpm=66, snr_db=22, seed=7)
-beats = segment_record(ecg.samples, FS)
-matrix = segment_features(beats)
+marks = segment_record(ecg.samples, FS)  # (N, 7, 2) landmark array
+matrix = segment_features(marks)
 
-print(f"{len(beats)} beats -> {matrix.rows.shape[0]} usable segments x {matrix.rows.shape[1]} features")
+print(f"{len(marks)} beats -> {matrix.shape[0]} usable segments x {matrix.shape[1]} features")
 print("(the last two beats have no next / next-but-one partner and are excluded)\n")
 
 print("column layout:")
@@ -33,12 +33,12 @@ print(f"  [63:70]  next-segment amplitudes:     {FEATURE_NAMES[63]} .. {FEATURE_
 print(f"  [70:77]  next-but-one intervals:      {FEATURE_NAMES[70]} .. {FEATURE_NAMES[76]}")
 print(f"  [77:84]  next-but-one amplitudes:     {FEATURE_NAMES[77]} .. {FEATURE_NAMES[83]}\n")
 
-row = matrix.rows[0]
+row = matrix[0]
 for name in ("Px", "Qx", "Rx", "OnQRS_x", "RR_interval", "RR2_interval", "R-R_amplitude"):
     print(f"  {name:15s} = {row[FEATURE_NAMES.index(name)]:+.3f}")
 
-print(f"\nheart rate: {heart_rate(beats, FS):.1f} bpm")
+print(f"\nheart rate: {heart_rate(marks, FS):.1f} bpm")
 
 vec = llf_tail(matrix)
-print(f"tail vector: last 7 segments concatenated -> {len(vec.values)} entries")
-print(f"  nonzero entries: {np.count_nonzero(vec.values)} (zero-padded when fewer than 7 segments exist)")
+print(f"tail vector: last 7 segments concatenated -> {len(vec)} entries")
+print(f"  nonzero entries: {np.count_nonzero(vec)} (zero-padded when fewer than 7 segments exist)")

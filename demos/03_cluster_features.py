@@ -21,17 +21,17 @@ first = synthetic_ecg(duration_s=150, bpm=70, snr_db=20, seed=1)
 second = synthetic_ecg(duration_s=150, bpm=150, snr_db=20, seed=2)
 samples = np.concatenate([first.samples, second.samples])
 
-beats = segment_record(samples, FS)
-matrix = segment_features(beats)
-hr = heart_rate(beats, FS)
-print(f"{matrix.rows.shape[0]} segments, mean heart rate {hr:.0f} bpm\n")
+marks = segment_record(samples, FS)
+matrix = segment_features(marks)
+hr = heart_rate(marks, FS)
+print(f"{matrix.shape[0]} segments, mean heart rate {hr:.0f} bpm\n")
 
 for metric in ("cityblock", "sqeuclidean"):
-    clustering = kmeans(matrix.rows, k=5, metric=metric, seed=record_seed(0, "demo"))
+    clustering = kmeans(matrix, k=5, metric=metric, seed=record_seed(0, "demo"))
     print(f"k-means ({metric}): sizes = {sorted(clustering.sizes.tolist())}, "
           f"objective = {clustering.objective:.1f}")
 
-clustering = kmeans(matrix.rows, k=5, metric="cityblock", seed=record_seed(0, "demo"))
+clustering = kmeans(matrix, k=5, metric="cityblock", seed=record_seed(0, "demo"))
 vec = synthesize(clustering, hr, "VTA")
 
 print("\nhigh-level vector (31 entries):")

@@ -74,3 +74,5 @@ with tempfile.TemporaryDirectory() as tmp:
     ])
     print(f"\npipeline exit code: {code}")
     print(f"outputs: {sorted(p.name for p in out_dir.iterdir())}")
+
+raise SystemExit(code)  # a failed pipeline fails the demo

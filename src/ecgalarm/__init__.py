@@ -6,7 +6,7 @@ with DWT and raw time-domain baselines and a cross-validated experiment
 matrix. See the demos/ directory for narrative walkthroughs of each stage.
 """
 
-from .clustering import Clustering, distance, kmeans, record_seed
+from .clustering import Clustering, kmeans, record_seed
 from .dwt import band_stats, daubechies_filter, dwt, dwt_feature_vector, idwt
 from .ensemble import BoostedEnsemble, DecisionTree, fit_adaboost, fit_rusboost, fit_tree
 from .evaluation import (
@@ -16,7 +16,7 @@ from .evaluation import (
     run_matrix,
     stratified_folds,
 )
-from .feature_synthesis import HlfVector, normalize_centroid, synthesize
+from .feature_synthesis import normalize_centroid, synthesize
 from .pipeline import RecordFeatures, featurize_record
 from .record_io import (
     ALARM_TYPES,
@@ -30,22 +30,8 @@ from .record_io import (
     read_signal,
     resample_to,
 )
-from .segment_features import (
-    FEATURE_NAMES,
-    LlfVector,
-    SegmentFeatureMatrix,
-    heart_rate,
-    llf_tail,
-    segment_features,
-)
-from .segmentation import (
-    Beat,
-    BeatSequence,
-    bandpass,
-    delineate,
-    detect_r_peaks,
-    segment_record,
-)
+from .segment_features import FEATURE_NAMES, heart_rate, llf_tail, segment_features
+from .segmentation import LANDMARKS, bandpass, delineate, detect_r_peaks, segment_record
 from .synthetic import SyntheticEcg, synthetic_ecg
 
 __version__ = "0.1.0"

@@ -19,19 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from . import record_io
-from .dwt import DEFAULT_LEVELS, DWT_LAYOUT_VERSION, N_BAND_STATS, STAT_NAMES
+from .dwt import DWT_LAYOUT_VERSION, STAT_NAMES
 from .evaluation import (
     CLASSIFIERS,
+    FEATURE_BANKS,
     SCENARIOS,
     combine_tables,
     render_markdown,
     run_matrix,
 )
 from .exceptions import ConfigError, EcgAlarmError, EmptyDataset, MissingInput
-from .feature_synthesis import HLF_LAYOUT_VERSION, HLF_LENGTH
+from .feature_synthesis import HLF_LAYOUT_VERSION
 from .pipeline import _featurize_task
 from .record_io import ALARM_TYPES, TARGET_FS
-from .segment_features import LLF_LENGTH
 from .tables import (
     read_feature_csv,
     read_manifest,
@@ -151,14 +151,12 @@ def _print_counts(rows: list[dict]) -> None:
         print(f"  {alarm}: {len(members)} patients, {len(members) - n_true} false, {n_true} true")
 
 
-def _feature_columns() -> dict[str, list[str]]:
-    dwt_cols = [f"d{level}_f{i}" for level in range(1, DEFAULT_LEVELS + 1)
-                for i in range(1, N_BAND_STATS + 1)]
-    return {
-        "llf": [f"f{i}" for i in range(1, LLF_LENGTH + 1)],
-        "hlf": [f"f{i}" for i in range(1, HLF_LENGTH + 1)],
-        "dwt": dwt_cols,
-    }
+# Layout line written above a feature bank's header row.
+_BANK_COMMENTS = {
+    "hlf_cityblock": f"layout={HLF_LAYOUT_VERSION} metric=cityblock",
+    "hlf_euclidean": f"layout={HLF_LAYOUT_VERSION} metric=sqeuclidean",
+    "dwt": f"layout={DWT_LAYOUT_VERSION} stats={','.join(STAT_NAMES)}",
+}
 
 
 def cmd_featurize(cfg: dict) -> int:
@@ -195,51 +193,26 @@ def cmd_featurize(cfg: dict) -> int:
         else:
             done.append(feats)
 
-    cols = _feature_columns()
     records = [f.record_name for f in done]
     labels = [f.label for f in done]
-    write_feature_csv(out / "llf.csv", records, labels,
-                      np.array([f.llf for f in done]), cols["llf"])
-    write_feature_csv(out / "hlf_cityblock.csv", records, labels,
-                      np.array([f.hlf_cityblock for f in done]), cols["hlf"],
-                      comment=f"layout={HLF_LAYOUT_VERSION} metric=cityblock")
-    write_feature_csv(out / "hlf_euclidean.csv", records, labels,
-                      np.array([f.hlf_euclidean for f in done]), cols["hlf"],
-                      comment=f"layout={HLF_LAYOUT_VERSION} metric=sqeuclidean")
-    write_feature_csv(out / "dwt.csv", records, labels,
-                      np.array([f.dwt for f in done]), cols["dwt"],
-                      comment=f"layout={DWT_LAYOUT_VERSION} stats={','.join(STAT_NAMES)}")
+    for bank, columns in FEATURE_BANKS.items():
+        write_feature_csv(out / f"{bank}.csv", records, labels,
+                          np.array([getattr(f, bank) for f in done]), columns,
+                          comment=_BANK_COMMENTS.get(bank))
     print(f"featurized {len(done)} records -> {out}")
     return 0
-
-
-_SCENARIO_FILES = {
-    "LLF": "llf.csv",
-    "DWT": "dwt.csv",
-    "HLF_cityblock": "hlf_cityblock.csv",
-    "HLF_euclidean": "hlf_euclidean.csv",
-}
 
 
 def _load_tables(out: Path, scenarios: list[str]) -> dict:
     unknown = set(scenarios) - set(SCENARIOS)
     if unknown:
         raise ConfigError(f"unknown scenarios: {sorted(unknown)} (choose from {list(SCENARIOS)})")
-    base_needed = set()
-    for scenario in scenarios:
-        if scenario.startswith("DWT+"):
-            base_needed.add("DWT")
-            base_needed.add(scenario.split("+", 1)[1])
-        else:
-            base_needed.add(scenario)
-    base = {name: read_feature_csv(out / _SCENARIO_FILES[name]) for name in base_needed}
-    tables = {}
-    for scenario in scenarios:
-        if scenario.startswith("DWT+"):
-            tables[scenario] = combine_tables(base["DWT"], base[scenario.split("+", 1)[1]])
-        else:
-            tables[scenario] = base[scenario]
-    return tables
+    needed = dict.fromkeys(bank for scenario in scenarios for bank in SCENARIOS[scenario])
+    banks = {bank: read_feature_csv(out / f"{bank}.csv") for bank in needed}
+    return {
+        scenario: combine_tables(*(banks[bank] for bank in SCENARIOS[scenario]))
+        for scenario in scenarios
+    }
 
 
 def _safe_name(text: str) -> str:

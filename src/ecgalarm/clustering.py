@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionError, EmptyInput
+from .exceptions import EmptyInput
 
 METRICS = ("cityblock", "sqeuclidean")
 DEFAULT_K = 5
@@ -36,25 +36,14 @@ class Clustering:
         return self.objective_trace[-1]
 
 
-def distance(a: np.ndarray, b: np.ndarray, metric: str) -> float:
-    """Point-to-point distance under the clustering metric."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    if metric == "cityblock":
-        return float(np.sum(np.abs(a - b)))
-    if metric == "sqeuclidean":
-        return float(np.sum((a - b) ** 2))
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _costs_to_centroids(X: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
     """(n, k) matrix of point costs under the metric."""
     diff = X[:, None, :] - centroids[None, :, :]
     if metric == "cityblock":
         return np.sum(np.abs(diff), axis=2)
-    return np.sum(diff**2, axis=2)
+    if metric == "sqeuclidean":
+        return np.sum(diff**2, axis=2)
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 def _plusplus_init(X: np.ndarray, k: int, metric: str, rng: np.random.Generator) -> np.ndarray:
@@ -160,10 +149,3 @@ def record_seed(global_seed: int, record_name: str) -> int:
     """Per-record clustering seed: stable hash of the name XOR the global seed."""
     return (global_seed ^ zlib.crc32(record_name.encode("utf-8"))) & 0xFFFFFFFF
 
-
-def dump_clustering_csv(clustering: Clustering, path) -> None:
-    """Debug dump: one row per centroid, then a sizes line."""
-    with open(path, "w", newline="") as fh:
-        for centroid in clustering.centroids:
-            fh.write(",".join(repr(float(v)) for v in centroid) + "\n")
-        fh.write("sizes," + ",".join(str(int(s)) for s in clustering.sizes) + "\n")

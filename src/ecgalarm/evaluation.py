@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from .dwt import DEFAULT_LEVELS, N_BAND_STATS
 from .ensemble import (
     DEFAULT_LEARNING_RATE,
     DEFAULT_MAX_SPLITS,
@@ -26,24 +27,28 @@ from .ensemble import (
     fit_rusboost,
 )
 from .exceptions import ConfigError, EmptyInput, MissingInput, UndefinedAuc
+from .feature_synthesis import HLF_LENGTH
 from .record_io import TRUE_ALARM
+from .segment_features import LLF_LENGTH
 
-SCENARIOS = (
-    "LLF",
-    "DWT",
-    "HLF_cityblock",
-    "HLF_euclidean",
-    "DWT+HLF_cityblock",
-    "DWT+HLF_euclidean",
-)
 CLASSIFIERS = ("BoostedTrees", "RUSBoostedTrees")
-SCENARIO_DIMS = {
-    "LLF": 588,
-    "DWT": 120,
-    "HLF_cityblock": 31,
-    "HLF_euclidean": 31,
-    "DWT+HLF_cityblock": 151,
-    "DWT+HLF_euclidean": 151,
+# Feature bank -> the columns of its table, written to <bank>.csv from the
+# RecordFeatures field of the same name.
+FEATURE_BANKS = {
+    "llf": [f"f{i}" for i in range(1, LLF_LENGTH + 1)],
+    "hlf_cityblock": [f"f{i}" for i in range(1, HLF_LENGTH + 1)],
+    "hlf_euclidean": [f"f{i}" for i in range(1, HLF_LENGTH + 1)],
+    "dwt": [f"d{level}_f{i}" for level in range(1, DEFAULT_LEVELS + 1)
+            for i in range(1, N_BAND_STATS + 1)],
+}
+# Scenario -> the feature banks whose columns it concatenates, in order.
+SCENARIOS = {
+    "LLF": ("llf",),
+    "DWT": ("dwt",),
+    "HLF_cityblock": ("hlf_cityblock",),
+    "HLF_euclidean": ("hlf_euclidean",),
+    "DWT+HLF_cityblock": ("dwt", "hlf_cityblock"),
+    "DWT+HLF_euclidean": ("dwt", "hlf_euclidean"),
 }
 METRIC_ROWS = ("accuracy", "specificity", "sensitivity", "auc")
 
@@ -169,13 +174,14 @@ class FeatureTable:
     X: np.ndarray
 
 
-def combine_tables(left: FeatureTable, right: FeatureTable) -> FeatureTable:
-    """Column-concatenate two scenarios (records must align)."""
-    if left.records != right.records:
-        raise MissingInput("feature tables cover different record sets")
-    if not np.array_equal(left.y, right.y):
-        raise MissingInput("feature tables disagree on labels")
-    return FeatureTable(left.records, left.y, np.hstack([left.X, right.X]))
+def combine_tables(first: FeatureTable, *rest: FeatureTable) -> FeatureTable:
+    """Column-concatenate scenario tables (records and labels must align)."""
+    for other in rest:
+        if other.records != first.records:
+            raise MissingInput("feature tables cover different record sets")
+        if not np.array_equal(other.y, first.y):
+            raise MissingInput("feature tables disagree on labels")
+    return FeatureTable(first.records, first.y, np.hstack([first.X] + [t.X for t in rest]))
 
 
 @dataclass
@@ -209,6 +215,12 @@ class CellResult:
 def _cell_seed(seed: int, scenario: str, classifier: str, fold: int) -> int:
     tag = f"{scenario}|{classifier}|{fold}"
     return (seed ^ zlib.crc32(tag.encode())) & 0xFFFFFFFF
+
+
+def _defined(rate: float) -> float | None:
+    """A rate over an empty class (a fold without positives) is undefined:
+    None, written as JSON null, since strict JSON has no NaN."""
+    return None if np.isnan(rate) else rate
 
 
 def run_cell(
@@ -255,8 +267,8 @@ def run_cell(
                 "fold": int(fold),
                 "n_test": int(len(test)),
                 "accuracy": fold_conf.accuracy,
-                "sensitivity": fold_conf.sensitivity,
-                "specificity": fold_conf.specificity,
+                "sensitivity": _defined(fold_conf.sensitivity),
+                "specificity": _defined(fold_conf.specificity),
             }
         )
 
@@ -268,7 +280,7 @@ def run_cell(
 def run_matrix(
     tables: dict[str, FeatureTable],
     alarm_types: dict[str, str],
-    scenarios: tuple[str, ...] = SCENARIOS,
+    scenarios: tuple[str, ...] = tuple(SCENARIOS),
     classifiers: tuple[str, ...] = CLASSIFIERS,
     folds: int = 5,
     seed: int = 0,
@@ -279,8 +291,8 @@ def run_matrix(
         if scenario not in tables:
             raise MissingInput(f"no feature table for scenario {scenario!r}")
         got = tables[scenario].X.shape[1]
-        want = SCENARIO_DIMS.get(scenario)
-        if want is not None and got != want:
+        want = sum(len(FEATURE_BANKS[bank]) for bank in SCENARIOS.get(scenario, ()))
+        if scenario in SCENARIOS and got != want:
             raise ConfigError(f"{scenario}: expected {want} columns, got {got}")
 
     base = tables[scenarios[0]]

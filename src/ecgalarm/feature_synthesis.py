@@ -17,24 +17,16 @@ pad the missing ones with zeros in every block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .clustering import Clustering, distance
+from .clustering import Clustering, _costs_to_centroids
 from .record_io import ALARM_TYPES
 
 HLF_LENGTH = 31
 HLF_CLUSTERS = 5
 HLF_LAYOUT_VERSION = "hlf-v1"
-
-
-@dataclass
-class HlfVector:
-    record_name: str
-    values: np.ndarray  # 31
-    label: int
 
 
 def normalize_centroid(centroid: np.ndarray) -> np.ndarray:
@@ -82,10 +74,8 @@ def synthesize(
     values[11 + pad : 11 + n_clusters] = norm_sums / sizes
     values[16 + pad : 16 + n_clusters] = norm_sums / total
 
+    costs = _costs_to_centroids(normalized, normalized, clustering.metric)
     for slot, (i, j) in enumerate(combinations(range(n_clusters), 2)):
-        if i < pad or j < pad:
-            continue
-        values[21 + slot] = distance(
-            normalized[i - pad], normalized[j - pad], clustering.metric
-        )
+        if i >= pad:  # then j > i is present too
+            values[21 + slot] = costs[i - pad, j - pad]
     return values

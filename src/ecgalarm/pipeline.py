@@ -13,7 +13,7 @@ import numpy as np
 from .clustering import DEFAULT_K, kmeans, record_seed
 from .dwt import dwt_feature_vector
 from .feature_synthesis import synthesize
-from .segment_features import LLF_LENGTH, heart_rate, llf_tail, segment_features
+from .segment_features import N_SEGMENT_FEATURES, heart_rate, llf_tail, segment_features
 from .segmentation import segment_record
 
 
@@ -45,21 +45,15 @@ def featurize_record(
     back to the documented sentinels: zero heart rate, zero LLF, and the
     padded high-level vector.
     """
-    beats = segment_record(samples, fs, record_name)
-    hr = heart_rate(beats, fs)
-
-    if len(beats) > 0:
-        matrix = segment_features(beats)
-        llf = llf_tail(matrix).values
-    else:
-        matrix = None
-        llf = np.zeros(LLF_LENGTH)
+    marks = segment_record(samples, fs)
+    hr = heart_rate(marks, fs)
+    rows = segment_features(marks) if len(marks) else np.empty((0, N_SEGMENT_FEATURES))
 
     hlf = {}
     for metric in ("cityblock", "sqeuclidean"):
-        if matrix is not None and len(matrix.rows) > 0:
+        if len(rows) > 0:
             clustering = kmeans(
-                matrix.rows, k=k_clusters, metric=metric,
+                rows, k=k_clusters, metric=metric,
                 seed=record_seed(seed, record_name),
             )
         else:
@@ -70,9 +64,9 @@ def featurize_record(
         record_name=record_name,
         label=label,
         alarm_type=alarm_type,
-        n_beats=len(beats),
+        n_beats=len(marks),
         heart_rate=hr,
-        llf=llf,
+        llf=llf_tail(rows),
         hlf_cityblock=hlf["cityblock"],
         hlf_euclidean=hlf["sqeuclidean"],
         dwt=dwt_feature_vector(samples),

@@ -17,26 +17,24 @@ a record with N beats yields max(0, N - 2) rows.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
 from .exceptions import EmptyBeats
-from .segmentation import LANDMARKS, BeatSequence
+from .segmentation import LANDMARKS
 
 N_SEGMENT_FEATURES = 84
 LLF_SEGMENTS = 7
 LLF_LENGTH = N_SEGMENT_FEATURES * LLF_SEGMENTS  # 588
 
 
+# Coordinate column prefix per landmark where it is not the landmark name.
+_COORD_PREFIX = {"OnQRS": "OnQRS_", "OffQRS": "OFFQRS_"}
+
+
 def _build_feature_names() -> list[str]:
-    coord_names = []
-    for mark in ("P", "Q", "R", "S", "T"):
-        coord_names += [f"{mark}x", f"{mark}y"]
-    coord_names += ["OnQRS_x", "OnQRS_y", "OFFQRS_x", "OFFQRS_y"]
+    coord_names = [f"{_COORD_PREFIX.get(m, m)}{axis}" for m in LANDMARKS for axis in "xy"]
 
     pair_x = [f"dx_{a}_{b}" for a, b in combinations(LANDMARKS, 2)]
     pair_y = [f"dy_{a}_{b}" for a, b in combinations(LANDMARKS, 2)]
@@ -51,87 +49,40 @@ def _build_feature_names() -> list[str]:
 FEATURE_NAMES = _build_feature_names()
 assert len(FEATURE_NAMES) == N_SEGMENT_FEATURES
 
-_PAIRS = list(combinations(range(len(LANDMARKS)), 2))  # 21 lexicographic pairs
-_Q_INDEX = LANDMARKS.index("Q")
+_PAIR_A, _PAIR_B = np.array(list(combinations(range(len(LANDMARKS)), 2))).T  # 21 pairs
+_Q = LANDMARKS.index("Q")
+_R = LANDMARKS.index("R")
 
 
-@dataclass
-class SegmentFeatureMatrix:
-    record_name: str
-    rows: np.ndarray  # N_usable x 84
-    feature_names: list[str]
+def segment_features(marks: np.ndarray) -> np.ndarray:
+    """The (max(0, N - 2), 84) feature matrix of one record's (N, 7, 2)
+    landmark array, as returned by `delineate`."""
+    if len(marks) == 0:
+        raise EmptyBeats("record has no beats")
+    x, y = marks[..., 0], marks[..., 1]
+    n = max(0, len(marks) - 2)
+    coords = np.stack([x - x[:, _Q : _Q + 1], y], axis=-1).reshape(len(marks), -1)
+    return np.hstack([
+        coords[:n],
+        x[:n, _PAIR_B] - x[:n, _PAIR_A],
+        y[:n, _PAIR_B] - y[:n, _PAIR_A],
+        x[1 : n + 1] - x[:n],
+        y[1 : n + 1] - y[:n],
+        x[2:] - x[:n],
+        y[2:] - y[:n],
+    ])
 
 
-@dataclass
-class LlfVector:
-    record_name: str
-    values: np.ndarray  # 588
-
-
-def segment_features(beats: BeatSequence) -> SegmentFeatureMatrix:
-    """Compute the 84-column feature matrix for one record's beats."""
-    if len(beats) == 0:
-        raise EmptyBeats(beats.record_name or "record has no beats")
-
-    marks = beats.landmark_array()  # (N, 7, 2)
-    n_usable = max(0, len(beats) - 2)
-    rows = np.zeros((n_usable, N_SEGMENT_FEATURES), dtype=np.float64)
-
-    x = marks[:, :, 0]
-    y = marks[:, :, 1]
-    x_rel = x - x[:, _Q_INDEX : _Q_INDEX + 1]
-
-    for i in range(n_usable):
-        col = 0
-        for j, name in enumerate(LANDMARKS):
-            if name in ("P", "Q", "R", "S", "T"):
-                rows[i, col] = x_rel[i, j]
-                rows[i, col + 1] = y[i, j]
-                col += 2
-        rows[i, 10] = x_rel[i, 5]  # OnQRS_x
-        rows[i, 11] = y[i, 5]
-        rows[i, 12] = x_rel[i, 6]  # OFFQRS_x
-        rows[i, 13] = y[i, 6]
-        col = 14
-        for a, b in _PAIRS:
-            rows[i, col] = x[i, b] - x[i, a]
-            col += 1
-        for a, b in _PAIRS:
-            rows[i, col] = y[i, b] - y[i, a]
-            col += 1
-        rows[i, col : col + 7] = x[i + 1] - x[i]
-        col += 7
-        rows[i, col : col + 7] = y[i + 1] - y[i]
-        col += 7
-        rows[i, col : col + 7] = x[i + 2] - x[i]
-        col += 7
-        rows[i, col : col + 7] = y[i + 2] - y[i]
-
-    return SegmentFeatureMatrix(beats.record_name, rows, list(FEATURE_NAMES))
-
-
-def heart_rate(beats: BeatSequence, fs: float) -> float:
-    """Mean heart rate in bpm over the beat sequence; 0 when under 2 beats."""
-    if len(beats) < 2:
+def heart_rate(marks: np.ndarray, fs: float) -> float:
+    """Mean heart rate in bpm over the landmark array; 0 when under 2 beats."""
+    if len(marks) < 2:
         return 0.0
-    r = np.array([b.r_index for b in beats.beats], dtype=np.float64)
-    return float(60.0 * fs / np.mean(np.diff(r)))
+    return float(60.0 * fs / np.mean(np.diff(marks[:, _R, 0])))
 
 
-def llf_tail(matrix: SegmentFeatureMatrix) -> LlfVector:
+def llf_tail(rows: np.ndarray) -> np.ndarray:
     """Concatenate the last 7 feature rows (oldest first), zero-padded on the left."""
-    rows = matrix.rows
-    tail = rows[-LLF_SEGMENTS:] if len(rows) else rows.reshape(0, N_SEGMENT_FEATURES)
-    if len(tail) < LLF_SEGMENTS:
-        pad = np.zeros((LLF_SEGMENTS - len(tail), N_SEGMENT_FEATURES))
-        tail = np.vstack([pad, tail])
-    return LlfVector(matrix.record_name, tail.reshape(-1).copy())
-
-
-def write_segment_features_csv(matrix: SegmentFeatureMatrix, path: str | Path) -> None:
-    """Export the per-segment matrix with the canonical column names."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["segment"] + matrix.feature_names)
-        for i, row in enumerate(matrix.rows):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    tail = np.zeros((LLF_SEGMENTS, N_SEGMENT_FEATURES))
+    last = rows[-LLF_SEGMENTS:]
+    tail[LLF_SEGMENTS - len(last) :] = last
+    return tail.reshape(-1)

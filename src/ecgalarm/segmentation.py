@@ -15,10 +15,6 @@ between neighbouring R-peaks. Landmark amplitudes are read from the raw
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .exceptions import EmptySignal
@@ -35,53 +31,6 @@ T_MIN_MS = 80.0
 T_MAX_MS = 400.0
 
 LANDMARKS = ("P", "Q", "R", "S", "T", "OnQRS", "OffQRS")
-
-
-@dataclass
-class Beat:
-    """Seven landmarks of one cardiac cycle, absolute sample indices + mV."""
-
-    px: int
-    py: float
-    qx: int
-    qy: float
-    rx: int
-    ry: float
-    sx: int
-    sy: float
-    tx: int
-    ty: float
-    on_x: int
-    on_y: float
-    off_x: int
-    off_y: float
-
-    @property
-    def r_index(self) -> int:
-        return self.rx
-
-    def xy(self, landmark: str) -> tuple[int, float]:
-        key = {"P": "p", "Q": "q", "R": "r", "S": "s", "T": "t",
-               "OnQRS": "on_", "OffQRS": "off_"}[landmark]
-        return getattr(self, key + "x"), getattr(self, key + "y")
-
-
-@dataclass
-class BeatSequence:
-    record_name: str
-    beats: list[Beat]
-    sampling_rate: float
-
-    def __len__(self) -> int:
-        return len(self.beats)
-
-    def landmark_array(self) -> np.ndarray:
-        """(N, 7, 2) array of (x, y) per landmark in LANDMARKS order."""
-        out = np.empty((len(self.beats), len(LANDMARKS), 2), dtype=np.float64)
-        for i, beat in enumerate(self.beats):
-            for j, name in enumerate(LANDMARKS):
-                out[i, j] = beat.xy(name)
-        return out
 
 
 def _bandpass_kernel() -> tuple[np.ndarray, int]:
@@ -273,13 +222,12 @@ def _ms(ms: float, fs: float) -> int:
     return int(round(ms * fs / 1000.0))
 
 
-def delineate(
-    samples: np.ndarray,
-    fs: float,
-    r_peaks: np.ndarray,
-    record_name: str = "",
-) -> BeatSequence:
-    """Locate P/Q/S/T around each R-peak and assemble the beat list.
+
+
+def delineate(samples: np.ndarray, fs: float, r_peaks: np.ndarray) -> np.ndarray:
+    """Locate P/Q/S/T around each R-peak: an (N, 7, 2) float64 array holding
+    the (x, y) of every landmark in LANDMARKS order, x as an absolute sample
+    index and y in mV.
 
     Beats whose P or T search window is clipped empty (record edges) are
     dropped. Every window is also clipped to the midpoints between adjacent
@@ -288,7 +236,7 @@ def delineate(
     samples = np.asarray(samples, dtype=np.float64)
     r_peaks = np.asarray(r_peaks, dtype=int)
     n = samples.size
-    beats: list[Beat] = []
+    beats: list[tuple[int, ...]] = []
 
     w_q = _ms(Q_WINDOW_MS, fs)
     w_p = _ms(P_WINDOW_MS, fs)
@@ -328,36 +276,12 @@ def delineate(
             continue
         tx = t_lo + 1 + int(np.argmax(samples[t_lo + 1 : t_hi + 1]))
 
-        on_x = round((px + qx) / 2)
-        off_x = round((sx + tx) / 2)
-        beats.append(
-            Beat(
-                px=int(px), py=float(samples[px]),
-                qx=int(qx), qy=float(samples[qx]),
-                rx=int(r), ry=float(samples[r]),
-                sx=int(sx), sy=float(samples[sx]),
-                tx=int(tx), ty=float(samples[tx]),
-                on_x=int(on_x), on_y=float(samples[on_x]),
-                off_x=int(off_x), off_y=float(samples[off_x]),
-            )
-        )
-    return BeatSequence(record_name=record_name, beats=beats, sampling_rate=fs)
+        beats.append((px, qx, r, sx, tx, round((px + qx) / 2), round((sx + tx) / 2)))
+
+    x = np.array(beats, dtype=int).reshape(-1, len(LANDMARKS))
+    return np.stack([x, samples[x]], axis=-1, dtype=np.float64)
 
 
-def segment_record(samples: np.ndarray, fs: float, record_name: str = "") -> BeatSequence:
+def segment_record(samples: np.ndarray, fs: float) -> np.ndarray:
     """Convenience: detect R-peaks then delineate."""
-    return delineate(samples, fs, detect_r_peaks(samples, fs), record_name)
-
-
-def dump_beats_csv(seq: BeatSequence, path: str | Path) -> None:
-    """Debug dump of the five named waves per beat."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["beat_idx", "P_x", "P_y", "Q_x", "Q_y", "R_x", "R_y", "S_x", "S_y", "T_x", "T_y"]
-        )
-        for i, b in enumerate(seq.beats):
-            writer.writerow(
-                [i, b.px, repr(b.py), b.qx, repr(b.qy), b.rx, repr(b.ry),
-                 b.sx, repr(b.sy), b.tx, repr(b.ty)]
-            )
+    return delineate(samples, fs, detect_r_peaks(samples, fs))

@@ -3,8 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ecgalarm.clustering import distance, kmeans, record_seed
-from ecgalarm.exceptions import DimensionError, EmptyInput
+from ecgalarm.clustering import _costs_to_centroids, kmeans, record_seed
+from ecgalarm.exceptions import EmptyInput
 
 
 def brute_force_two_clusters(X, metric):
@@ -27,6 +27,11 @@ def brute_force_two_clusters(X, metric):
     return best
 
 
+def distance(a, b, metric):
+    """One point-to-point cost through the (n, k) cost matrix."""
+    return _costs_to_centroids(a[None, :], b[None, :], metric)[0, 0]
+
+
 class TestDistance:
     def test_identity(self):
         a = np.arange(84, dtype=float)
@@ -39,9 +44,9 @@ class TestDistance:
         assert distance(a, b, "cityblock") == 7.0
         assert distance(a, b, "sqeuclidean") == 25.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            distance(np.zeros(3), np.zeros(4), "cityblock")
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError):
+            distance(np.zeros(3), np.ones(3), "euclidean")
 
     def test_cityblock_triangle_inequality(self):
         rng = np.random.default_rng(0)
@@ -157,15 +162,3 @@ class TestRecordSeed:
         assert record_seed(7, "a103l") != record_seed(8, "a103l")
         assert record_seed(7, "a103l") != record_seed(7, "a104l")
 
-
-def test_dump_clustering_csv(tmp_path):
-    from ecgalarm.clustering import dump_clustering_csv
-
-    X = np.random.default_rng(0).normal(size=(12, 4))
-    result = kmeans(X, 3, "cityblock", seed=1)
-    path = tmp_path / "clusters.csv"
-    dump_clustering_csv(result, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == result.k + 1
-    assert lines[-1].startswith("sizes,")
-    assert [int(s) for s in lines[-1].split(",")[1:]] == list(result.sizes)

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from ecgalarm.ensemble import fit_adaboost
 from ecgalarm.evaluation import (
-    SCENARIO_DIMS,
+    FEATURE_BANKS,
+    SCENARIOS,
     FeatureTable,
     combine_tables,
     confusion_metrics,
@@ -222,7 +225,30 @@ class TestRunMatrix:
     def test_combine_tables_dims(self):
         tables, _ = _toy_tables(dim_a=120, dim_b=31)
         combined = combine_tables(tables["A"], tables["B"])
-        assert combined.X.shape[1] == SCENARIO_DIMS["DWT+HLF_cityblock"]
+        widths = [len(FEATURE_BANKS[bank]) for bank in SCENARIOS["DWT+HLF_cityblock"]]
+        assert widths == [120, 31]
+        assert combined.X.shape[1] == sum(widths)
+
+    def test_fold_without_positives_writes_null_not_nan(self):
+        # Two true alarms of one stratum (ASY) are dealt to two of four folds;
+        # the other two folds have no positives, so sensitivity is undefined.
+        tables, alarms = _toy_tables(seed=2)
+        table = tables["A"]
+        y = np.full(len(table.records), FALSE_ALARM)
+        y[[0, 5]] = TRUE_ALARM
+        table = FeatureTable(table.records, y, table.X + 3.0 * y[:, None])
+        report = run_matrix(
+            {"A": table}, alarms, scenarios=("A",), classifiers=("BoostedTrees",),
+            folds=4, seed=0, rounds=3,
+        )
+        per_fold = report["cells"]["A/BoostedTrees"]["per_fold"]
+        assert sum(f["sensitivity"] is None for f in per_fold) == 2
+        constants = []
+        parsed = json.loads(json.dumps(report, sort_keys=True, indent=1),
+                            parse_constant=lambda c: constants.append(c) or float(c))
+        # The only non-finite value is the ROC's first threshold, +inf.
+        assert constants == ["Infinity"]
+        assert parsed["cells"]["A/BoostedTrees"]["roc_points"][0][2] == float("inf")
 
     def test_markdown_render(self):
         tables, alarms = _toy_tables(seed=8)

@@ -3,11 +3,11 @@ import pytest
 
 from ecgalarm.exceptions import EmptySignal
 from ecgalarm.segmentation import (
+    LANDMARKS,
     REFRACTORY_SAMPLES,
     bandpass,
     delineate,
     detect_r_peaks,
-    dump_beats_csv,
     segment_record,
 )
 from ecgalarm.synthetic import synthetic_ecg
@@ -98,76 +98,60 @@ class TestDetectRPeaks:
             np.testing.assert_array_equal(detect_r_peaks(c * ecg.samples, FS), base)
 
 
+def _waves_x(marks):
+    """Integer P, Q, R, S, T positions per beat, one row per beat."""
+    return marks[:, :5, 0].astype(int)
+
+
 class TestDelineate:
     def test_landmark_accuracy_on_synthetic(self):
         ecg = synthetic_ecg(300, 60, snr_db=20, seed=4)
         peaks = detect_r_peaks(ecg.samples, FS)
-        seq = delineate(ecg.samples, FS, peaks)
-        assert len(seq) >= 295
+        marks = delineate(ecg.samples, FS, peaks)
+        assert len(marks) >= 295
         good = 0
-        for beat in seq.beats:
-            ti = int(np.argmin(np.abs(ecg.landmarks["R"] - beat.rx)))
-            errs = [
-                abs(beat.px - ecg.landmarks["P"][ti]),
-                abs(beat.qx - ecg.landmarks["Q"][ti]),
-                abs(beat.rx - ecg.landmarks["R"][ti]),
-                abs(beat.sx - ecg.landmarks["S"][ti]),
-                abs(beat.tx - ecg.landmarks["T"][ti]),
-            ]
+        for beat in _waves_x(marks):
+            ti = int(np.argmin(np.abs(ecg.landmarks["R"] - beat[2])))
+            errs = [abs(x - ecg.landmarks[wave][ti]) for x, wave in zip(beat, LANDMARKS)]
             if max(errs) <= 5:  # 20 ms at 250 Hz
                 good += 1
-        assert good / len(seq) >= 0.95
+        assert good / len(marks) >= 0.95
 
     def test_single_edge_peak_dropped(self):
         samples = np.zeros(int(5 * FS))
         samples[10] = 1.0
-        seq = delineate(samples, FS, np.array([10]))
-        assert len(seq) == 0
+        marks = delineate(samples, FS, np.array([10]))
+        assert len(marks) == 0
 
     def test_empty_peaks_empty_sequence(self):
-        seq = delineate(np.zeros(1000), FS, np.array([], dtype=int))
-        assert len(seq) == 0
+        marks = delineate(np.zeros(1000), FS, np.array([], dtype=int))
+        assert marks.shape == (0, 7, 2)
 
     def test_window_bounds_property(self):
         ecg = synthetic_ecg(120, 75, snr_db=18, seed=9)
-        seq = segment_record(ecg.samples, FS)
-        for beat in seq.beats:
-            r = beat.rx
-            assert r - 60 <= beat.px < r - 15
-            assert r - 15 <= beat.qx < r
-            assert r < beat.sx <= r + 15
-            assert r + 20 < beat.tx <= r + 100
-            assert beat.px < beat.qx <= beat.rx <= beat.sx < beat.tx
-            assert beat.on_x == round((beat.px + beat.qx) / 2)
-            assert beat.off_x == round((beat.sx + beat.tx) / 2)
-            assert beat.on_y == ecg.samples[beat.on_x]
-            assert beat.off_y == ecg.samples[beat.off_x]
+        marks = segment_record(ecg.samples, FS)
+        for px, qx, r, sx, tx, on_x, off_x in marks[..., 0].astype(int):
+            assert r - 60 <= px < r - 15
+            assert r - 15 <= qx < r
+            assert r < sx <= r + 15
+            assert r + 20 < tx <= r + 100
+            assert px < qx <= r <= sx < tx
+            assert on_x == round((px + qx) / 2)
+            assert off_x == round((sx + tx) / 2)
 
     def test_y_values_from_raw_signal(self):
         ecg = synthetic_ecg(60, 70, snr_db=25, seed=6)
-        seq = segment_record(ecg.samples, FS)
-        for beat in seq.beats[:10]:
-            assert beat.ry == ecg.samples[beat.rx]
-            assert beat.py == ecg.samples[beat.px]
+        marks = segment_record(ecg.samples, FS)
+        assert marks.dtype == np.float64
+        np.testing.assert_array_equal(marks[..., 1], ecg.samples[marks[..., 0].astype(int)])
 
     def test_scaling_leaves_x_scales_y(self):
         ecg = synthetic_ecg(60, 70, snr_db=22, seed=8)
-        seq1 = segment_record(ecg.samples, FS)
-        seq3 = segment_record(3.0 * ecg.samples, FS)
-        assert len(seq1) == len(seq3)
-        for b1, b3 in zip(seq1.beats, seq3.beats):
-            assert (b1.px, b1.qx, b1.rx, b1.sx, b1.tx) == (b3.px, b3.qx, b3.rx, b3.sx, b3.tx)
-            assert b3.ry == pytest.approx(3.0 * b1.ry)
-            assert b3.ty == pytest.approx(3.0 * b1.ty)
-
-    def test_debug_dump(self, tmp_path):
-        ecg = synthetic_ecg(30, 70, seed=1)
-        seq = segment_record(ecg.samples, FS)
-        out = tmp_path / "beats.csv"
-        dump_beats_csv(seq, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "beat_idx,P_x,P_y,Q_x,Q_y,R_x,R_y,S_x,S_y,T_x,T_y"
-        assert len(lines) == len(seq) + 1
+        m1 = segment_record(ecg.samples, FS)
+        m3 = segment_record(3.0 * ecg.samples, FS)
+        assert m1.shape == m3.shape
+        np.testing.assert_array_equal(m1[..., 0], m3[..., 0])
+        np.testing.assert_allclose(m3[..., 1], 3.0 * m1[..., 1], rtol=1e-6)
 
 
 class TestRobustness:
@@ -196,18 +180,18 @@ class TestRobustness:
             "T": (200.0, 0.4, 28.0),
         }
         ecg = synthetic_ecg(60, 70, snr_db=25, seed=3, waves=waves)
-        seq = segment_record(ecg.samples, FS)
-        assert len(seq) > 30
-        for beat in seq.beats:
-            assert beat.rx - 60 <= beat.px < beat.rx - 15
+        marks = segment_record(ecg.samples, FS)
+        assert len(marks) > 30
+        for px, _, r, _, _ in _waves_x(marks):
+            assert r - 60 <= px < r - 15
 
     def test_pure_noise_does_not_crash(self):
         rng = np.random.default_rng(4)
         noise = rng.normal(0, 0.05, int(60 * FS))
         peaks = detect_r_peaks(noise, FS)
         assert np.all(np.diff(peaks) >= REFRACTORY_SAMPLES)
-        seq = delineate(noise, FS, peaks)
-        assert len(seq) <= len(peaks)
+        marks = delineate(noise, FS, peaks)
+        assert len(marks) <= len(peaks)
 
     def test_baseline_wander_rejected(self):
         ecg = synthetic_ecg(120, 75, seed=5)
