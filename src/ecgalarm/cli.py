@@ -10,6 +10,7 @@ so identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
@@ -89,23 +90,50 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+# Bump when what ingest caches (resampling, truncation, .npy layout) changes.
+INGEST_CACHE_LAYOUT = "ingest-cache-v1"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _ingest_key(data_dir: str, paths: list[Path], labels: str) -> dict:
+    """What an ingest cache was built from: the labels file's content and the
+    name and content of every file of every record (every file in `data_dir`
+    sharing a stem with an entry point in `paths`)."""
+    stems = {p.stem for p in paths}
+    return {
+        "layout": INGEST_CACHE_LAYOUT,
+        "labels_sha256": _sha256(Path(labels)),
+        "records": {p.name: _sha256(p) for p in Path(data_dir).glob("*")
+                    if p.is_file() and p.stem in stems},
+    }
+
+
 def cmd_ingest(cfg: dict) -> int:
+    """Parse, label and cache every record. `--cache reuse` skips the work only
+    when cache/key.json matches the current inputs exactly."""
     if not cfg["data_dir"] or not cfg["labels"]:
         raise MissingInput("ingest needs --data-dir and --labels")
     out = _out_dir(cfg)
     cache_dir = out / "cache"
     cache_dir.mkdir(exist_ok=True)
     manifest_path = out / "manifest.csv"
+    key_path = cache_dir / "key.json"
+    paths = record_io.discover_records(cfg["data_dir"])
+    key = _ingest_key(cfg["data_dir"], paths, cfg["labels"])
 
-    if cfg["cache"] == "reuse" and manifest_path.exists():
+    if (cfg["cache"] == "reuse" and manifest_path.exists() and key_path.exists()
+            and json.loads(key_path.read_text()) == key):
         rows = read_manifest(manifest_path)
         usable = [r for r in rows if not r["skipped_reason"]]
         if all((cache_dir / f"{r['record']}.npy").exists() for r in usable):
             _print_counts(rows)
             return 0
 
+    key_path.unlink(missing_ok=True)  # the cache is stale until the rebuild completes
     labels = record_io.load_labels(cfg["labels"])
-    paths = record_io.discover_records(cfg["data_dir"])
     rows = []
     for path in paths:
         row = {"record": path.stem, "alarm_type": "", "label": "",
@@ -138,6 +166,7 @@ def cmd_ingest(cfg: dict) -> int:
     if not any(not r["skipped_reason"] for r in rows):
         raise EmptyDataset(f"no usable records in {cfg['data_dir']}")
     write_manifest(manifest_path, rows)
+    key_path.write_text(json.dumps(key, indent=1, sort_keys=True) + "\n")
     _print_counts(rows)
     return 0
 

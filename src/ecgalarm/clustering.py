@@ -71,10 +71,10 @@ def _update_centroid(points: np.ndarray, metric: str) -> np.ndarray:
 
 def _lloyd(X: np.ndarray, k: int, metric: str, rng: np.random.Generator):
     centroids = _plusplus_init(X, k, metric, rng)
+    costs = _costs_to_centroids(X, centroids, metric)
     prev_assign = None
     trace: list[float] = []
     for _ in range(MAX_ITER):
-        costs = _costs_to_centroids(X, centroids, metric)
         assign = np.argmin(costs, axis=1)
 
         # Empty-cluster repair: split off the farthest point as a singleton.
@@ -91,10 +91,10 @@ def _lloyd(X: np.ndarray, k: int, metric: str, rng: np.random.Generator):
             if len(members):
                 centroids[c] = _update_centroid(members, metric)
 
-        obj = float(
-            _costs_to_centroids(X, centroids, metric)[np.arange(len(X)), assign].sum()
-        )
-        trace.append(obj)
+        # Costs at the updated centroids: this iteration's objective and the
+        # next iteration's assignment.
+        costs = _costs_to_centroids(X, centroids, metric)
+        trace.append(float(costs[np.arange(len(X)), assign].sum()))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign

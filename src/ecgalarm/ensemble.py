@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DimensionError, SingleClassError
+from .exceptions import DimensionError, NoWeakLearner, SingleClassError
 
 DEFAULT_ROUNDS = 30
 DEFAULT_LEARNING_RATE = 0.1
@@ -290,6 +290,8 @@ def _boost(
         miss = pred != y
         eps = float(w[miss].sum())
         if eps >= 0.5:
+            if not trees:
+                raise NoWeakLearner(f"boosting round 0 has weighted error {eps:.3f} >= 0.5")
             break  # discard this round
         if eps == 0.0:
             alphas.append(learning_rate * 0.5 * np.log((1 - _EPS_PERFECT) / _EPS_PERFECT))
@@ -321,7 +323,11 @@ def fit_adaboost(
     max_splits: int = DEFAULT_MAX_SPLITS,
     feature_layout_version: str = "",
 ) -> BoostedEnsemble:
-    """AdaBoost.M1 with shallow CART weak learners."""
+    """AdaBoost.M1 with shallow CART weak learners.
+
+    Boosting stops at the first round whose weighted error is >= 0.5; if that
+    is round 0 it raises NoWeakLearner instead of returning an empty ensemble.
+    """
     n = len(X)
     all_rows = np.arange(n)
     return _boost(
@@ -345,7 +351,7 @@ def fit_rusboost(
 ) -> BoostedEnsemble:
     """RUSBoost: each round trains on all minority plus a random majority
     subsample (minority:majority = target_ratio); errors and weight updates
-    stay on the full weighted set."""
+    stay on the full weighted set. Raises NoWeakLearner as fit_adaboost does."""
     y = np.asarray(y, dtype=int)
     _check_labels(y)
     pos = np.flatnonzero(y > 0)

@@ -54,6 +54,12 @@ class EmptyBand(EcgAlarmError):
     """Statistics requested for an empty coefficient band."""
 
 
+class NoWeakLearner(EcgAlarmError):
+    """The first boosting round's tree is no better than chance (weighted
+    error >= 0.5), so boosting has no tree to keep. An ensemble without trees
+    would score 0 everywhere and call every alarm true."""
+
+
 class UndefinedAuc(EcgAlarmError):
     """ROC analysis needs both classes present."""
 

@@ -16,8 +16,9 @@ between neighbouring R-peaks. Landmark amplitudes are read from the raw
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d
 
-from .exceptions import EmptySignal
+from .exceptions import ConfigError, EmptySignal
 
 REFRACTORY_SAMPLES = 50  # 200 ms at 250 Hz
 INTEGRATION_WINDOW = 38  # 150 ms at 250 Hz
@@ -52,7 +53,9 @@ def _filter_aligned(samples: np.ndarray, kernel: np.ndarray, delay: int) -> np.n
 
 
 def bandpass(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
-    """QRS-emphasis bandpass; output aligned with and same length as input."""
+    """Same-length QRS bandpass aligned with the input; ConfigError unless fs is 250 Hz."""
+    if fs != 250.0:
+        raise ConfigError(f"bandpass supports only fs = 250 Hz, got {fs}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise EmptySignal("bandpass needs a non-empty signal")
@@ -71,6 +74,12 @@ def _integrate(squared: np.ndarray) -> np.ndarray:
     # then sit near QRS onset, where the R search window is anchored).
     kernel = np.ones(INTEGRATION_WINDOW) / INTEGRATION_WINDOW
     return np.convolve(squared, kernel, mode="full")[: len(squared)]
+
+
+def _trailing_max(x: np.ndarray) -> np.ndarray:
+    """Max of x over the integration window ending at each sample, [i - 37, i]."""
+    w = INTEGRATION_WINDOW
+    return maximum_filter1d(x, w, mode="nearest", origin=(w - 1) // 2)
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -100,7 +109,9 @@ class _Thresholds:
 
 
 def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
-    """Detect R-peak sample indices; empty array for flatline input."""
+    """R-peak sample indices, empty for flatline input; ConfigError unless fs is 250 Hz."""
+    if fs != 250.0:
+        raise ConfigError(f"detect_r_peaks supports only fs = 250 Hz, got {fs}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         return np.empty(0, dtype=int)
@@ -127,10 +138,6 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
     # Strongest noise candidate since the last QRS: (integ idx, peak, fpeak, slope)
     best_noise: tuple[int, float, float, float] | None = None
 
-    def window_peak(stream: np.ndarray, idx: int) -> float:
-        lo = max(0, idx - INTEGRATION_WINDOW + 1)
-        return float(np.max(stream[lo : idx + 1]))
-
     def refine_r(cross_idx: int) -> int:
         lo = max(0, cross_idx - 10)
         hi = min(n, cross_idx + 11)
@@ -143,11 +150,8 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
         return j
 
     def rr_average() -> float:
-        if rr_selected:
-            return float(np.mean(rr_selected[-8:]))
-        if rr_recent:
-            return float(np.mean(rr_recent[-8:]))
-        return float(fs)  # neutral prior: 60 bpm
+        rr = (rr_selected or rr_recent)[-8:]  # integer-valued, so the sum is exact
+        return sum(rr) / len(rr) if rr else float(fs)  # neutral prior: 60 bpm
 
     def record_rr(new_idx: int) -> None:
         if qrs_integ_idx:
@@ -182,11 +186,9 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
             if best_noise is None or peak > best_noise[1]:
                 best_noise = (idx, peak, fpeak, slope)
 
-    for idx in candidates:
-        peak = float(integ[idx])
-        fpeak = window_peak(abs_f, idx)
-        slope = window_peak(np.abs(deriv), idx)
-
+    fpeaks, slopes = (_trailing_max(s)[candidates].tolist() for s in (abs_f, np.abs(deriv)))
+    for idx, peak, fpeak, slope in zip(candidates.tolist(), integ[candidates].tolist(),
+                                       fpeaks, slopes):
         # Search-back: a long gap since the last QRS means one was missed;
         # revisit the strongest rejected candidate at half threshold.
         if qrs_integ_idx and idx - qrs_integ_idx[-1] > SEARCHBACK_FACTOR * rr_average():
@@ -199,13 +201,13 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
         # T-wave rejection: close to the last QRS with a much weaker slope.
         if qrs_integ_idx and idx - qrs_integ_idx[-1] < int(0.36 * fs):
             if qrs_slopes and slope < 0.5 * qrs_slopes[-1]:
-                mark_noise(int(idx), peak, fpeak, slope)
+                mark_noise(idx, peak, fpeak, slope)
                 continue
 
         if peak > thr_i.threshold and fpeak > thr_f.threshold:
-            accept_qrs(int(idx), peak, fpeak, slope)
+            accept_qrs(idx, peak, fpeak, slope)
         else:
-            mark_noise(int(idx), peak, fpeak, slope)
+            mark_noise(idx, peak, fpeak, slope)
 
     # Enforce strict ordering and the refractory on the final index list.
     out: list[int] = []
@@ -220,8 +222,6 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
 
 def _ms(ms: float, fs: float) -> int:
     return int(round(ms * fs / 1000.0))
-
-
 
 
 def delineate(samples: np.ndarray, fs: float, r_peaks: np.ndarray) -> np.ndarray:

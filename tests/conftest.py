@@ -11,9 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ecgalarm.record_io import encode_signal
 from ecgalarm.synthetic import synthetic_ecg
+
+# Property tests draw the same examples on every run and machine: a failure
+# reproduces from the test id alone, no example database is kept, and no
+# per-example deadline depends on the machine's speed.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 ALARM_COMMENT = {
     "ASY": "#Asystole",

@@ -54,6 +54,45 @@ class TestIngest:
         ) == 0
         assert (out / "manifest.csv").read_bytes() == manifest_before
 
+    def test_reuse_rebuilds_when_inputs_change(self, fixture_dataset, tmp_path):
+        data_dir, labels = fixture_dataset
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        labels_copy = tmp_path / "labels.csv"
+        shutil.copy(labels, labels_copy)
+        out = tmp_path / "out"
+
+        def ingest():
+            assert run_cli("ingest", "--data-dir", data, "--labels", labels_copy,
+                           "--out", out, "--cache", "reuse") == 0
+            return read_manifest(out / "manifest.csv")
+
+        ingest()
+        key = json.loads((out / "cache" / "key.json").read_text())
+        assert len(key["records"]) == 2 * 31  # .hea and .mat of every record
+
+        # Relabel one record: the manifest must follow the new labels file.
+        text = labels_copy.read_text()
+        labels_copy.write_text(text.replace("a101l,true", "a101l,false"))
+        rows = {r["record"]: r for r in ingest()}
+        assert rows["a101l"]["label"] == "false"
+
+        # Zero one record's samples: its cached signal must follow.
+        assert np.any(np.load(out / "cache" / "b107l.npy"))
+        signal = (data / "b107l.mat").read_bytes()
+        (data / "b107l.mat").write_bytes(signal[:24] + bytes(len(signal) - 24))
+        ingest()
+        assert not np.any(np.load(out / "cache" / "b107l.npy"))
+
+        # Unchanged inputs reuse the cache: the key and manifest stay as they are.
+        key = (out / "cache" / "key.json").read_bytes()
+        manifest = (out / "manifest.csv").read_bytes()
+        (out / "cache" / "b107l.npy").write_bytes(b"")  # reuse does not re-decode
+        ingest()
+        assert (out / "cache" / "key.json").read_bytes() == key
+        assert (out / "manifest.csv").read_bytes() == manifest
+        assert (out / "cache" / "b107l.npy").read_bytes() == b""
+
     def test_empty_dir_fails(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

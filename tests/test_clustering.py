@@ -2,8 +2,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from ecgalarm.clustering import _costs_to_centroids, kmeans, record_seed
+from ecgalarm.clustering import (
+    MAX_ITER,
+    METRICS,
+    _costs_to_centroids,
+    _plusplus_init,
+    kmeans,
+    record_seed,
+)
 from ecgalarm.exceptions import EmptyInput
 
 
@@ -154,6 +164,62 @@ class TestKmeansProperties:
         pairs_a = sorted((s, tuple(np.round(c, 9))) for s, c in zip(a.sizes, a.centroids))
         pairs_b = sorted((s, tuple(np.round(c, 9))) for s, c in zip(b.sizes, b.centroids))
         assert pairs_a == pairs_b
+
+
+def reference_lloyd(X, k, metric, seed):
+    """Textbook Lloyd loop: a fresh cost matrix for every assignment and
+    another for every objective, the same seeding and repair rule."""
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0])
+    centroids = _plusplus_init(X, k, metric, rng)
+    rows = np.arange(len(X))
+    prev, trace = None, []
+    for _ in range(MAX_ITER):
+        costs = _costs_to_centroids(X, centroids, metric)
+        assign = np.argmin(costs, axis=1)
+        for empty in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
+            donors = np.flatnonzero((np.bincount(assign, minlength=k) > 1)[assign])
+            far = donors[int(np.argmax(costs[donors, assign[donors]]))]
+            assign[far] = empty
+            costs[far, empty] = 0.0
+        for c in range(k):
+            if np.any(assign == c):
+                members = X[assign == c]
+                centroids[c] = (np.median if metric == "cityblock" else np.mean)(members, axis=0)
+        trace.append(float(_costs_to_centroids(X, centroids, metric)[rows, assign].sum()))
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign
+    return centroids, assign, trace
+
+
+point_sets = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=30),
+                    elements=st.floats(-100.0, 100.0, allow_nan=False))
+
+
+class TestLloydTraceProperty:
+    """Each Lloyd iteration's objective comes from the cost matrix that also
+    drives the next assignment; it must still be the true cost of the
+    returned clustering and never rise."""
+
+    @given(X=point_sets, k=st.integers(1, 6), metric=st.sampled_from(METRICS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_lloyd(self, X, k, metric, seed):
+        result = kmeans(X, k, metric, seed=seed)
+        centroids, assign, trace = reference_lloyd(X, min(k, len(X)), metric, seed)
+        assert result.objective_trace == trace
+        np.testing.assert_array_equal(result.assignments, assign)
+        np.testing.assert_array_equal(result.centroids, centroids)
+
+    @given(X=point_sets, k=st.integers(1, 6), metric=st.sampled_from(METRICS),
+           seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 2))
+    def test_trace_non_increasing_and_last_is_true_cost(self, X, k, metric, seed, restarts):
+        result = kmeans(X, k, metric, seed=seed, restarts=restarts)
+        trace = np.array(result.objective_trace)
+        scale = max(1.0, trace[0])
+        assert np.all(np.diff(trace) <= 1e-9 * scale)
+        diff = X - result.centroids[result.assignments]
+        cost = np.abs(diff).sum() if metric == "cityblock" else (diff**2).sum()
+        assert trace[-1] == pytest.approx(cost, rel=1e-9, abs=1e-9 * scale)
 
 
 class TestRecordSeed:

@@ -7,7 +7,7 @@ from ecgalarm.ensemble import (
     fit_rusboost,
     fit_tree,
 )
-from ecgalarm.exceptions import DimensionError, SingleClassError
+from ecgalarm.exceptions import DimensionError, NoWeakLearner, SingleClassError
 
 
 class TestFitTree:
@@ -90,6 +90,15 @@ class TestAdaboost:
         X = np.zeros((4, 2))
         with pytest.raises(SingleClassError):
             fit_adaboost(X, np.ones(4, dtype=int))
+
+    def test_chance_first_round_raises(self):
+        # A constant column cannot split, so round 0's single leaf has weighted
+        # error 0.5 on balanced labels; an empty ensemble would score 0 and
+        # call every alarm true.
+        X = np.ones((10, 1))
+        y = np.array([1, -1] * 5)
+        with pytest.raises(NoWeakLearner):
+            fit_adaboost(X, y)
 
     def test_weighted_error_below_half_each_round(self):
         rng = np.random.default_rng(3)

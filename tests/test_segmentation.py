@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ecgalarm.exceptions import EmptySignal
+from ecgalarm.exceptions import ConfigError, EmptySignal
 from ecgalarm.segmentation import (
+    INTEGRATION_WINDOW,
     LANDMARKS,
     REFRACTORY_SAMPLES,
+    _trailing_max,
     bandpass,
     delineate,
     detect_r_peaks,
@@ -62,10 +67,23 @@ class TestBandpass:
         with pytest.raises(EmptySignal):
             bandpass(np.array([]), FS)
 
+    def test_other_rate_rejected(self):
+        # The kernel's delays are fixed for 250 Hz.
+        with pytest.raises(ConfigError):
+            bandpass(np.zeros(1000), 360.0)
+
 
 class TestDetectRPeaks:
     def test_flatline_empty(self):
         assert len(detect_r_peaks(np.zeros(int(300 * FS)), FS)) == 0
+
+    def test_other_rate_rejected(self):
+        # Refractory, integration window and threshold init are 250 Hz sample
+        # counts; the check comes before the empty-input shortcut.
+        with pytest.raises(ConfigError):
+            detect_r_peaks(synthetic_ecg(10, 70, fs=500.0).samples, 500.0)
+        with pytest.raises(ConfigError):
+            detect_r_peaks(np.array([]), 125.0)
 
     def test_synthetic_60bpm_count_and_accuracy(self):
         ecg = synthetic_ecg(300, 60, snr_db=20, seed=11)
@@ -96,6 +114,35 @@ class TestDetectRPeaks:
         base = detect_r_peaks(ecg.samples, FS)
         for c in (0.2, 5.0, 40.0):
             np.testing.assert_array_equal(detect_r_peaks(c * ecg.samples, FS), base)
+
+
+class TestTrailingMax:
+    @given(arrays(np.float64, st.integers(1, 120),
+                  elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    def test_equals_window_slice_max(self, x):
+        got = _trailing_max(x)
+        assert got.shape == x.shape
+        for i in range(len(x)):
+            assert got[i] == np.max(x[max(0, i - INTEGRATION_WINDOW + 1) : i + 1])
+
+
+class TestDetectorRecallProperty:
+    """Recall within 20 ms stays >= 0.95 on 60-s records at 40-190 bpm under
+    amplitude scaling, linear baseline wander and noise down to 10 dB SNR."""
+
+    @settings(max_examples=30)
+    @given(
+        bpm=st.floats(40.0, 190.0),
+        scale=st.floats(0.1, 10.0),
+        drift_mv=st.floats(-5.0, 5.0),
+        snr_db=st.one_of(st.none(), st.floats(10.0, 40.0)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_recall(self, bpm, scale, drift_mv, snr_db, seed):
+        ecg = synthetic_ecg(60, bpm, snr_db=snr_db, seed=seed)
+        wander = np.linspace(0.0, drift_mv, len(ecg.samples))
+        peaks = detect_r_peaks(scale * ecg.samples + wander, FS)
+        assert _recall(peaks, ecg.r_locations, tol=5) >= 0.95
 
 
 def _waves_x(marks):
