@@ -8,7 +8,7 @@ patient-level feature vector fed to the classifier.
 import numpy as np
 
 from ecgalarm.clustering import kmeans, record_seed
-from ecgalarm.feature_synthesis import synthesize
+from ecgalarm.feature_synthesis import HLF_CLUSTERS, synthesize
 from ecgalarm.segment_features import heart_rate, segment_features
 from ecgalarm.segmentation import segment_record
 from ecgalarm.synthetic import synthetic_ecg
@@ -27,11 +27,11 @@ hr = heart_rate(marks, FS)
 print(f"{matrix.shape[0]} segments, mean heart rate {hr:.0f} bpm\n")
 
 for metric in ("cityblock", "sqeuclidean"):
-    clustering = kmeans(matrix, k=5, metric=metric, seed=record_seed(0, "demo"))
+    clustering = kmeans(matrix, k=HLF_CLUSTERS, metric=metric, seed=record_seed(0, "demo"))
     print(f"k-means ({metric}): sizes = {sorted(clustering.sizes.tolist())}, "
           f"objective = {clustering.objective:.1f}")
 
-clustering = kmeans(matrix, k=5, metric="cityblock", seed=record_seed(0, "demo"))
+clustering = kmeans(matrix, k=HLF_CLUSTERS, metric="cityblock", seed=record_seed(0, "demo"))
 vec = synthesize(clustering, hr, "VTA")
 
 print("\nhigh-level vector (31 entries):")

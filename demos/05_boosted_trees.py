@@ -1,15 +1,12 @@
 """Walkthrough: AdaBoost vs RUSBoost on imbalanced toy data.
 
 Fits both ensembles on a 10:1 imbalanced problem and compares minority
-recall, then demonstrates model persistence round-tripping bit-exactly.
+recall.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
-from ecgalarm.ensemble import BoostedEnsemble, fit_adaboost, fit_rusboost
+from ecgalarm.ensemble import fit_adaboost, fit_rusboost
 
 rng = np.random.default_rng(0)
 n_neg, n_pos = 300, 30
@@ -33,11 +30,3 @@ for name, model in (("AdaBoost", ada), ("RUSBoost", rus)):
     print(f"  {name:9s} rounds kept: {len(model.trees):2d}   "
           f"accuracy {acc:.2f}   minority recall {recall:.2f}")
 
-# ----- persistence: save -> load -> save is byte-identical -----
-with tempfile.TemporaryDirectory() as tmp:
-    p1 = Path(tmp) / "model.json"
-    p2 = Path(tmp) / "model2.json"
-    rus.save(p1)
-    BoostedEnsemble.load(p1).save(p2)
-    print(f"\nmodel file round-trips bit-exact: {p1.read_bytes() == p2.read_bytes()}")
-    print(f"model file size: {p1.stat().st_size} bytes")

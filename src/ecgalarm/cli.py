@@ -21,6 +21,12 @@ import numpy as np
 
 from . import record_io
 from .dwt import DWT_LAYOUT_VERSION, STAT_NAMES
+from .ensemble import (
+    DEFAULT_LEARNING_RATE,
+    DEFAULT_MAX_SPLITS,
+    DEFAULT_ROUNDS,
+    DEFAULT_TARGET_RATIO,
+)
 from .evaluation import (
     CLASSIFIERS,
     FEATURE_BANKS,
@@ -32,7 +38,7 @@ from .evaluation import (
 from .exceptions import ConfigError, EcgAlarmError, EmptyDataset, MissingInput
 from .feature_synthesis import HLF_LAYOUT_VERSION
 from .pipeline import _featurize_task
-from .record_io import ALARM_TYPES, TARGET_FS
+from .record_io import ALARM_TYPES, LABEL_TEXT, TARGET_FS, TRUE_ALARM
 from .tables import (
     read_feature_csv,
     read_manifest,
@@ -47,26 +53,34 @@ DEFAULTS = {
     "labels": None,
     "out": "out",
     "seed": 0,
-    "k": 5,
     "folds": 5,
     "scenarios": ",".join(SCENARIOS),
     "workers": 1,
     "cache": "reuse",
-    "rounds": 30,
-    "learning_rate": 0.1,
-    "max_splits": 20,
-    "target_ratio": 1.0,
+    "rounds": DEFAULT_ROUNDS,
+    "learning_rate": DEFAULT_LEARNING_RATE,
+    "max_splits": DEFAULT_MAX_SPLITS,
+    "target_ratio": DEFAULT_TARGET_RATIO,
 }
 
-_INT_KEYS = {"seed", "k", "folds", "workers", "rounds", "max_splits"}
+_INT_KEYS = {"seed", "folds", "workers", "rounds", "max_splits"}
 _FLOAT_KEYS = {"learning_rate", "target_ratio"}
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < environment < CLI flags."""
+    """defaults < config file < environment < CLI flags; ConfigError for a
+    config file that is not valid JSON or holds a key outside DEFAULTS."""
     cfg = dict(DEFAULTS)
     if args.config:
-        cfg.update(json.loads(Path(args.config).read_text()))
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {args.config}: {exc}") from None
+        unknown = sorted(set(doc) - set(DEFAULTS))
+        if unknown:
+            raise ConfigError(f"config {args.config}: unknown keys {unknown}"
+                              f" (known: {sorted(DEFAULTS)})")
+        cfg.update(doc)
     for key in DEFAULTS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
@@ -156,7 +170,7 @@ def cmd_ingest(cfg: dict) -> int:
                     record.samples = record.samples[: record_io.ANALYSIS_SAMPLES]
                 row["record"] = record.record_name
                 row["alarm_type"] = record.alarm_type
-                row["label"] = "true" if record.label == record_io.TRUE_ALARM else "false"
+                row["label"] = LABEL_TEXT[record.label]
                 row["n_samples"] = len(record.samples)
                 np.save(cache_dir / f"{record.record_name}.npy", record.samples)
         except (EcgAlarmError, OSError, ValueError) as exc:
@@ -176,7 +190,7 @@ def _print_counts(rows: list[dict]) -> None:
     print(f"usable records: {len(usable)}   skipped: {len(rows) - len(usable)}")
     for alarm in ALARM_TYPES:
         members = [r for r in usable if r["alarm_type"] == alarm]
-        n_true = sum(1 for r in members if r["label"] == "true")
+        n_true = sum(1 for r in members if r["label"] == LABEL_TEXT[TRUE_ALARM])
         print(f"  {alarm}: {len(members)} patients, {len(members) - n_true} false, {n_true} true")
 
 
@@ -189,6 +203,8 @@ _BANK_COMMENTS = {
 
 
 def cmd_featurize(cfg: dict) -> int:
+    """Feature tables for every usable record. A record that fails is left
+    out of every table; EmptyDataset when no record featurizes."""
     out = _out_dir(cfg)
     manifest = read_manifest(out / "manifest.csv")
     cache_dir = out / "cache"
@@ -202,8 +218,7 @@ def cmd_featurize(cfg: dict) -> int:
             str(cache_dir / f"{r['record']}.npy"),
             TARGET_FS,
             r["alarm_type"],
-            record_io.TRUE_ALARM if r["label"] == "true" else record_io.FALSE_ALARM,
-            cfg["k"],
+            record_io.parse_label(r["label"], r["record"]),
             cfg["seed"],
         )
         for r in usable
@@ -221,6 +236,8 @@ def cmd_featurize(cfg: dict) -> int:
             print(f"featurize failed for {name}: {error}", file=sys.stderr)
         else:
             done.append(feats)
+    if not done:
+        raise EmptyDataset(f"no record could be featurized ({len(tasks)} tried)")
 
     records = [f.record_name for f in done]
     labels = [f.label for f in done]
@@ -320,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labels", help="labels CSV (record,label)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int)
-        p.add_argument("--k", type=int, help="clusters per patient")
         p.add_argument("--folds", type=int)
         p.add_argument("--scenarios", help="comma-separated scenario list")
         p.add_argument("--workers", type=int)
@@ -339,9 +355,8 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = resolve_config(args)
     try:
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](resolve_config(args))
     except (EcgAlarmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

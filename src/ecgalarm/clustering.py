@@ -17,7 +17,6 @@ import numpy as np
 from .exceptions import EmptyInput
 
 METRICS = ("cityblock", "sqeuclidean")
-DEFAULT_K = 5
 MAX_ITER = 300
 
 
@@ -104,7 +103,7 @@ def _lloyd(X: np.ndarray, k: int, metric: str, rng: np.random.Generator):
 
 def kmeans(
     matrix: np.ndarray,
-    k: int = DEFAULT_K,
+    k: int,
     metric: str = "cityblock",
     seed: int = 0,
     restarts: int = 1,

@@ -11,9 +11,7 @@ rate 0.1, 20 splits, 1:1 resampling.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +22,6 @@ DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_MAX_SPLITS = 20
 DEFAULT_TARGET_RATIO = 1.0
 _EPS_PERFECT = 1e-10  # stand-in error when a round classifies perfectly
-
-MODEL_FORMAT_VERSION = "ensemble-v1"
 
 
 def _gini_mass(w_pos: np.ndarray, w_neg: np.ndarray) -> np.ndarray:
@@ -169,20 +165,13 @@ def fit_tree(
 class BoostedEnsemble:
     trees: list[DecisionTree]
     alphas: list[float]
-    learning_rate: float
-    algorithm: str  # "adaboost" or "rusboost"
-    feature_layout_version: str
     col_min: np.ndarray
     col_max: np.ndarray
-    hyperparameters: dict = field(default_factory=dict)
 
     def _normalize(self, X: np.ndarray) -> np.ndarray:
         scale = self.col_max - self.col_min
         scale = np.where(scale > 0, scale, 1.0)
         return (X - self.col_min) / scale
-
-    def score(self, x: np.ndarray) -> float:
-        return float(self.score_batch(np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -199,59 +188,6 @@ class BoostedEnsemble:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.where(self.score_batch(X) >= 0, 1, -1)
 
-    def save(self, path: str | Path) -> None:
-        doc = {
-            "format": MODEL_FORMAT_VERSION,
-            "algorithm": self.algorithm,
-            "learning_rate": self.learning_rate,
-            "feature_layout_version": self.feature_layout_version,
-            "hyperparameters": self.hyperparameters,
-            "normalization": {
-                "min": self.col_min.tolist(),
-                "max": self.col_max.tolist(),
-            },
-            "alphas": list(self.alphas),
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "leaf_w_neg": t.leaf_w_neg.tolist(),
-                    "leaf_w_pos": t.leaf_w_pos.tolist(),
-                }
-                for t in self.trees
-            ],
-        }
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "BoostedEnsemble":
-        doc = json.loads(Path(path).read_text())
-        if doc.get("format") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unknown model format {doc.get('format')!r}")
-        trees = [
-            DecisionTree(
-                feature=np.asarray(t["feature"], dtype=int),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=int),
-                right=np.asarray(t["right"], dtype=int),
-                leaf_w_neg=np.asarray(t["leaf_w_neg"], dtype=np.float64),
-                leaf_w_pos=np.asarray(t["leaf_w_pos"], dtype=np.float64),
-            )
-            for t in doc["trees"]
-        ]
-        return cls(
-            trees=trees,
-            alphas=[float(a) for a in doc["alphas"]],
-            learning_rate=float(doc["learning_rate"]),
-            algorithm=doc["algorithm"],
-            feature_layout_version=doc["feature_layout_version"],
-            col_min=np.asarray(doc["normalization"]["min"], dtype=np.float64),
-            col_max=np.asarray(doc["normalization"]["max"], dtype=np.float64),
-            hyperparameters=doc["hyperparameters"],
-        )
-
 
 def _check_labels(y: np.ndarray) -> None:
     if len(np.unique(y)) < 2:
@@ -265,9 +201,6 @@ def _boost(
     learning_rate: float,
     max_splits: int,
     subset_fn,
-    algorithm: str,
-    feature_layout_version: str,
-    hyperparameters: dict,
 ) -> BoostedEnsemble:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=int)
@@ -303,16 +236,7 @@ def _boost(
         w = w * np.exp(-alpha * y * pred)
         w = w / w.sum()
 
-    return BoostedEnsemble(
-        trees=trees,
-        alphas=alphas,
-        learning_rate=learning_rate,
-        algorithm=algorithm,
-        feature_layout_version=feature_layout_version,
-        col_min=col_min,
-        col_max=col_max,
-        hyperparameters=hyperparameters,
-    )
+    return BoostedEnsemble(trees=trees, alphas=alphas, col_min=col_min, col_max=col_max)
 
 
 def fit_adaboost(
@@ -321,7 +245,6 @@ def fit_adaboost(
     rounds: int = DEFAULT_ROUNDS,
     learning_rate: float = DEFAULT_LEARNING_RATE,
     max_splits: int = DEFAULT_MAX_SPLITS,
-    feature_layout_version: str = "",
 ) -> BoostedEnsemble:
     """AdaBoost.M1 with shallow CART weak learners.
 
@@ -330,13 +253,7 @@ def fit_adaboost(
     """
     n = len(X)
     all_rows = np.arange(n)
-    return _boost(
-        X, y, rounds, learning_rate, max_splits,
-        subset_fn=lambda t, w: all_rows,
-        algorithm="adaboost",
-        feature_layout_version=feature_layout_version,
-        hyperparameters={"rounds": rounds, "max_splits": max_splits},
-    )
+    return _boost(X, y, rounds, learning_rate, max_splits, subset_fn=lambda t, w: all_rows)
 
 
 def fit_rusboost(
@@ -347,7 +264,6 @@ def fit_rusboost(
     max_splits: int = DEFAULT_MAX_SPLITS,
     target_ratio: float = DEFAULT_TARGET_RATIO,
     seed: int = 0,
-    feature_layout_version: str = "",
 ) -> BoostedEnsemble:
     """RUSBoost: each round trains on all minority plus a random majority
     subsample (minority:majority = target_ratio); errors and weight updates
@@ -364,15 +280,4 @@ def fit_rusboost(
         sampled = rng.choice(majority, size=n_keep, replace=False)
         return np.sort(np.concatenate([minority, sampled]))
 
-    return _boost(
-        X, y, rounds, learning_rate, max_splits,
-        subset_fn=subset,
-        algorithm="rusboost",
-        feature_layout_version=feature_layout_version,
-        hyperparameters={
-            "rounds": rounds,
-            "max_splits": max_splits,
-            "target_ratio": target_ratio,
-            "seed": seed,
-        },
-    )
+    return _boost(X, y, rounds, learning_rate, max_splits, subset_fn=subset)

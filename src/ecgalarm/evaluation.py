@@ -245,15 +245,11 @@ def run_cell(
         train = np.flatnonzero(folds != fold)
         X_train, y_train = table.X[train], table.y[train]
         if classifier == "BoostedTrees":
-            model = fit_adaboost(
-                X_train, y_train, rounds, learning_rate, max_splits,
-                feature_layout_version=scenario,
-            )
+            model = fit_adaboost(X_train, y_train, rounds, learning_rate, max_splits)
         elif classifier == "RUSBoostedTrees":
             model = fit_rusboost(
                 X_train, y_train, rounds, learning_rate, max_splits, target_ratio,
                 seed=_cell_seed(seed, scenario, classifier, fold),
-                feature_layout_version=scenario,
             )
         else:
             raise ConfigError(f"unknown classifier {classifier!r}")

@@ -73,4 +73,4 @@ class MissingInput(EcgAlarmError):
 
 
 class EmptyDataset(EcgAlarmError):
-    """No usable records found during ingestion."""
+    """No usable records: none ingested, or none featurized."""

@@ -43,7 +43,6 @@ def synthesize(
     clustering: Clustering | None,
     hr: float,
     alarm_type: str,
-    n_clusters: int = HLF_CLUSTERS,
 ) -> np.ndarray:
     """Assemble the 31-entry high-level feature vector for one patient."""
     values = np.zeros(HLF_LENGTH, dtype=np.float64)
@@ -52,9 +51,9 @@ def synthesize(
 
     if clustering is None or clustering.k == 0:
         return values
-    if clustering.k > n_clusters:
+    if clustering.k > HLF_CLUSTERS:
         raise ValueError(
-            f"vector layout holds {n_clusters} clusters, clustering has {clustering.k}"
+            f"vector layout holds {HLF_CLUSTERS} clusters, clustering has {clustering.k}"
         )
 
     normalized = np.array([normalize_centroid(c) for c in clustering.centroids])
@@ -68,14 +67,14 @@ def synthesize(
     normalized = normalized[order]
 
     total = sizes.sum()
-    pad = n_clusters - clustering.k  # missing clusters sort first (size 0)
+    pad = HLF_CLUSTERS - clustering.k  # missing clusters sort first (size 0)
 
-    values[6 + pad : 6 + n_clusters] = sizes
-    values[11 + pad : 11 + n_clusters] = norm_sums / sizes
-    values[16 + pad : 16 + n_clusters] = norm_sums / total
+    values[6 + pad : 6 + HLF_CLUSTERS] = sizes
+    values[11 + pad : 11 + HLF_CLUSTERS] = norm_sums / sizes
+    values[16 + pad : 16 + HLF_CLUSTERS] = norm_sums / total
 
     costs = _costs_to_centroids(normalized, normalized, clustering.metric)
-    for slot, (i, j) in enumerate(combinations(range(n_clusters), 2)):
+    for slot, (i, j) in enumerate(combinations(range(HLF_CLUSTERS), 2)):
         if i >= pad:  # then j > i is present too
             values[21 + slot] = costs[i - pad, j - pad]
     return values

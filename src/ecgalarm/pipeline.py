@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import DEFAULT_K, kmeans, record_seed
+from .clustering import kmeans, record_seed
 from .dwt import dwt_feature_vector
-from .feature_synthesis import synthesize
+from .feature_synthesis import HLF_CLUSTERS, synthesize
 from .segment_features import N_SEGMENT_FEATURES, heart_rate, llf_tail, segment_features
 from .segmentation import segment_record
 
@@ -36,7 +36,6 @@ def featurize_record(
     fs: float,
     alarm_type: str,
     label: int,
-    k_clusters: int = DEFAULT_K,
     seed: int = 0,
 ) -> RecordFeatures:
     """Run segmentation, clustering, and all feature banks for one record.
@@ -53,7 +52,7 @@ def featurize_record(
     for metric in ("cityblock", "sqeuclidean"):
         if len(rows) > 0:
             clustering = kmeans(
-                rows, k=k_clusters, metric=metric,
+                rows, k=HLF_CLUSTERS, metric=metric,
                 seed=record_seed(seed, record_name),
             )
         else:
@@ -75,10 +74,10 @@ def featurize_record(
 
 def _featurize_task(args) -> tuple[str, RecordFeatures | None, str]:
     """Pool-friendly wrapper: returns (record, features-or-None, error)."""
-    record_name, cache_path, fs, alarm_type, label, k_clusters, seed = args
+    record_name, cache_path, fs, alarm_type, label, seed = args
     try:
         samples = np.load(cache_path)
-        feats = featurize_record(record_name, samples, fs, alarm_type, label, k_clusters, seed)
+        feats = featurize_record(record_name, samples, fs, alarm_type, label, seed)
         return record_name, feats, ""
     except Exception as exc:  # per-record failures must not kill the batch
         return record_name, None, f"{type(exc).__name__}: {exc}"

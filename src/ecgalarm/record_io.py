@@ -31,6 +31,8 @@ ALARM_TYPES = ("ASY", "EBR", "ETC", "VTA", "VFB")
 # Classifier label convention: true alarm is the positive class.
 TRUE_ALARM = 1
 FALSE_ALARM = -1
+# How a label is written in the labels file, the manifest and feature tables.
+LABEL_TEXT = {TRUE_ALARM: "true", FALSE_ALARM: "false"}
 
 TARGET_FS = 250.0
 # Challenge alarms fire at 5:00; long records carry 30 s of post-alarm
@@ -205,15 +207,22 @@ def alarm_type_from_header(header: RecordHeader) -> str | None:
     return _PREFIX_TO_ALARM.get(header.record_name[:1].lower())
 
 
+def parse_label(text: str, record: str) -> int:
+    """TRUE_ALARM for "true", FALSE_ALARM for "false" (case and surrounding
+    whitespace ignored); ValueError naming `record` for any other text."""
+    value = text.strip().lower()
+    for label, name in LABEL_TEXT.items():
+        if value == name:
+            return label
+    raise ValueError(f"label for {record!r} must be true/false, got {value!r}")
+
+
 def load_labels(path: str | Path) -> dict[str, int]:
     """Read the labels CSV (``record,label`` with label in {true,false})."""
     labels = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            value = row["label"].strip().lower()
-            if value not in ("true", "false"):
-                raise ValueError(f"label for {row['record']!r} must be true/false, got {value!r}")
-            labels[row["record"].strip()] = TRUE_ALARM if value == "true" else FALSE_ALARM
+            labels[row["record"].strip()] = parse_label(row["label"], row["record"])
     return labels
 
 

@@ -14,15 +14,7 @@ import numpy as np
 
 from .evaluation import FeatureTable
 from .exceptions import MissingInput
-from .record_io import FALSE_ALARM, TRUE_ALARM
-
-
-def _label_str(label: int) -> str:
-    return "true" if label == TRUE_ALARM else "false"
-
-
-def _label_int(text: str) -> int:
-    return TRUE_ALARM if text.strip().lower() == "true" else FALSE_ALARM
+from .record_io import LABEL_TEXT, parse_label
 
 
 def write_feature_csv(
@@ -39,7 +31,7 @@ def write_feature_csv(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record", "label"] + list(columns))
         for name, label, row in zip(records, labels, matrix):
-            writer.writerow([name, _label_str(label)] + [repr(float(v)) for v in row])
+            writer.writerow([name, LABEL_TEXT[label]] + [repr(float(v)) for v in row])
 
 
 def read_feature_csv(path: str | Path) -> FeatureTable:
@@ -50,14 +42,17 @@ def read_feature_csv(path: str | Path) -> FeatureTable:
     labels: list[int] = []
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
-        lines = (ln for ln in fh if not ln.startswith("#"))
-        for row in csv.DictReader(lines):
+        reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
+        columns = [c for c in reader.fieldnames or () if c not in ("record", "label")]
+        for row in reader:
             records.append(row["record"])
-            labels.append(_label_int(row["label"]))
+            labels.append(parse_label(row["label"], row["record"]))
             rows.append(
                 [float(row[c]) for c in row if c not in ("record", "label")]
             )
-    return FeatureTable(records, np.asarray(labels, dtype=int), np.asarray(rows))
+    # A header-only table keeps its width: X has shape (0, len(columns)).
+    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    return FeatureTable(records, np.asarray(labels, dtype=int), X)
 
 
 MANIFEST_COLUMNS = ("record", "alarm_type", "label", "n_samples", "skipped_reason")

@@ -167,6 +167,16 @@ class TestFeaturize:
     def test_missing_manifest_fails(self, tmp_path):
         assert run_cli("featurize", "--out", tmp_path / "nowhere") == 2
 
+    def test_no_record_featurizes_fails(self, fixture_dataset, tmp_path):
+        # Every cached signal is gone, so every record fails: exit 2, no tables.
+        data_dir, labels = fixture_dataset
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out) == 0
+        for cached in (out / "cache").glob("*.npy"):
+            cached.unlink()
+        assert run_cli("featurize", "--out", out) == 2
+        assert [p.name for p in out.glob("*.csv")] == ["manifest.csv"]
+
     def test_zero_beat_record_gets_sentinel_rows(self, tmp_path):
         # A flatline record: no beats -> zero LLF row, padded HLF row.
         from ecgalarm.record_io import encode_signal
@@ -220,6 +230,25 @@ class TestEvaluate:
         shutil.copy(pipeline_out / "dwt.csv", out / "dwt.csv")
         assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
 
+    def test_header_only_tables_fail_cleanly(self, pipeline_out, tmp_path):
+        # Tables with a header and no rows keep their width, and evaluate
+        # stops with exit 2 (too few records for the folds).
+        out = tmp_path / "empty"
+        out.mkdir()
+        shutil.copy(pipeline_out / "manifest.csv", out / "manifest.csv")
+        for name in ("hlf_cityblock.csv", "dwt.csv"):
+            header = (pipeline_out / name).read_text().splitlines()[:2]  # comment, header
+            (out / name).write_text("\n".join(header) + "\n")
+        assert read_feature_csv(out / "dwt.csv").X.shape == (0, 120)
+        assert read_feature_csv(out / "hlf_cityblock.csv").X.shape == (0, HLF_LENGTH)
+        assert run_cli("evaluate", "--out", out, "--scenarios", "DWT+HLF_cityblock") == 2
+
+    def test_misspelled_label_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("record,label,f1\nr1,true,1.0\nr2,ture,2.0\n")
+        with pytest.raises(ValueError, match="'r2' must be true/false, got 'ture'"):
+            read_feature_csv(path)
+
     def test_report_command_rerenders(self, pipeline_out):
         md_before = (pipeline_out / "report.md").read_text()
         assert run_cli("report", "--out", pipeline_out) == 0
@@ -265,3 +294,15 @@ class TestConfigResolution:
         monkeypatch.delenv("ECGALARM_SEED")
         args = build_parser().parse_args(["ingest", "--config", str(cfg)])
         assert resolve_config(args)["seed"] == 5
+
+    @pytest.mark.parametrize("text", ['{"sed": 3}', '{"k": 6}', '{"seed": 3'])
+    def test_bad_config_file_exits_2(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        from ecgalarm.cli import build_parser, resolve_config
+        from ecgalarm.exceptions import ConfigError
+
+        with pytest.raises(ConfigError):
+            resolve_config(build_parser().parse_args(["report", "--config", str(cfg)]))
+        assert run_cli("report", "--config", cfg, "--out", tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {cfg}")

@@ -216,11 +216,8 @@ class TestRusboost:
 
 class TestScoring:
     def test_empty_ensemble_scores_zero(self):
-        model = BoostedEnsemble(
-            trees=[], alphas=[], learning_rate=0.1, algorithm="adaboost",
-            feature_layout_version="", col_min=np.zeros(3), col_max=np.ones(3),
-        )
-        assert model.score(np.zeros(3)) == 0.0
+        model = BoostedEnsemble(trees=[], alphas=[], col_min=np.zeros(3), col_max=np.ones(3))
+        np.testing.assert_array_equal(model.score_batch(np.zeros((1, 3))), [0.0])
 
     def test_single_tree_score(self):
         X = np.array([[0.0], [1.0]])
@@ -228,22 +225,22 @@ class TestScoring:
         model = fit_adaboost(X, y, rounds=1, learning_rate=1.0, max_splits=1)
         assert len(model.trees) == 1
         # perfect round: alpha is the capped value
-        assert model.score(np.array([1.0])) == pytest.approx(model.alphas[0])
+        assert model.score_batch(np.array([[1.0]])) == pytest.approx([model.alphas[0]])
 
     def test_score_magnitude_grows_with_agreement(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([-1, -1, 1, 1])
         model = fit_adaboost(X, y, rounds=1, learning_rate=1.0, max_splits=1)
-        base = abs(model.score(np.array([3.0])))
+        base = abs(model.score_batch(np.array([[3.0]]))[0])
         model.trees.append(model.trees[0])
         model.alphas.append(0.5)
-        assert abs(model.score(np.array([3.0]))) > base
+        assert abs(model.score_batch(np.array([[3.0]]))[0]) > base
 
     def test_dimension_mismatch(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
         model = fit_adaboost(X, np.array([-1, 1]), rounds=1)
         with pytest.raises(DimensionError):
-            model.score(np.zeros(3))
+            model.score_batch(np.zeros((1, 3)))
 
     def test_normalization_stats_are_train_minmax(self):
         rng = np.random.default_rng(8)
@@ -253,18 +250,3 @@ class TestScoring:
         np.testing.assert_array_equal(model.col_min, X.min(axis=0))
         np.testing.assert_array_equal(model.col_max, X.max(axis=0))
 
-
-class TestPersistence:
-    def test_save_load_save_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(60, 5))
-        y = np.where(X[:, 1] - X[:, 3] > 0.1, 1, -1)
-        model = fit_rusboost(X, y, rounds=6, seed=4)
-        p1 = tmp_path / "model1.json"
-        p2 = tmp_path / "model2.json"
-        model.save(p1)
-        loaded = BoostedEnsemble.load(p1)
-        loaded.save(p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
-        np.testing.assert_allclose(loaded.score_batch(X), model.score_batch(X))

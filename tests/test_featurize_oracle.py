@@ -76,7 +76,7 @@ def _digest(value) -> str:
 def test_featurize_bytes_unchanged(name):
     ecg = synthetic_ecg(300, **RECORDS[name])
     got = {"r_peaks": _digest(detect_r_peaks(ecg.samples, FS))}
-    feats = featurize_record(name, ecg.samples, FS, "VTA", 1, k_clusters=5, seed=7)
+    feats = featurize_record(name, ecg.samples, FS, "VTA", 1, seed=7)
     for field in ("llf", "hlf_cityblock", "hlf_euclidean", "dwt", "heart_rate", "n_beats"):
         got[field] = _digest(getattr(feats, field))
     assert got == DIGESTS[name]
