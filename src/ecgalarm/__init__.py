@@ -24,8 +24,8 @@ from .record_io import (
     TRUE_ALARM,
     EcgRecord,
     RecordHeader,
+    load_any,
     load_labels,
-    load_record,
     parse_header,
     read_signal,
     resample_to,

@@ -1,10 +1,10 @@
 """Command-line pipeline: ingest -> featurize -> evaluate -> report.
 
-Configuration comes from (lowest to highest precedence) built-in defaults,
-a JSON config file (--config), ECGALARM_* environment variables, and CLI
-flags. All intermediate products are flat CSVs under the output directory;
-a single seed drives fold shuffling, k-means init, and RUSBoost sampling,
-so identical configs produce byte-identical outputs.
+Flags are the only configuration; each holds its default (see
+``build_parser``), and the boosting settings are the fixed
+``ensemble.DEFAULT_*``. All intermediate products are flat CSVs under the
+output directory; a single seed drives fold shuffling, k-means init, and
+RUSBoost sampling, so identical flags produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import multiprocessing
-import os
 import sys
 from pathlib import Path
 
@@ -21,12 +20,6 @@ import numpy as np
 
 from . import record_io
 from .dwt import DWT_LAYOUT_VERSION, STAT_NAMES
-from .ensemble import (
-    DEFAULT_LEARNING_RATE,
-    DEFAULT_MAX_SPLITS,
-    DEFAULT_ROUNDS,
-    DEFAULT_TARGET_RATIO,
-)
 from .evaluation import (
     CLASSIFIERS,
     FEATURE_BANKS,
@@ -35,7 +28,7 @@ from .evaluation import (
     render_markdown,
     run_matrix,
 )
-from .exceptions import ConfigError, EcgAlarmError, EmptyDataset, MissingInput
+from .exceptions import EcgAlarmError, EmptyDataset, MissingInput
 from .feature_synthesis import HLF_LAYOUT_VERSION
 from .pipeline import _featurize_task
 from .record_io import ALARM_TYPES, LABEL_TEXT, TARGET_FS, TRUE_ALARM
@@ -45,58 +38,6 @@ from .tables import (
     write_feature_csv,
     write_manifest,
 )
-
-ENV_PREFIX = "ECGALARM_"
-
-DEFAULTS = {
-    "data_dir": None,
-    "labels": None,
-    "out": "out",
-    "seed": 0,
-    "folds": 5,
-    "scenarios": ",".join(SCENARIOS),
-    "workers": 1,
-    "cache": "reuse",
-    "rounds": DEFAULT_ROUNDS,
-    "learning_rate": DEFAULT_LEARNING_RATE,
-    "max_splits": DEFAULT_MAX_SPLITS,
-    "target_ratio": DEFAULT_TARGET_RATIO,
-}
-
-_INT_KEYS = {"seed", "folds", "workers", "rounds", "max_splits"}
-_FLOAT_KEYS = {"learning_rate", "target_ratio"}
-
-
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < environment < CLI flags; ConfigError for a
-    config file that is not valid JSON or holds a key outside DEFAULTS."""
-    cfg = dict(DEFAULTS)
-    if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config}: {exc}") from None
-        unknown = sorted(set(doc) - set(DEFAULTS))
-        if unknown:
-            raise ConfigError(f"config {args.config}: unknown keys {unknown}"
-                              f" (known: {sorted(DEFAULTS)})")
-        cfg.update(doc)
-    for key in DEFAULTS:
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            cfg[key] = env
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    for key in _INT_KEYS:
-        cfg[key] = int(cfg[key])
-    for key in _FLOAT_KEYS:
-        cfg[key] = float(cfg[key])
-    if isinstance(cfg["scenarios"], str):
-        cfg["scenarios"] = [s.strip() for s in cfg["scenarios"].split(",") if s.strip()]
-    return cfg
-
 
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out"])
@@ -126,8 +67,8 @@ def _ingest_key(data_dir: str, paths: list[Path], labels: str) -> dict:
 
 
 def cmd_ingest(cfg: dict) -> int:
-    """Parse, label and cache every record. `--cache reuse` skips the work only
-    when cache/key.json matches the current inputs exactly."""
+    """Parse, label and cache every record. The work is skipped only when
+    cache/key.json matches the current inputs exactly."""
     if not cfg["data_dir"] or not cfg["labels"]:
         raise MissingInput("ingest needs --data-dir and --labels")
     out = _out_dir(cfg)
@@ -138,7 +79,7 @@ def cmd_ingest(cfg: dict) -> int:
     paths = record_io.discover_records(cfg["data_dir"])
     key = _ingest_key(cfg["data_dir"], paths, cfg["labels"])
 
-    if (cfg["cache"] == "reuse" and manifest_path.exists() and key_path.exists()
+    if (manifest_path.exists() and key_path.exists()
             and json.loads(key_path.read_text()) == key):
         rows = read_manifest(manifest_path)
         usable = [r for r in rows if not r["skipped_reason"]]
@@ -206,6 +147,8 @@ def cmd_featurize(cfg: dict) -> int:
     """Feature tables for every usable record. A record that fails is left
     out of every table; EmptyDataset when no record featurizes."""
     out = _out_dir(cfg)
+    for bank in FEATURE_BANKS:  # the tables are stale until this run writes them
+        (out / f"{bank}.csv").unlink(missing_ok=True)
     manifest = read_manifest(out / "manifest.csv")
     cache_dir = out / "cache"
     usable = sorted(
@@ -250,9 +193,6 @@ def cmd_featurize(cfg: dict) -> int:
 
 
 def _load_tables(out: Path, scenarios: list[str]) -> dict:
-    unknown = set(scenarios) - set(SCENARIOS)
-    if unknown:
-        raise ConfigError(f"unknown scenarios: {sorted(unknown)} (choose from {list(SCENARIOS)})")
     needed = dict.fromkeys(bank for scenario in scenarios for bank in SCENARIOS[scenario])
     banks = {bank: read_feature_csv(out / f"{bank}.csv") for bank in needed}
     return {
@@ -279,10 +219,6 @@ def cmd_evaluate(cfg: dict) -> int:
         classifiers=CLASSIFIERS,
         folds=cfg["folds"],
         seed=cfg["seed"],
-        rounds=cfg["rounds"],
-        learning_rate=cfg["learning_rate"],
-        max_splits=cfg["max_splits"],
-        target_ratio=cfg["target_ratio"],
     )
 
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
@@ -318,6 +254,14 @@ def cmd_all(cfg: dict) -> int:
     return cmd_evaluate(cfg)
 
 
+def _scenario_list(text: str) -> list[str]:
+    """`--scenarios`: a comma-separated list of one or more SCENARIOS names."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names or not set(names) <= set(SCENARIOS):
+        raise argparse.ArgumentTypeError(f"choose from {list(SCENARIOS)}, got {text!r}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecgalarm",
@@ -332,15 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("all", "ingest + featurize + evaluate"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--data-dir", dest="data_dir", help="directory of .hea/.mat or fixture CSVs")
+        p.add_argument("--data-dir", dest="data_dir", help="directory of .hea/.mat records")
         p.add_argument("--labels", help="labels CSV (record,label)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--folds", type=int)
-        p.add_argument("--scenarios", help="comma-separated scenario list")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--cache", choices=["reuse", "rebuild"])
+        p.add_argument("--out", default="out", help="output directory (default: out)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--folds", type=int, default=5)
+        p.add_argument("--scenarios", type=_scenario_list, default=list(SCENARIOS),
+                       help="comma-separated scenario list (default: all six)")
+        p.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -356,7 +299,7 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](resolve_config(args))
+        return COMMANDS[args.command](vars(args))
     except (EcgAlarmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,9 @@
 
 The analysis/synthesis filter pair is built by spectral factorization of the
 Daubechies half-band polynomial, so any number of vanishing moments works;
-the pipeline default is db8 (8 vanishing moments, 16 taps). Decomposition
-uses symmetric boundary extension (expansive: each band keeps
-ceil((n + taps - 1) / 2) coefficients); a periodic mode is available where
-exact energy preservation matters. Both modes reconstruct exactly.
+the pipeline uses db8 (8 vanishing moments, 16 taps). Decomposition uses
+symmetric boundary extension (expansive: each band keeps
+ceil((n + taps - 1) / 2) coefficients) and reconstructs exactly.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ def daubechies_filter(p: int) -> np.ndarray:
     return h
 
 
-def _filter_bank(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    dec_lo = daubechies_filter(p)
+def _filter_bank() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    dec_lo = daubechies_filter(DEFAULT_VANISHING_MOMENTS)
     n = len(dec_lo)
     dec_hi = np.array([(-1) ** k * dec_lo[n - 1 - k] for k in range(n)])
     return dec_lo, dec_hi, dec_lo[::-1], dec_hi[::-1]
@@ -70,18 +69,10 @@ class DwtCoeffs:
     details: list[np.ndarray]  # D1 .. Dlevels
     approx: np.ndarray  # final approximation band
     lengths: list[int]  # input length at each level (for reconstruction)
-    mode: str
-    vanishing_moments: int
 
 
-def _decompose_step(x: np.ndarray, dec_lo: np.ndarray, dec_hi: np.ndarray, mode: str):
-    taps = len(dec_lo)
-    if mode == "periodic":
-        if len(x) % 2:
-            x = np.append(x, x[-1])
-        ext = np.pad(x, (taps - 1, 0), mode="wrap")
-    else:
-        ext = np.pad(x, taps - 1, mode="symmetric")
+def _decompose_step(x: np.ndarray, dec_lo: np.ndarray, dec_hi: np.ndarray):
+    ext = np.pad(x, len(dec_lo) - 1, mode="symmetric")
     approx = np.convolve(ext, dec_lo, mode="valid")[0::2]
     detail = np.convolve(ext, dec_hi, mode="valid")[0::2]
     return approx, detail
@@ -93,48 +84,38 @@ def _reconstruct_step(
     out_len: int,
     rec_lo: np.ndarray,
     rec_hi: np.ndarray,
-    mode: str,
 ) -> np.ndarray:
     taps = len(rec_lo)
     up_a = np.zeros(2 * len(approx))
     up_a[0::2] = approx
     up_d = np.zeros(2 * len(detail))
     up_d[0::2] = detail
-    if mode == "periodic":
-        ya = np.convolve(np.pad(up_a, (taps - 1, 0), mode="wrap"), rec_lo, mode="valid")
-        yd = np.convolve(np.pad(up_d, (taps - 1, 0), mode="wrap"), rec_hi, mode="valid")
-        return np.roll(ya + yd, -(taps - 1))[:out_len]
     y = np.convolve(up_a, rec_lo, mode="full") + np.convolve(up_d, rec_hi, mode="full")
     return y[taps - 1 : taps - 1 + out_len]
 
 
-def dwt(
-    signal: np.ndarray,
-    levels: int = DEFAULT_LEVELS,
-    vanishing_moments: int = DEFAULT_VANISHING_MOMENTS,
-    mode: str = "symmetric",
-) -> DwtCoeffs:
-    """Multi-level wavelet decomposition into detail bands D1..Dlevels + approx."""
+def dwt(signal: np.ndarray, levels: int = DEFAULT_LEVELS) -> DwtCoeffs:
+    """Multi-level db8 decomposition into detail bands D1..Dlevels + approx."""
     x = np.asarray(signal, dtype=np.float64)
     if len(x) < 2**levels:
         raise SignalTooShort(f"need at least {2**levels} samples, got {len(x)}")
-    dec_lo, dec_hi, _, _ = _filter_bank(vanishing_moments)
+    dec_lo, dec_hi, _, _ = _filter_bank()
 
     details = []
     lengths = []
     for _ in range(levels):
         lengths.append(len(x))
-        x, d = _decompose_step(x, dec_lo, dec_hi, mode)
+        x, d = _decompose_step(x, dec_lo, dec_hi)
         details.append(d)
-    return DwtCoeffs(details, x, lengths, mode, vanishing_moments)
+    return DwtCoeffs(details, x, lengths)
 
 
 def idwt(coeffs: DwtCoeffs) -> np.ndarray:
     """Invert `dwt` exactly (up to float rounding)."""
-    _, _, rec_lo, rec_hi = _filter_bank(coeffs.vanishing_moments)
+    _, _, rec_lo, rec_hi = _filter_bank()
     x = coeffs.approx
     for detail, out_len in zip(reversed(coeffs.details), reversed(coeffs.lengths)):
-        x = _reconstruct_step(x, detail, out_len, rec_lo, rec_hi, coeffs.mode)
+        x = _reconstruct_step(x, detail, out_len, rec_lo, rec_hi)
     return x
 
 
@@ -193,8 +174,8 @@ def band_stats(band: np.ndarray, total_energy: float | None = None) -> np.ndarra
     )
 
 
-def dwt_feature_vector(signal: np.ndarray, levels: int = DEFAULT_LEVELS) -> np.ndarray:
+def dwt_feature_vector(signal: np.ndarray) -> np.ndarray:
     """120-entry baseline vector: 20 stats per detail band, D1 first."""
-    coeffs = dwt(signal, levels=levels)
+    coeffs = dwt(signal)
     total = float(sum(np.sum(d**2) for d in coeffs.details))
     return np.concatenate([band_stats(d, total_energy=total) for d in coeffs.details])

@@ -280,9 +280,14 @@ def run_matrix(
     classifiers: tuple[str, ...] = CLASSIFIERS,
     folds: int = 5,
     seed: int = 0,
-    **hyper,
+    *,
+    rounds: int = DEFAULT_ROUNDS,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
+    max_splits: int = DEFAULT_MAX_SPLITS,
+    target_ratio: float = DEFAULT_TARGET_RATIO,
 ) -> dict:
-    """Evaluate every requested (scenario, classifier) cell on shared folds."""
+    """Evaluate every requested (scenario, classifier) cell on shared folds.
+    `alarm_types` (the manifest) must name every record of the tables."""
     for scenario in scenarios:
         if scenario not in tables:
             raise MissingInput(f"no feature table for scenario {scenario!r}")
@@ -295,9 +300,15 @@ def run_matrix(
     for scenario in scenarios[1:]:
         if tables[scenario].records != base.records:
             raise MissingInput("scenario tables cover different record sets")
+    unknown = [name for name in base.records if name not in alarm_types]
+    if unknown:
+        raise MissingInput(f"{len(unknown)} table records are not in the manifest, "
+                           f"first {unknown[0]!r} (featurize again after ingest)")
 
     meta = [(alarm_types[name], int(label)) for name, label in zip(base.records, base.y)]
     fold_of = stratified_folds(meta, folds, seed)
+    hyper = {"rounds": rounds, "learning_rate": learning_rate,
+             "max_splits": max_splits, "target_ratio": target_ratio}
 
     cells = {}
     for scenario in scenarios:

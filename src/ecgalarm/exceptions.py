@@ -22,6 +22,10 @@ class TruncatedSignal(EcgAlarmError):
     """Signal file shorter than the header promises."""
 
 
+class LabelError(EcgAlarmError, ValueError):
+    """A label other than true/false in the labels file or a feature table."""
+
+
 class MissingLabel(EcgAlarmError):
     """Record has no entry in the labels table."""
 

@@ -4,14 +4,11 @@ Handles the subset of the WFDB format the challenge training set actually
 uses: text headers (.hea) plus format-16 binary signals with an optional
 byte offset (the challenge's ``16+24`` .mat containers). Signals are
 converted to physical units (mV) and the ECG lead II channel is selected.
-A CSV fixture path (``i,mv`` plus a JSON sidecar) exists so tests and
-third-party data do not need binary files.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import (
+    LabelError,
     MissingLabel,
     ParseError,
     TruncatedSignal,
@@ -209,12 +207,13 @@ def alarm_type_from_header(header: RecordHeader) -> str | None:
 
 def parse_label(text: str, record: str) -> int:
     """TRUE_ALARM for "true", FALSE_ALARM for "false" (case and surrounding
-    whitespace ignored); ValueError naming `record` for any other text."""
+    whitespace ignored); LabelError (a ValueError) naming `record` for any
+    other text."""
     value = text.strip().lower()
     for label, name in LABEL_TEXT.items():
         if value == name:
             return label
-    raise ValueError(f"label for {record!r} must be true/false, got {value!r}")
+    raise LabelError(f"label for {record!r} must be true/false, got {value!r}")
 
 
 def load_labels(path: str | Path) -> dict[str, int]:
@@ -226,10 +225,11 @@ def load_labels(path: str | Path) -> dict[str, int]:
     return labels
 
 
-def load_record(header_path: str | Path, labels: dict[str, int]) -> EcgRecord | None:
-    """Load the ECG lead II channel of one record; None when the lead is absent."""
-    header_path = Path(header_path)
-    header = parse_header(header_path.read_text())
+def load_any(path: str | Path, labels: dict[str, int]) -> EcgRecord | None:
+    """Load the ECG lead II channel of the record whose .hea header is at
+    `path`; None when the lead is absent."""
+    path = Path(path)
+    header = parse_header(path.read_text())
 
     lead_index = None
     for i, spec in enumerate(header.signals):
@@ -246,7 +246,7 @@ def load_record(header_path: str | Path, labels: dict[str, int]) -> EcgRecord | 
     if alarm is None:
         raise ValueError(f"{header.record_name}: cannot derive alarm type")
 
-    raw = (header_path.parent / header.signals[lead_index].file_name).read_bytes()
+    raw = (path.parent / header.signals[lead_index].file_name).read_bytes()
     samples = read_signal(header, raw, lead_index)
     return EcgRecord(
         record_name=header.record_name,
@@ -254,31 +254,6 @@ def load_record(header_path: str | Path, labels: dict[str, int]) -> EcgRecord | 
         sampling_rate=header.sampling_rate,
         alarm_type=alarm,
         label=labels[header.record_name],
-    )
-
-
-def load_csv_record(csv_path: str | Path, labels: dict[str, int]) -> EcgRecord:
-    """Load a fixture record: ``i,mv`` CSV plus a JSON sidecar with metadata.
-
-    The sidecar (same stem, .json) must provide ``sampling_rate`` and
-    ``alarm_type``; ``record_name`` defaults to the file stem.
-    """
-    csv_path = Path(csv_path)
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
-    name = meta.get("record_name", csv_path.stem)
-    if name not in labels:
-        raise MissingLabel(name)
-
-    mv = []
-    with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            mv.append(float(row["mv"]))
-    return EcgRecord(
-        record_name=name,
-        samples=np.asarray(mv, dtype=np.float64),
-        sampling_rate=float(meta["sampling_rate"]),
-        alarm_type=meta["alarm_type"],
-        label=labels[name],
     )
 
 
@@ -295,18 +270,5 @@ def resample_to(samples: np.ndarray, fs_in: float, fs_out: float = TARGET_FS) ->
 
 
 def discover_records(data_dir: str | Path) -> list[Path]:
-    """All record entry points in a directory: .hea headers and CSV fixtures."""
-    data_dir = Path(data_dir)
-    headers = sorted(data_dir.glob("*.hea"))
-    fixtures = sorted(p for p in data_dir.glob("*.csv") if p.with_suffix(".json").exists())
-    return headers + fixtures
-
-
-def load_any(path: str | Path, labels: dict[str, int]) -> EcgRecord | None:
-    """Dispatch on extension: .hea via the WFDB path, .csv via the fixture path."""
-    path = Path(path)
-    if path.suffix == ".hea":
-        return load_record(path, labels)
-    if path.suffix == ".csv":
-        return load_csv_record(path, labels)
-    raise ValueError(f"no loader for {path.name!r}")
+    """The .hea header of every record in a directory, sorted."""
+    return sorted(Path(data_dir).glob("*.hea"))

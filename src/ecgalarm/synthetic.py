@@ -21,6 +21,8 @@ DEFAULT_WAVES = {
     "S": (28.0, -0.30, 9.0),
     "T": (200.0, 0.40, 28.0),
 }
+# Half-width of the span, in standard deviations, each Gaussian wave is added on.
+WAVE_REACH = 40.0
 
 
 @dataclass
@@ -64,7 +66,12 @@ def synthetic_ecg(
         for name, (off_ms, amp, width_ms) in waves.items():
             center = r_center + off_ms * fs / 1000.0
             sigma = width_ms * fs / 1000.0
-            signal += amp * np.exp(-((t - center) ** 2) / (2.0 * sigma**2))
+            # exp is exactly 0 beyond ~38.6 sigma, so adding the wave only
+            # within 40 sigma of its centre leaves every sample's bits as the
+            # whole-record sum would (the signal never holds -0.0).
+            lo = max(int(np.ceil(center - WAVE_REACH * sigma)), 0)
+            hi = min(int(np.floor(center + WAVE_REACH * sigma)) + 1, n)
+            signal[lo:hi] += amp * np.exp(-((t[lo:hi] - center) ** 2) / (2.0 * sigma**2))
             kept_marks[name].append(int(round(center)))
 
     if snr_db is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -28,6 +29,42 @@ def pipeline_out(fixture_dataset, tmp_path_factory):
     return out
 
 
+# sha256 of every artifact of the `pipeline_out` run. A change meant to keep
+# the pipeline's outputs (a refactor, a speed-up) must leave every one as it is.
+FIXTURE_DIGESTS = {
+    "manifest.csv": "35225bc768cfa224b52dd0aa7dae65451ca54968be3ec1a726da413934aff57e",
+    "llf.csv": "23fdc9f9035248085eb0ac7972ba02d594aa88049a36c88f4031fb73871c64cd",
+    "hlf_cityblock.csv": "f5b3e5b07b984e7068b6b16e761ac7d242784328f24bcdcaa0ecd7af3e9bedb2",
+    "hlf_euclidean.csv": "0b5fb859121f4e989e5248013f05a21422f36fd7120cbc56905017c356729879",
+    "dwt.csv": "466320eb703f4ef513dd036927a34dcfdefaa0906af9f69bdf142f262c368d78",
+    "report.json": "464ae6d9c53ebb3cea5ddc1d40788d8c0078fe27b5cf20924b7d44834f2ce0f8",
+    "report.md": "31ce15ff357d0c7fa124c16bbd7b7167143131942a002c10b99df1b752d213ea",
+    "roc/roc_DWT-HLF_cityblock_BoostedTrees.csv": "39b9700a7b48852eebc1ec9fc49bb97c258d490b0f554fa36bea50d1862debc2",
+    "roc/roc_DWT-HLF_cityblock_RUSBoostedTrees.csv": "39b9700a7b48852eebc1ec9fc49bb97c258d490b0f554fa36bea50d1862debc2",
+    "roc/roc_DWT-HLF_euclidean_BoostedTrees.csv": "39b9700a7b48852eebc1ec9fc49bb97c258d490b0f554fa36bea50d1862debc2",
+    "roc/roc_DWT-HLF_euclidean_RUSBoostedTrees.csv": "39b9700a7b48852eebc1ec9fc49bb97c258d490b0f554fa36bea50d1862debc2",
+    "roc/roc_DWT_BoostedTrees.csv": "39b9700a7b48852eebc1ec9fc49bb97c258d490b0f554fa36bea50d1862debc2",
+    "roc/roc_DWT_RUSBoostedTrees.csv": "39b9700a7b48852eebc1ec9fc49bb97c258d490b0f554fa36bea50d1862debc2",
+    "roc/roc_HLF_cityblock_BoostedTrees.csv": "45a7463401a70c5c082e4ea1e1eebe90e73a2e9d2e865fffb50d17e27e2b08bf",
+    "roc/roc_HLF_cityblock_RUSBoostedTrees.csv": "45a7463401a70c5c082e4ea1e1eebe90e73a2e9d2e865fffb50d17e27e2b08bf",
+    "roc/roc_HLF_euclidean_BoostedTrees.csv": "5f289ddce13401ebadecc15932e709694bba729ec80aa70f4a0ad46e50f47bae",
+    "roc/roc_HLF_euclidean_RUSBoostedTrees.csv": "5f289ddce13401ebadecc15932e709694bba729ec80aa70f4a0ad46e50f47bae",
+    "roc/roc_LLF_BoostedTrees.csv": "f8a6ad3fb1531a9e996b69a720f37ee44bed4c8d4549871cb50ff8e3ac78d55e",
+    "roc/roc_LLF_RUSBoostedTrees.csv": "f8a6ad3fb1531a9e996b69a720f37ee44bed4c8d4549871cb50ff8e3ac78d55e",
+}
+
+
+def test_fixture_artifacts_byte_identical(pipeline_out):
+    got = {
+        name: hashlib.sha256((pipeline_out / name).read_bytes()).hexdigest()
+        for name in FIXTURE_DIGESTS
+    }
+    assert got == FIXTURE_DIGESTS
+    assert sorted(p.name for p in (pipeline_out / "roc").iterdir()) == sorted(
+        name.split("/", 1)[1] for name in FIXTURE_DIGESTS if name.startswith("roc/")
+    )
+
+
 class TestIngest:
     def test_manifest_counts(self, fixture_dataset, tmp_path):
         data_dir, labels = fixture_dataset
@@ -47,11 +84,8 @@ class TestIngest:
         out = tmp_path / "out"
         run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out)
         manifest_before = (out / "manifest.csv").read_bytes()
-        # second run with cache reuse leaves the manifest untouched
-        assert run_cli(
-            "ingest", "--data-dir", data_dir, "--labels", labels, "--out", out,
-            "--cache", "reuse",
-        ) == 0
+        # a second run on the same inputs reuses the cache: the manifest is untouched
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out) == 0
         assert (out / "manifest.csv").read_bytes() == manifest_before
 
     def test_reuse_rebuilds_when_inputs_change(self, fixture_dataset, tmp_path):
@@ -64,7 +98,7 @@ class TestIngest:
 
         def ingest():
             assert run_cli("ingest", "--data-dir", data, "--labels", labels_copy,
-                           "--out", out, "--cache", "reuse") == 0
+                           "--out", out) == 0
             return read_manifest(out / "manifest.csv")
 
         ingest()
@@ -92,6 +126,15 @@ class TestIngest:
         assert (out / "cache" / "key.json").read_bytes() == key
         assert (out / "manifest.csv").read_bytes() == manifest
         assert (out / "cache" / "b107l.npy").read_bytes() == b""
+
+    def test_bad_label_exits_2(self, fixture_dataset, tmp_path, capsys):
+        data_dir, labels = fixture_dataset
+        bad = tmp_path / "labels.csv"
+        bad.write_text(labels.read_text().replace("a101l,true", "a101l,ture"))
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", bad,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: label for 'a101l'")
 
     def test_empty_dir_fails(self, tmp_path):
         empty = tmp_path / "empty"
@@ -177,6 +220,18 @@ class TestFeaturize:
         assert run_cli("featurize", "--out", out) == 2
         assert [p.name for p in out.glob("*.csv")] == ["manifest.csv"]
 
+    def test_failed_featurize_leaves_no_stale_tables(self, pipeline_out, tmp_path):
+        # The tables of an earlier run go when featurize starts, so a run in
+        # which no record featurizes leaves nothing for evaluate to read.
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("manifest.csv", "llf.csv", "hlf_cityblock.csv",
+                     "hlf_euclidean.csv", "dwt.csv"):
+            shutil.copy(pipeline_out / name, out / name)
+        assert run_cli("featurize", "--out", out) == 2  # no cache/*.npy: every record fails
+        assert [p.name for p in out.glob("*.csv")] == ["manifest.csv"]
+        assert run_cli("evaluate", "--out", out, "--scenarios", "DWT") == 2
+
     def test_zero_beat_record_gets_sentinel_rows(self, tmp_path):
         # A flatline record: no beats -> zero LLF row, padded HLF row.
         from ecgalarm.record_io import encode_signal
@@ -249,6 +304,38 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="'r2' must be true/false, got 'ture'"):
             read_feature_csv(path)
 
+    def test_bad_table_label_exits_2(self, pipeline_out, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline_out / "manifest.csv", out / "manifest.csv")
+        table = (pipeline_out / "hlf_cityblock.csv").read_text()
+        assert "\na101l,true," in table
+        (out / "hlf_cityblock.csv").write_text(table.replace("\na101l,true,", "\na101l,ture,"))
+        assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: label for 'a101l'")
+
+    def test_tables_of_records_outside_manifest_fail(self, fixture_dataset, pipeline_out,
+                                                      tmp_path, capsys):
+        # Re-ingesting a 12-record subset into a featurized output leaves
+        # tables that name records the new manifest lacks.
+        data_dir, labels = fixture_dataset
+        subset = tmp_path / "subset"
+        subset.mkdir()
+        for header in sorted(data_dir.glob("*.hea"))[:12]:
+            for ext in (".hea", ".mat"):
+                shutil.copy(header.with_suffix(ext), subset)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("llf.csv", "hlf_cityblock.csv", "hlf_euclidean.csv", "dwt.csv"):
+            shutil.copy(pipeline_out / name, out / name)
+        assert run_cli("ingest", "--data-dir", subset, "--labels", labels, "--out", out) == 0
+        assert len(read_manifest(out / "manifest.csv")) == 12
+        capsys.readouterr()
+        assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not in the manifest" in err[0]
+
     def test_report_command_rerenders(self, pipeline_out):
         md_before = (pipeline_out / "report.md").read_text()
         assert run_cli("report", "--out", pipeline_out) == 0
@@ -275,34 +362,18 @@ class TestDeterminism:
             assert a == b, f"{rel} differs between identical runs"
 
 
-class TestConfigResolution:
-    def test_config_file_and_flag_precedence(self, fixture_dataset, tmp_path, monkeypatch):
-        data_dir, labels = fixture_dataset
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "data_dir": str(data_dir), "labels": str(labels),
-            "out": str(tmp_path / "cfg_out"), "seed": 5,
-        }))
-        monkeypatch.setenv("ECGALARM_SEED", "6")
-        from ecgalarm.cli import build_parser, resolve_config
-
-        args = build_parser().parse_args(["ingest", "--config", str(cfg), "--seed", "7"])
-        resolved = resolve_config(args)
-        assert resolved["seed"] == 7  # flag beats env beats config
-        args = build_parser().parse_args(["ingest", "--config", str(cfg)])
-        assert resolve_config(args)["seed"] == 6  # env beats config
-        monkeypatch.delenv("ECGALARM_SEED")
-        args = build_parser().parse_args(["ingest", "--config", str(cfg)])
-        assert resolve_config(args)["seed"] == 5
-
-    @pytest.mark.parametrize("text", ['{"sed": 3}', '{"k": 6}', '{"seed": 3'])
-    def test_bad_config_file_exits_2(self, text, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        from ecgalarm.cli import build_parser, resolve_config
-        from ecgalarm.exceptions import ConfigError
-
-        with pytest.raises(ConfigError):
-            resolve_config(build_parser().parse_args(["report", "--config", str(cfg)]))
-        assert run_cli("report", "--config", cfg, "--out", tmp_path) == 2
-        assert capsys.readouterr().err.startswith(f"error: config {cfg}")
+class TestFlags:
+    @pytest.mark.parametrize(
+        "flag",
+        [("--config", "x"), ("--cache", "reuse"), ("--seed", "abc"),
+         ("--scenarios", ","), ("--scenarios", "DWT,HLF")],
+        ids=["config", "cache", "seed", "no_scenario", "unknown_scenario"],
+    )
+    def test_removed_or_malformed_flag_exits_2(self, flag, tmp_path, capsys):
+        # Flags are the only configuration: a removed flag, a non-numeric
+        # value and a scenario list naming no known scenario all stop in
+        # argparse, before any command runs.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("report", "--out", tmp_path, *flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err

@@ -12,9 +12,8 @@ from ecgalarm.record_io import (
     TRUE_ALARM,
     alarm_type_from_header,
     encode_signal,
-    load_csv_record,
+    load_any,
     load_labels,
-    load_record,
     parse_header,
     read_signal,
     resample_to,
@@ -150,7 +149,7 @@ class TestLoadRecord:
 
     def test_selects_lead_ii(self, tmp_path):
         self._write(tmp_path, "a100l", ["II", "V", "PLETH"])
-        record = load_record(tmp_path / "a100l.hea", {"a100l": TRUE_ALARM})
+        record = load_any(tmp_path / "a100l.hea", {"a100l": TRUE_ALARM})
         assert record is not None
         assert record.alarm_type == "ASY"
         assert record.label == TRUE_ALARM
@@ -158,12 +157,12 @@ class TestLoadRecord:
 
     def test_skip_without_lead_ii(self, tmp_path):
         self._write(tmp_path, "a101l", ["V", "PLETH"])
-        assert load_record(tmp_path / "a101l.hea", {"a101l": FALSE_ALARM}) is None
+        assert load_any(tmp_path / "a101l.hea", {"a101l": FALSE_ALARM}) is None
 
     def test_missing_label_raises(self, tmp_path):
         self._write(tmp_path, "a102l", ["II"])
         with pytest.raises(MissingLabel):
-            load_record(tmp_path / "a102l.hea", {})
+            load_any(tmp_path / "a102l.hea", {})
 
     @pytest.mark.parametrize(
         "comment,alarm",
@@ -177,7 +176,7 @@ class TestLoadRecord:
     )
     def test_alarm_from_comment(self, tmp_path, comment, alarm):
         self._write(tmp_path, "x200l", ["II"], comment=comment)
-        record = load_record(tmp_path / "x200l.hea", {"x200l": TRUE_ALARM})
+        record = load_any(tmp_path / "x200l.hea", {"x200l": TRUE_ALARM})
         assert record.alarm_type == alarm
 
     @pytest.mark.parametrize(
@@ -187,18 +186,6 @@ class TestLoadRecord:
     def test_alarm_prefix_fallback(self, name, alarm):
         header = parse_header(f"{name} 1 250 10\nx.mat 16 200 16 0 0 0 0 II\n")
         assert alarm_type_from_header(header) == alarm
-
-
-class TestCsvFixturePath:
-    def test_load_csv_record(self, tmp_path):
-        (tmp_path / "rec1.csv").write_text("i,mv\n0,0.5\n1,-0.25\n2,0.0\n")
-        (tmp_path / "rec1.json").write_text(
-            '{"sampling_rate": 250, "alarm_type": "VTA"}'
-        )
-        record = load_csv_record(tmp_path / "rec1.csv", {"rec1": FALSE_ALARM})
-        assert record.record_name == "rec1"
-        assert record.alarm_type == "VTA"
-        np.testing.assert_allclose(record.samples, [0.5, -0.25, 0.0])
 
 
 class TestLabels:
@@ -234,6 +221,6 @@ class TestResample:
         labels = load_labels(labels_path)
         paths = discover_records(data_dir)
         assert len(paths) == 31  # 30 usable + 1 without lead II
-        loaded = [load_record(p, labels) for p in paths]
+        loaded = [load_any(p, labels) for p in paths]
         assert sum(1 for r in loaded if r is None) == 1
         assert sum(1 for r in loaded if r is not None) == 30
