@@ -28,7 +28,6 @@ from .record_io import (
     load_labels,
     parse_header,
     read_signal,
-    resample_to,
 )
 from .segment_features import FEATURE_NAMES, heart_rate, llf_tail, segment_features
 from .segmentation import LANDMARKS, bandpass, delineate, detect_r_peaks, segment_record

@@ -1,16 +1,17 @@
-"""Command-line pipeline: ingest -> featurize -> evaluate -> report.
+"""Command-line pipeline: ingest -> featurize -> evaluate, or all three.
 
 Flags are the only configuration; each holds its default (see
 ``build_parser``), and the boosting settings are the fixed
 ``ensemble.DEFAULT_*``. All intermediate products are flat CSVs under the
-output directory; a single seed drives fold shuffling, k-means init, and
-RUSBoost sampling, so identical flags produce byte-identical outputs.
+output directory, plus ``cache/<record>.npy``, the decoded signals ingest
+hands to featurize; ingest decodes every record on every run. A single
+seed drives fold shuffling, k-means init, and RUSBoost sampling, so
+identical flags produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import multiprocessing
 import sys
@@ -45,52 +46,18 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-# Bump when what ingest caches (resampling, truncation, .npy layout) changes.
-INGEST_CACHE_LAYOUT = "ingest-cache-v1"
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _ingest_key(data_dir: str, paths: list[Path], labels: str) -> dict:
-    """What an ingest cache was built from: the labels file's content and the
-    name and content of every file of every record (every file in `data_dir`
-    sharing a stem with an entry point in `paths`)."""
-    stems = {p.stem for p in paths}
-    return {
-        "layout": INGEST_CACHE_LAYOUT,
-        "labels_sha256": _sha256(Path(labels)),
-        "records": {p.name: _sha256(p) for p in Path(data_dir).glob("*")
-                    if p.is_file() and p.stem in stems},
-    }
-
-
 def cmd_ingest(cfg: dict) -> int:
-    """Parse, label and cache every record. The work is skipped only when
-    cache/key.json matches the current inputs exactly."""
+    """Parse, label and cache every record. A record without lead II, or
+    sampled at a rate other than TARGET_FS, gets a manifest row with its
+    skipped_reason and no cached signal."""
     if not cfg["data_dir"] or not cfg["labels"]:
         raise MissingInput("ingest needs --data-dir and --labels")
     out = _out_dir(cfg)
     cache_dir = out / "cache"
     cache_dir.mkdir(exist_ok=True)
-    manifest_path = out / "manifest.csv"
-    key_path = cache_dir / "key.json"
-    paths = record_io.discover_records(cfg["data_dir"])
-    key = _ingest_key(cfg["data_dir"], paths, cfg["labels"])
-
-    if (manifest_path.exists() and key_path.exists()
-            and json.loads(key_path.read_text()) == key):
-        rows = read_manifest(manifest_path)
-        usable = [r for r in rows if not r["skipped_reason"]]
-        if all((cache_dir / f"{r['record']}.npy").exists() for r in usable):
-            _print_counts(rows)
-            return 0
-
-    key_path.unlink(missing_ok=True)  # the cache is stale until the rebuild completes
     labels = record_io.load_labels(cfg["labels"])
     rows = []
-    for path in paths:
+    for path in record_io.discover_records(cfg["data_dir"]):
         row = {"record": path.stem, "alarm_type": "", "label": "",
                "n_samples": 0, "skipped_reason": ""}
         try:
@@ -102,26 +69,23 @@ def cmd_ingest(cfg: dict) -> int:
                 row["n_samples"] = header.n_samples
                 row["skipped_reason"] = "no_lead_II"
             else:
+                samples = record.samples
                 if record.sampling_rate != TARGET_FS:
-                    record.samples = record_io.resample_to(
-                        record.samples, record.sampling_rate, TARGET_FS
-                    )
-                    record.sampling_rate = TARGET_FS
-                if len(record.samples) > record_io.ANALYSIS_SAMPLES:
-                    record.samples = record.samples[: record_io.ANALYSIS_SAMPLES]
+                    row["skipped_reason"] = f"fs_{record.sampling_rate:g}"
+                else:
+                    samples = samples[: record_io.ANALYSIS_SAMPLES]
+                    np.save(cache_dir / f"{record.record_name}.npy", samples)
                 row["record"] = record.record_name
                 row["alarm_type"] = record.alarm_type
                 row["label"] = LABEL_TEXT[record.label]
-                row["n_samples"] = len(record.samples)
-                np.save(cache_dir / f"{record.record_name}.npy", record.samples)
+                row["n_samples"] = len(samples)
         except (EcgAlarmError, OSError, ValueError) as exc:
             row["skipped_reason"] = type(exc).__name__
         rows.append(row)
 
     if not any(not r["skipped_reason"] for r in rows):
         raise EmptyDataset(f"no usable records in {cfg['data_dir']}")
-    write_manifest(manifest_path, rows)
-    key_path.write_text(json.dumps(key, indent=1, sort_keys=True) + "\n")
+    write_manifest(out / "manifest.csv", rows)
     _print_counts(rows)
     return 0
 
@@ -207,14 +171,14 @@ def _safe_name(text: str) -> str:
 
 def cmd_evaluate(cfg: dict) -> int:
     out = _out_dir(cfg)
-    manifest = read_manifest(out / "manifest.csv")
-    alarm_types = {r["record"]: r["alarm_type"] for r in manifest}
+    manifest = {r["record"]: (r["alarm_type"], record_io.parse_label(r["label"], r["record"]))
+                for r in read_manifest(out / "manifest.csv") if not r["skipped_reason"]}
     scenarios = tuple(cfg["scenarios"])
     tables = _load_tables(out, list(scenarios))
 
     report = run_matrix(
         tables,
-        alarm_types,
+        manifest,
         scenarios=scenarios,
         classifiers=CLASSIFIERS,
         folds=cfg["folds"],
@@ -233,18 +197,6 @@ def cmd_evaluate(cfg: dict) -> int:
             for fpr, tpr, thr in cell["roc_points"]:
                 fh.write(f"{fpr!r},{tpr!r},{thr!r}\n")
     print(render_markdown(report))
-    return 0
-
-
-def cmd_report(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    path = out / "report.json"
-    if not path.exists():
-        raise MissingInput(f"no report at {path} (run evaluate first)")
-    report = json.loads(path.read_text())
-    markdown = render_markdown(report)
-    (out / "report.md").write_text(markdown)
-    print(markdown)
     return 0
 
 
@@ -272,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("ingest", "parse records, attach labels, cache signals"),
         ("featurize", "compute LLF/HLF/DWT feature CSVs"),
         ("evaluate", "cross-validated experiment matrix and reports"),
-        ("report", "re-render report.md from report.json"),
         ("all", "ingest + featurize + evaluate"),
     ]:
         p = sub.add_parser(name, help=help_text)
@@ -291,7 +242,6 @@ COMMANDS = {
     "ingest": cmd_ingest,
     "featurize": cmd_featurize,
     "evaluate": cmd_evaluate,
-    "report": cmd_report,
     "all": cmd_all,
 }
 

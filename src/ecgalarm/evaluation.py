@@ -275,7 +275,7 @@ def run_cell(
 
 def run_matrix(
     tables: dict[str, FeatureTable],
-    alarm_types: dict[str, str],
+    manifest: dict[str, tuple[str, int]],
     scenarios: tuple[str, ...] = tuple(SCENARIOS),
     classifiers: tuple[str, ...] = CLASSIFIERS,
     folds: int = 5,
@@ -287,7 +287,8 @@ def run_matrix(
     target_ratio: float = DEFAULT_TARGET_RATIO,
 ) -> dict:
     """Evaluate every requested (scenario, classifier) cell on shared folds.
-    `alarm_types` (the manifest) must name every record of the tables."""
+    `manifest` maps each usable record to its (alarm type, label); it must
+    name every record of the tables with the label the tables carry."""
     for scenario in scenarios:
         if scenario not in tables:
             raise MissingInput(f"no feature table for scenario {scenario!r}")
@@ -297,15 +298,21 @@ def run_matrix(
             raise ConfigError(f"{scenario}: expected {want} columns, got {got}")
 
     base = tables[scenarios[0]]
-    for scenario in scenarios[1:]:
-        if tables[scenario].records != base.records:
+    for scenario in scenarios:
+        table = tables[scenario]
+        if table.records != base.records:
             raise MissingInput("scenario tables cover different record sets")
-    unknown = [name for name in base.records if name not in alarm_types]
-    if unknown:
-        raise MissingInput(f"{len(unknown)} table records are not in the manifest, "
-                           f"first {unknown[0]!r} (featurize again after ingest)")
+        unknown = [name for name in table.records if name not in manifest]
+        if unknown:
+            raise MissingInput(f"{len(unknown)} table records are not in the manifest, "
+                               f"first {unknown[0]!r} (featurize again after ingest)")
+        relabelled = [name for name, label in zip(table.records, table.y)
+                      if manifest[name][1] != label]
+        if relabelled:
+            raise MissingInput(f"{len(relabelled)} {scenario} table labels differ from the "
+                               f"manifest, first {relabelled[0]!r} (featurize again after ingest)")
 
-    meta = [(alarm_types[name], int(label)) for name, label in zip(base.records, base.y)]
+    meta = [manifest[name] for name in base.records]
     fold_of = stratified_folds(meta, folds, seed)
     hyper = {"rounds": rounds, "learning_rate": learning_rate,
              "max_splits": max_splits, "target_ratio": target_ratio}

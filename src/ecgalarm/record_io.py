@@ -4,6 +4,9 @@ Handles the subset of the WFDB format the challenge training set actually
 uses: text headers (.hea) plus format-16 binary signals with an optional
 byte offset (the challenge's ``16+24`` .mat containers). Signals are
 converted to physical units (mV) and the ECG lead II channel is selected.
+A malformed header raises ParseError and nothing else. Records are never
+resampled: ingest skips a record whose rate is not TARGET_FS (250 Hz, the
+challenge's rate).
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ ANALYSIS_SAMPLES = 75000
 # Record-name first letter fallback (challenge naming convention).
 _PREFIX_TO_ALARM = {"a": "ASY", "b": "EBR", "t": "ETC", "v": "VTA", "f": "VFB"}
 
-_FORMAT_RE = re.compile(r"^(\d+)(?:\+(\d+))?$")
+_FORMAT_RE = re.compile(r"^(\d{1,9})(?:\+(\d{1,9}))?$")
+_GAIN_RE = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?:\((-?\d{1,9})\))?$")
 
 
 @dataclass
@@ -94,8 +98,8 @@ def parse_header(text: str) -> RecordHeader:
         raise ParseError(1, f"non-numeric field in first line: {exc}") from None
     if n_signals < 1:
         raise ParseError(1, f"n_signals must be >= 1, got {n_signals}")
-    if sampling_rate <= 0 or n_samples <= 0:
-        raise ParseError(1, "sampling rate and sample count must be positive")
+    if not (np.isfinite(sampling_rate) and sampling_rate > 0) or n_samples <= 0:
+        raise ParseError(1, "sampling rate and sample count must be positive and finite")
 
     signals = []
     comments = []
@@ -131,8 +135,8 @@ def _parse_signal_line(line: str, line_no: int) -> SignalSpec:
     baseline = None
     if len(tokens) > 2:
         gain_tok = tokens[2].split("/")[0]
-        bm = re.match(r"^(-?[0-9.eE+]+)(?:\((-?\d+)\))?$", gain_tok)
-        if bm is None:
+        bm = _GAIN_RE.match(gain_tok)
+        if bm is None or not np.isfinite(float(bm.group(1))):
             raise ParseError(line_no, f"cannot parse gain token {tokens[2]!r}")
         adc_gain = float(bm.group(1))
         if bm.group(2) is not None:
@@ -255,18 +259,6 @@ def load_any(path: str | Path, labels: dict[str, int]) -> EcgRecord | None:
         alarm_type=alarm,
         label=labels[header.record_name],
     )
-
-
-def resample_to(samples: np.ndarray, fs_in: float, fs_out: float = TARGET_FS) -> np.ndarray:
-    """Linear-interpolation resampling; no-op when rates already match."""
-    if fs_in == fs_out:
-        return np.asarray(samples, dtype=np.float64)
-    samples = np.asarray(samples, dtype=np.float64)
-    duration = (len(samples) - 1) / fs_in
-    n_out = int(round(duration * fs_out)) + 1
-    t_out = np.arange(n_out) / fs_out
-    t_in = np.arange(len(samples)) / fs_in
-    return np.interp(t_out, t_in, samples)
 
 
 def discover_records(data_dir: str | Path) -> list[Path]:

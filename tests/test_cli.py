@@ -79,16 +79,9 @@ class TestIngest:
         for row in usable:
             assert (out / "cache" / f"{row['record']}.npy").exists()
 
-    def test_reuse_does_not_redecode(self, fixture_dataset, tmp_path):
-        data_dir, labels = fixture_dataset
-        out = tmp_path / "out"
-        run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out)
-        manifest_before = (out / "manifest.csv").read_bytes()
-        # a second run on the same inputs reuses the cache: the manifest is untouched
-        assert run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out) == 0
-        assert (out / "manifest.csv").read_bytes() == manifest_before
-
-    def test_reuse_rebuilds_when_inputs_change(self, fixture_dataset, tmp_path):
+    def test_reingest_follows_changed_inputs(self, fixture_dataset, tmp_path):
+        # Ingest decodes every record on every run: the manifest and the
+        # cached signals follow the current labels and signal files.
         data_dir, labels = fixture_dataset
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -102,8 +95,6 @@ class TestIngest:
             return read_manifest(out / "manifest.csv")
 
         ingest()
-        key = json.loads((out / "cache" / "key.json").read_text())
-        assert len(key["records"]) == 2 * 31  # .hea and .mat of every record
 
         # Relabel one record: the manifest must follow the new labels file.
         text = labels_copy.read_text()
@@ -117,15 +108,6 @@ class TestIngest:
         (data / "b107l.mat").write_bytes(signal[:24] + bytes(len(signal) - 24))
         ingest()
         assert not np.any(np.load(out / "cache" / "b107l.npy"))
-
-        # Unchanged inputs reuse the cache: the key and manifest stay as they are.
-        key = (out / "cache" / "key.json").read_bytes()
-        manifest = (out / "manifest.csv").read_bytes()
-        (out / "cache" / "b107l.npy").write_bytes(b"")  # reuse does not re-decode
-        ingest()
-        assert (out / "cache" / "key.json").read_bytes() == key
-        assert (out / "manifest.csv").read_bytes() == manifest
-        assert (out / "cache" / "b107l.npy").read_bytes() == b""
 
     def test_bad_label_exits_2(self, fixture_dataset, tmp_path, capsys):
         data_dir, labels = fixture_dataset
@@ -165,6 +147,29 @@ class TestIngest:
         rows = {r["record"]: r for r in read_manifest(out / "manifest.csv")}
         assert rows["a700l"]["skipped_reason"] == ""
         assert rows["a701l"]["skipped_reason"] == "FileNotFoundError"
+
+    def test_other_rate_skipped(self, tmp_path):
+        # Only 250 Hz records are usable; a record at another rate gets a
+        # manifest row naming its rate and no cached signal.
+        from ecgalarm.record_io import encode_signal
+
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, fs in (("a700l", 250), ("a701l", 500)):
+            n = 30 * fs
+            adc = (np.arange(n) % 200).astype(np.int16)
+            (data / f"{name}.mat").write_bytes(encode_signal([adc], byte_offset=24))
+            (data / f"{name}.hea").write_text(
+                f"{name} 1 {fs} {n}\n{name}.mat 16+24 200(0) 16 0 0 0 0 II\n#Asystole\n"
+            )
+        (tmp_path / "labels.csv").write_text("record,label\na700l,true\na701l,false\n")
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--data-dir", data, "--labels",
+                       tmp_path / "labels.csv", "--out", out) == 0
+        rows = {r["record"]: r for r in read_manifest(out / "manifest.csv")}
+        assert rows["a700l"]["skipped_reason"] == ""
+        assert rows["a701l"]["skipped_reason"] == "fs_500"
+        assert sorted(p.name for p in (out / "cache").iterdir()) == ["a700l.npy"]
 
     def test_long_record_truncated_to_analysis_window(self, tmp_path):
         # 5.5-minute records keep only the 5 minutes before the alarm.
@@ -336,10 +341,24 @@ class TestEvaluate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "not in the manifest" in err[0]
 
-    def test_report_command_rerenders(self, pipeline_out):
-        md_before = (pipeline_out / "report.md").read_text()
-        assert run_cli("report", "--out", pipeline_out) == 0
-        assert (pipeline_out / "report.md").read_text() == md_before
+    def test_relabelled_record_refuses_stale_tables(self, fixture_dataset, pipeline_out,
+                                                    tmp_path, capsys):
+        # Re-ingesting with a changed label leaves tables that carry the old
+        # one; evaluate must not train on it.
+        data_dir, labels = fixture_dataset
+        relabelled = tmp_path / "labels.csv"
+        relabelled.write_text(labels.read_text().replace("a101l,true", "a101l,false"))
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("llf.csv", "hlf_cityblock.csv", "hlf_euclidean.csv", "dwt.csv"):
+            shutil.copy(pipeline_out / name, out / name)
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", relabelled,
+                       "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'a101l'" in err[0] and "featurize again" in err[0]
 
 
 class TestDeterminism:
@@ -374,6 +393,6 @@ class TestFlags:
         # value and a scenario list naming no known scenario all stop in
         # argparse, before any command runs.
         with pytest.raises(SystemExit) as exc:
-            run_cli("report", "--out", tmp_path, *flag)
+            run_cli("evaluate", "--out", tmp_path, *flag)
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err

@@ -144,18 +144,18 @@ def _toy_tables(n=40, seed=0, dim_a=6, dim_b=4):
     X_a = rng.normal(size=(n, dim_a)) + 0.8 * y[:, None]
     X_b = rng.normal(size=(n, dim_b))
     records = [f"r{i:03d}" for i in range(n)]
-    alarms = {r: ALARM_TYPES[i % 5] for i, r in enumerate(records)}
+    manifest = {r: (ALARM_TYPES[i % 5], int(y[i])) for i, r in enumerate(records)}
     return (
         {"A": FeatureTable(records, y, X_a), "B": FeatureTable(records, y, X_b)},
-        alarms,
+        manifest,
     )
 
 
 class TestRunCell:
     def test_pooled_counts_cover_dataset(self):
-        tables, alarms = _toy_tables()
+        tables, manifest = _toy_tables()
         table = tables["A"]
-        meta = [(alarms[r], int(l)) for r, l in zip(table.records, table.y)]
+        meta = [manifest[r] for r in table.records]
         folds = stratified_folds(meta, 4, seed=1)
         cell = run_cell(table, folds, "A", "BoostedTrees", seed=1, rounds=5)
         c = cell.confusion
@@ -166,9 +166,9 @@ class TestRunCell:
         # No leakage: the fold-0 scores equal those of a model fitted on the
         # training rows alone, and perturbing the held-out rows does not
         # change that model's behaviour on other inputs.
-        tables, alarms = _toy_tables(seed=3)
+        tables, manifest = _toy_tables(seed=3)
         table = tables["A"]
-        meta = [(alarms[r], int(l)) for r, l in zip(table.records, table.y)]
+        meta = [manifest[r] for r in table.records]
         folds = stratified_folds(meta, 4, seed=2)
         cell = run_cell(table, folds, "A", "BoostedTrees", seed=2, rounds=5)
 
@@ -190,7 +190,7 @@ class TestRunCell:
 
 class TestRunMatrix:
     def test_report_structure_and_determinism(self):
-        tables, alarms = _toy_tables(seed=5)
+        tables, manifest = _toy_tables(seed=5)
         kwargs = dict(
             scenarios=("A", "B"),
             classifiers=("BoostedTrees", "RUSBoostedTrees"),
@@ -198,8 +198,8 @@ class TestRunMatrix:
             seed=7,
             rounds=4,
         )
-        r1 = run_matrix(tables, alarms, **kwargs)
-        r2 = run_matrix(tables, alarms, **kwargs)
+        r1 = run_matrix(tables, manifest, **kwargs)
+        r2 = run_matrix(tables, manifest, **kwargs)
         assert r1 == r2
         assert set(r1["cells"]) == {
             "A/BoostedTrees", "A/RUSBoostedTrees",
@@ -210,16 +210,16 @@ class TestRunMatrix:
                 assert 0.0 <= cell[metric] <= 1.0
 
     def test_missing_scenario_raises(self):
-        tables, alarms = _toy_tables()
+        tables, manifest = _toy_tables()
         with pytest.raises(MissingInput):
-            run_matrix(tables, alarms, scenarios=("A", "C"), folds=4, seed=0, rounds=2)
+            run_matrix(tables, manifest, scenarios=("A", "C"), folds=4, seed=0, rounds=2)
 
     def test_scenario_dimension_check(self):
-        tables, alarms = _toy_tables(dim_a=30)
+        tables, manifest = _toy_tables(dim_a=30)
         tables["HLF_cityblock"] = tables.pop("A")  # wrong width: 30 != 31
         with pytest.raises(ConfigError):
             run_matrix(
-                tables, alarms, scenarios=("HLF_cityblock",), folds=4, seed=0, rounds=2
+                tables, manifest, scenarios=("HLF_cityblock",), folds=4, seed=0, rounds=2
             )
 
     def test_combine_tables_dims(self):
@@ -232,13 +232,14 @@ class TestRunMatrix:
     def test_fold_without_positives_writes_null_not_nan(self):
         # Two true alarms of one stratum (ASY) are dealt to two of four folds;
         # the other two folds have no positives, so sensitivity is undefined.
-        tables, alarms = _toy_tables(seed=2)
+        tables, manifest = _toy_tables(seed=2)
         table = tables["A"]
         y = np.full(len(table.records), FALSE_ALARM)
         y[[0, 5]] = TRUE_ALARM
         table = FeatureTable(table.records, y, table.X + 3.0 * y[:, None])
+        manifest = {r: (manifest[r][0], int(label)) for r, label in zip(table.records, y)}
         report = run_matrix(
-            {"A": table}, alarms, scenarios=("A",), classifiers=("BoostedTrees",),
+            {"A": table}, manifest, scenarios=("A",), classifiers=("BoostedTrees",),
             folds=4, seed=0, rounds=3,
         )
         per_fold = report["cells"]["A/BoostedTrees"]["per_fold"]
@@ -251,9 +252,9 @@ class TestRunMatrix:
         assert parsed["cells"]["A/BoostedTrees"]["roc_points"][0][2] == float("inf")
 
     def test_markdown_render(self):
-        tables, alarms = _toy_tables(seed=8)
+        tables, manifest = _toy_tables(seed=8)
         report = run_matrix(
-            tables, alarms, scenarios=("A",), classifiers=("BoostedTrees",),
+            tables, manifest, scenarios=("A",), classifiers=("BoostedTrees",),
             folds=4, seed=1, rounds=3,
         )
         text = render_markdown(report)

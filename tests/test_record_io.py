@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ecgalarm.exceptions import (
     MissingLabel,
@@ -9,14 +12,15 @@ from ecgalarm.exceptions import (
 )
 from ecgalarm.record_io import (
     FALSE_ALARM,
+    INVALID_ADC,
     TRUE_ALARM,
     alarm_type_from_header,
+    discover_records,
     encode_signal,
     load_any,
     load_labels,
     parse_header,
     read_signal,
-    resample_to,
 )
 
 HEADER_TEXT = (
@@ -78,6 +82,39 @@ class TestParseHeader:
             parse_header("r01 three 250\n")
 
 
+def _parse_or_parse_error(text):
+    """parse_header's whole contract: a header with a finite, positive rate,
+    or ParseError."""
+    try:
+        header = parse_header(text)
+    except ParseError:
+        return
+    assert np.isfinite(header.sampling_rate) and header.sampling_rate > 0
+
+
+# The numeric fields of HEADER_TEXT as (line, token index), and tokens that
+# are well-formed, out of range, or not numbers at all.
+NUMERIC_FIELDS = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (1, 4)]
+FIELD_TOKENS = st.sampled_from([
+    "250", "0", "-1", "2.5", "nan", "inf", "-inf", "1e999", "e", "1e5e", "1.2.3",
+    "16+24", "16+", "200(0)", "200(x)", "1e5(3)/mV", ".", "+",
+    "9" * 5000, "1(" + "9" * 5000 + ")",  # beyond int()'s default digit limit
+]) | st.text(max_size=6)
+
+
+class TestParseHeaderProperty:
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        _parse_or_parse_error(text)
+
+    @settings(max_examples=300)
+    @given(field=st.sampled_from(NUMERIC_FIELDS), token=FIELD_TOKENS)
+    def test_perturbed_field(self, field, token):
+        lines = [line.split(" ") for line in HEADER_TEXT.splitlines()]
+        lines[field[0]][field[1]] = token
+        _parse_or_parse_error("\n".join(" ".join(line) for line in lines))
+
+
 class TestReadSignal:
     def _header(self, n_signals, n_samples, gain=200.0, baseline=0, offset=0, fmt=16):
         lines = [f"x {n_signals} 250 {n_samples}"]
@@ -135,6 +172,25 @@ class TestReadSignal:
         with pytest.raises(TruncatedSignal):
             read_signal(header, b"\x00" * 50, 0)
 
+    @given(
+        adc=arrays(np.int16, st.tuples(st.integers(1, 40), st.integers(1, 4))),
+        offset=st.integers(0, 64),
+        gains=st.lists(st.floats(1e-3, 1e5), min_size=4, max_size=4),
+        baselines=st.lists(st.integers(-32768, 32767), min_size=4, max_size=4),
+    )
+    def test_roundtrip_property(self, adc, offset, gains, baselines):
+        n_samples, n_signals = adc.shape
+        lines = [f"x {n_signals} 250 {n_samples}"] + [
+            f"x.dat 16+{offset} {gains[i]!r}({baselines[i]}) 16 0 0 0 0 ch{i}"
+            for i in range(n_signals)
+        ]
+        header = parse_header("\n".join(lines))
+        raw = encode_signal(list(adc.T), byte_offset=offset)
+        for i in range(n_signals):
+            want = (adc[:, i].astype(np.float64) - baselines[i]) / gains[i]
+            want[adc[:, i] == INVALID_ADC] = 0.0
+            assert read_signal(header, raw, i).tobytes() == want.tobytes()
+
 
 class TestLoadRecord:
     def _write(self, tmp_path, name, leads, comment="#Asystole"):
@@ -163,6 +219,15 @@ class TestLoadRecord:
         self._write(tmp_path, "a102l", ["II"])
         with pytest.raises(MissingLabel):
             load_any(tmp_path / "a102l.hea", {})
+
+    def test_fixture_dataset_counts(self, fixture_dataset):
+        data_dir, labels_path = fixture_dataset
+        labels = load_labels(labels_path)
+        paths = discover_records(data_dir)
+        assert len(paths) == 31  # 30 usable + 1 without lead II
+        loaded = [load_any(p, labels) for p in paths]
+        assert sum(1 for r in loaded if r is None) == 1
+        assert sum(1 for r in loaded if r is not None) == 30
 
     @pytest.mark.parametrize(
         "comment,alarm",
@@ -200,27 +265,3 @@ class TestLabels:
         path.write_text("record,label\nr1,maybe\n")
         with pytest.raises(ValueError):
             load_labels(path)
-
-
-class TestResample:
-    def test_noop_at_target_rate(self):
-        x = np.arange(10.0)
-        np.testing.assert_array_equal(resample_to(x, 250, 250), x)
-
-    def test_linear_interpolation(self):
-        # A linear ramp resamples onto the same line (501 samples = 1 s even).
-        x = np.arange(0, 501, dtype=np.float64)
-        out = resample_to(x, 500, 250)
-        assert len(out) == 251
-        np.testing.assert_allclose(out, np.arange(251) * 2.0)
-
-    def test_fixture_dataset_counts(self, fixture_dataset):
-        from ecgalarm.record_io import discover_records
-
-        data_dir, labels_path = fixture_dataset
-        labels = load_labels(labels_path)
-        paths = discover_records(data_dir)
-        assert len(paths) == 31  # 30 usable + 1 without lead II
-        loaded = [load_any(p, labels) for p in paths]
-        assert sum(1 for r in loaded if r is None) == 1
-        assert sum(1 for r in loaded if r is not None) == 30
