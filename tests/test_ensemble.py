@@ -1,8 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ecgalarm.ensemble import (
     BoostedEnsemble,
+    _best_split,
     fit_adaboost,
     fit_rusboost,
     fit_tree,
@@ -52,6 +58,78 @@ class TestFitTree:
         y = np.where(rng.random(200) > 0.5, 1, -1)
         tree = fit_tree(X, y, np.full(200, 1 / 200), max_splits=7)
         assert tree.n_splits <= 7
+
+
+def _brute_split(X, w_pos, w_neg, rows):
+    """Reference scan: every feature, every midpoint between distinct adjacent
+    values of the node's rows; the first strict maximum wins, so ties go to
+    the lowest feature, then the lowest threshold."""
+
+    def mass(p, n):
+        return 2.0 * p * n / (p + n) if p + n > 0 else 0.0
+
+    p, n = float(w_pos[rows].sum()), float(w_neg[rows].sum())
+    parent = mass(p, n)
+    if parent <= 0 or len(rows) < 2:
+        return None
+    best = None
+    for f in range(X.shape[1]):
+        col = X[rows, f]
+        vals = np.unique(col)
+        for lo, hi in zip(vals[:-1], vals[1:]):
+            left = rows[col <= lo]
+            lp, ln = float(w_pos[left].sum()), float(w_neg[left].sum())
+            gain = parent - mass(lp, ln) - mass(p - lp, n - ln)
+            if best is None or gain > best[0]:
+                best = (gain, f, float(0.5 * (lo + hi)))
+    return best
+
+
+@st.composite
+def _weighted_nodes(draw):
+    """A small table with many tied values, +-1 labels, weights that are
+    multiples of 1/64 (some zero, so every class sum is exact) and the
+    ascending rows of one node."""
+    n = draw(st.integers(1, 12))
+    f = draw(st.integers(1, 4))
+    X = draw(arrays(np.int64, (n, f), elements=st.integers(-3, 3))) / 2.0
+    y = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    w = draw(arrays(np.int64, n, elements=st.integers(0, 8))) / 64.0
+    rows = np.flatnonzero(draw(arrays(np.bool_, n)))
+    return X, np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0), rows
+
+
+def _tree_digest(trees) -> str:
+    h = hashlib.sha256()
+    for tree in trees:
+        for a in (tree.feature, tree.left, tree.right):
+            h.update(np.asarray(a, dtype="<i8").tobytes())
+        for a in (tree.threshold, tree.leaf_w_neg, tree.leaf_w_pos):
+            h.update(np.asarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the trees `fit_tree` grows on 40 seeded tables. Rounding to 0-2
+# decimals makes tied values common. Plain fits involve no `np.exp`, whose
+# last bits depend on the SIMD level, so this holds on any x86 runner.
+FIT_TREE_DIGEST = "f234f549a754fc4a8f6767fda8de508172559c671063bc9550636e1710c420f7"
+
+
+class TestSplitSearch:
+    @given(_weighted_nodes())
+    def test_best_split_matches_brute_force(self, node):
+        X, w_pos, w_neg, rows = node
+        assert _best_split(X, w_pos, w_neg, rows) == _brute_split(X, w_pos, w_neg, rows)
+
+    def test_fit_tree_bytes_pinned(self):
+        trees = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, f = int(rng.integers(20, 401)), int(rng.integers(1, 41))
+            X = np.round(rng.normal(size=(n, f)), int(rng.integers(0, 3)))
+            y = np.where(rng.random(n) < 0.4, 1, -1)
+            trees.append(fit_tree(X, y, rng.random(n), max_splits=20))
+        assert _tree_digest(trees) == FIT_TREE_DIGEST
 
 
 class TestAdaboost:
