@@ -214,6 +214,15 @@ def _scenario_list(text: str) -> list[str]:
     return names
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= `low`."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecgalarm",
@@ -230,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data-dir", dest="data_dir", help="directory of .hea/.mat records")
         p.add_argument("--labels", help="labels CSV (record,label)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--folds", type=int, default=5)
         p.add_argument("--scenarios", type=_scenario_list, default=list(SCENARIOS),
                        help="comma-separated scenario list (default: all six)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_int_at_least(1), default=1)
     return parser
 
 

@@ -7,6 +7,11 @@ deterministic). The ensembles store per-column min-max normalization fitted
 on their training data and apply it internally when scoring. Defaults follow
 the common "Boosted Trees" / "RUSBoosted Trees" presets: 30 rounds, learning
 rate 0.1, 20 splits, 1:1 resampling.
+
+Each fit sorts once: ``_boost`` argsorts every column stably, and each round
+and each child node filter that order. Node rows stay ascending, so a stable
+filter of a stable order is the node's own stable argsort: each node sums the
+same weights in the same sequence, and trees are bit-identical to resorting.
 """
 
 from __future__ import annotations
@@ -27,46 +32,32 @@ _EPS_PERFECT = 1e-10  # stand-in error when a round classifies perfectly
 def _gini_mass(w_pos: np.ndarray, w_neg: np.ndarray) -> np.ndarray:
     """Weighted Gini impurity times node weight: 2*p*n/(p+n), 0 when empty."""
     total = w_pos + w_neg
-    out = np.zeros_like(total)
-    nz = total > 0
-    out[nz] = 2.0 * w_pos[nz] * w_neg[nz] / total[nz]
-    return out
+    return np.divide(2.0 * w_pos * w_neg, total, out=np.zeros_like(total), where=total > 0)
 
 
-def _best_split(X: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray, rows: np.ndarray):
-    """Best (gain, feature, threshold) over a node's rows; None if no split helps."""
-    Xs = X[rows]
-    wp = w_pos[rows]
-    wn = w_neg[rows]
-    parent = _gini_mass(np.array([wp.sum()]), np.array([wn.sum()]))[0]
+def _best_split(w_pos, w_neg, rows, order, vals):
+    """Best (gain, feature, threshold) over a node's rows; None if no split helps.
+    `rows` ascend; row f of `order` sorts them by feature f, and of `vals` their values."""
+    p, n = float(w_pos[rows].sum()), float(w_neg[rows].sum())
+    parent = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
     if parent <= 0 or len(rows) < 2:
         return None
 
-    order = np.argsort(Xs, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(Xs, order, axis=0)
-    cum_p = np.cumsum(wp[order], axis=0)
-    cum_n = np.cumsum(wn[order], axis=0)
-
-    left_p = cum_p[:-1]
-    left_n = cum_n[:-1]
-    right_p = cum_p[-1] - left_p
-    right_n = cum_n[-1] - left_n
+    cum_p = np.cumsum(w_pos[order], axis=1)
+    cum_n = np.cumsum(w_neg[order], axis=1)
+    left_p, left_n = cum_p[:, :-1], cum_n[:, :-1]
+    right_p, right_n = cum_p[:, -1:] - left_p, cum_n[:, -1:] - left_n
     gains = parent - _gini_mass(left_p, left_n) - _gini_mass(right_p, right_n)
-    gains[sorted_vals[:-1] == sorted_vals[1:]] = -np.inf  # ties can't split
+    gains[vals[:, :-1] == vals[:, 1:]] = -np.inf  # ties can't split
 
     # Gini gain is never negative, so any valid threshold is splittable;
     # zero-gain splits are allowed (an impure node may need two levels, as
     # with XOR patterns) and the budget bounds growth.
-    best = None
-    for f in range(Xs.shape[1]):
-        col = gains[:, f]
-        i = int(np.argmax(col))  # first (lowest threshold) among equals
-        if col[i] == -np.inf:
-            continue
-        if best is None or col[i] > best[0]:
-            thr = 0.5 * (sorted_vals[i, f] + sorted_vals[i + 1, f])
-            best = (float(col[i]), f, float(thr))
-    return best
+    f = int(gains.max(axis=1).argmax())  # first among equals: lowest feature,
+    i = int(gains[f].argmax())  # then lowest threshold
+    if gains[f, i] == -np.inf:
+        return None
+    return float(gains[f, i]), f, float(0.5 * (vals[f, i] + vals[f, i + 1]))
 
 
 @dataclass
@@ -98,9 +89,11 @@ class DecisionTree:
 
 
 def fit_tree(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, max_splits: int = DEFAULT_MAX_SPLITS
+    X: np.ndarray, y: np.ndarray, w: np.ndarray, max_splits: int = DEFAULT_MAX_SPLITS,
+    order: np.ndarray | None = None,
 ) -> DecisionTree:
-    """Grow a tree best-first by weighted Gini decrease up to `max_splits`."""
+    """Grow a tree best-first by weighted Gini decrease up to `max_splits`.
+    `order` is X's stable argsort per column, as (features, rows); None sorts here."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     w = np.asarray(w, dtype=np.float64)
@@ -108,14 +101,16 @@ def fit_tree(
         raise ValueError("sample weights must sum to a positive value")
     w_pos = np.where(y > 0, w, 0.0)
     w_neg = np.where(y < 0, w, 0.0)
+    order = np.argsort(X.T, axis=1, kind="stable") if order is None else order
 
     feature = [-1]
     threshold = [0.0]
     left = [-1]
     right = [-1]
-    node_rows = {0: np.arange(len(X))}
+    # Per leaf: its rows ascending, their per-feature order and sorted values.
+    nodes = {0: (np.arange(len(X)), order, np.take_along_axis(X.T, order, axis=1))}
     # Candidate splits per leaf, refreshed as leaves appear.
-    candidates = {0: _best_split(X, w_pos, w_neg, node_rows[0])}
+    candidates = {0: _best_split(w_pos, w_neg, *nodes[0])}
 
     n_splits = 0
     while n_splits < max_splits:
@@ -129,16 +124,17 @@ def fit_tree(
         if best_leaf is None:
             break
         gain, f, thr = candidates.pop(best_leaf)
-        rows = node_rows.pop(best_leaf)
-        mask = X[rows, f] <= thr
-        for child_rows in (rows[mask], rows[~mask]):
+        rows, order, vals = nodes.pop(best_leaf)
+        side = X[:, f] <= thr
+        for mask, sel in ((side[rows], side[order]), (~side[rows], ~side[order])):
             child = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            node_rows[child] = child_rows
-            candidates[child] = _best_split(X, w_pos, w_neg, child_rows)
+            shape = (len(order), int(mask.sum()))
+            nodes[child] = (rows[mask], order[sel].reshape(shape), vals[sel].reshape(shape))
+            candidates[child] = _best_split(w_pos, w_neg, *nodes[child])
         feature[best_leaf] = f
         threshold[best_leaf] = thr
         left[best_leaf] = len(feature) - 2
@@ -148,7 +144,7 @@ def fit_tree(
     n_nodes = len(feature)
     leaf_w_pos = np.zeros(n_nodes)
     leaf_w_neg = np.zeros(n_nodes)
-    for node, rows in node_rows.items():
+    for node, (rows, _, _) in nodes.items():
         leaf_w_pos[node] = w_pos[rows].sum()
         leaf_w_neg[node] = w_neg[rows].sum()
     return DecisionTree(
@@ -215,10 +211,15 @@ def _boost(
     w = np.full(n, 1.0 / n)
     trees: list[DecisionTree] = []
     alphas: list[float] = []
+    presorted = np.argsort(Xn.T, axis=1, kind="stable")
 
     for t in range(rounds):
         rows = subset_fn(t, w)
-        tree = fit_tree(Xn[rows], y[rows], w[rows] / w[rows].sum(), max_splits)
+        # The presort restricted to this round's rows, as indices into them.
+        local = np.full(n, -1)
+        local[rows] = np.arange(len(rows))
+        order = local[presorted[local[presorted] >= 0]].reshape(len(presorted), len(rows))
+        tree = fit_tree(Xn[rows], y[rows], w[rows] / w[rows].sum(), max_splits, order=order)
         pred = tree.predict(Xn)
         miss = pred != y
         eps = float(w[miss].sum())

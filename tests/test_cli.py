@@ -385,13 +385,15 @@ class TestFlags:
     @pytest.mark.parametrize(
         "flag",
         [("--config", "x"), ("--cache", "reuse"), ("--seed", "abc"),
-         ("--scenarios", ","), ("--scenarios", "DWT,HLF")],
-        ids=["config", "cache", "seed", "no_scenario", "unknown_scenario"],
+         ("--scenarios", ","), ("--scenarios", "DWT,HLF"),
+         ("--seed", "-1"), ("--workers", "0")],
+        ids=["config", "cache", "seed", "no_scenario", "unknown_scenario",
+             "negative_seed", "zero_workers"],
     )
     def test_removed_or_malformed_flag_exits_2(self, flag, tmp_path, capsys):
         # Flags are the only configuration: a removed flag, a non-numeric
-        # value and a scenario list naming no known scenario all stop in
-        # argparse, before any command runs.
+        # or out-of-range value and a scenario list naming no known scenario
+        # all stop in argparse, before any command runs.
         with pytest.raises(SystemExit) as exc:
             run_cli("evaluate", "--out", tmp_path, *flag)
         assert exc.value.code == 2

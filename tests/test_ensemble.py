@@ -99,19 +99,10 @@ def _weighted_nodes(draw):
     return X, np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0), rows
 
 
-def _tree_digest(trees) -> str:
-    h = hashlib.sha256()
-    for tree in trees:
-        for a in (tree.feature, tree.left, tree.right):
-            h.update(np.asarray(a, dtype="<i8").tobytes())
-        for a in (tree.threshold, tree.leaf_w_neg, tree.leaf_w_pos):
-            h.update(np.asarray(a, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
 # sha256 of the trees `fit_tree` grows on 40 seeded tables. Rounding to 0-2
-# decimals makes tied values common. Plain fits involve no `np.exp`, whose
-# last bits depend on the SIMD level, so this holds on any x86 runner.
+# decimals makes tied values common. Plain fits call no `np.exp`, whose last
+# bits depend on the SIMD level; the digest is the same with numpy's AVX-512
+# dispatch disabled.
 FIT_TREE_DIGEST = "f234f549a754fc4a8f6767fda8de508172559c671063bc9550636e1710c420f7"
 
 
@@ -119,17 +110,24 @@ class TestSplitSearch:
     @given(_weighted_nodes())
     def test_best_split_matches_brute_force(self, node):
         X, w_pos, w_neg, rows = node
-        assert _best_split(X, w_pos, w_neg, rows) == _brute_split(X, w_pos, w_neg, rows)
+        order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
+        vals = np.take_along_axis(X.T, order, axis=1)
+        got = _best_split(w_pos, w_neg, rows, order, vals)
+        assert got == _brute_split(X, w_pos, w_neg, rows)
 
     def test_fit_tree_bytes_pinned(self):
-        trees = []
+        h = hashlib.sha256()
         for seed in range(40):
             rng = np.random.default_rng(seed)
             n, f = int(rng.integers(20, 401)), int(rng.integers(1, 41))
             X = np.round(rng.normal(size=(n, f)), int(rng.integers(0, 3)))
             y = np.where(rng.random(n) < 0.4, 1, -1)
-            trees.append(fit_tree(X, y, rng.random(n), max_splits=20))
-        assert _tree_digest(trees) == FIT_TREE_DIGEST
+            tree = fit_tree(X, y, rng.random(n), max_splits=20)
+            for a in (tree.feature, tree.left, tree.right):
+                h.update(np.asarray(a, dtype="<i8").tobytes())
+            for a in (tree.threshold, tree.leaf_w_neg, tree.leaf_w_pos):
+                h.update(np.asarray(a, dtype="<f8").tobytes())
+        assert h.hexdigest() == FIT_TREE_DIGEST
 
 
 class TestAdaboost:
@@ -238,15 +236,35 @@ class TestRusboost:
         seen = []
         original = ens.fit_tree
 
-        def spy(Xs, ys, ws, max_splits):
+        def spy(Xs, ys, ws, *args, **kwargs):
             seen.append((int(np.sum(ys > 0)), int(np.sum(ys < 0))))
-            return original(Xs, ys, ws, max_splits)
+            return original(Xs, ys, ws, *args, **kwargs)
 
         monkeypatch.setattr(ens, "fit_tree", spy)
         ens.fit_rusboost(X, y, rounds=5, seed=1)
         assert seen, "no boosting rounds ran"
         for n_pos, n_neg in seen:
             assert n_pos == 10 and n_neg == 10
+
+    @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
+    def test_round_order_is_stable_argsort(self, fit, monkeypatch):
+        # The order each round takes from the fit-wide presort must be the
+        # stable argsort of that round's table, so its tree equals a fit
+        # that sorts afresh.
+        import ecgalarm.ensemble as ens
+
+        X, y = self._imbalanced(seed=4)
+        X = np.round(X, 1)  # tied values
+        original = ens.fit_tree
+        rounds = []
+
+        def spy(Xs, ys, ws, max_splits, order):
+            rounds.append(np.array_equal(order, np.argsort(Xs.T, axis=1, kind="stable")))
+            return original(Xs, ys, ws, max_splits, order)
+
+        monkeypatch.setattr(ens, "fit_tree", spy)
+        fit(X, y, rounds=5)
+        assert rounds and all(rounds)
 
     def test_balanced_input_matches_adaboost(self):
         rng = np.random.default_rng(6)
