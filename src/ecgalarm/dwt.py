@@ -14,7 +14,6 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from scipy import stats
 
 from .exceptions import EmptyBand, SignalTooShort
 
@@ -119,6 +118,21 @@ def idwt(coeffs: DwtCoeffs) -> np.ndarray:
     return x
 
 
+def _skew_kurtosis(c: np.ndarray) -> tuple[float, float]:
+    """Biased skewness and excess kurtosis of c, NaN for both when its second
+    central moment is within rounding of zero. Each moment is taken in the same
+    float steps as the reference that tests/test_dwt.py compares against
+    bit for bit, so the band statistics keep their pinned digests."""
+    mean = np.mean(c, keepdims=True)
+    d = c - mean
+    sq = d**2
+    m2 = np.mean(sq)
+    if m2 <= (np.finfo(np.float64).eps * mean) ** 2:
+        return float("nan"), float("nan")
+    with np.errstate(all="ignore"):  # a tiny m2 underflows to NaN or inf, quietly
+        return float(np.mean(sq * d) / m2**1.5), float(np.mean(sq**2) / m2**2.0 - 3)
+
+
 def band_stats(band: np.ndarray, total_energy: float | None = None) -> np.ndarray:
     """The 20 statistical / information-theoretic features of one band.
 
@@ -142,8 +156,7 @@ def band_stats(band: np.ndarray, total_energy: float | None = None) -> np.ndarra
     else:
         local_maxima = 0.0
     std = float(np.std(c))
-    skew = float(stats.skew(c)) if std > 0 else 0.0
-    kurt = float(stats.kurtosis(c)) if std > 0 else 0.0
+    skew, kurt = _skew_kurtosis(c) if std > 0 else (0.0, 0.0)
     if total_energy is None:
         total_energy = energy
     ratio = energy / total_energy if total_energy > 0 else 0.0

@@ -125,6 +125,7 @@ def fit_tree(
             break
         gain, f, thr = candidates.pop(best_leaf)
         rows, order, vals = nodes.pop(best_leaf)
+        n_splits += 1
         side = X[:, f] <= thr
         for mask, sel in ((side[rows], side[order]), (~side[rows], ~side[order])):
             child = len(feature)
@@ -134,12 +135,12 @@ def fit_tree(
             right.append(-1)
             shape = (len(order), int(mask.sum()))
             nodes[child] = (rows[mask], order[sel].reshape(shape), vals[sel].reshape(shape))
-            candidates[child] = _best_split(w_pos, w_neg, *nodes[child])
+            if n_splits < max_splits:  # the children of the last split stay leaves
+                candidates[child] = _best_split(w_pos, w_neg, *nodes[child])
         feature[best_leaf] = f
         threshold[best_leaf] = thr
         left[best_leaf] = len(feature) - 2
         right[best_leaf] = len(feature) - 1
-        n_splits += 1
 
     n_nodes = len(feature)
     leaf_w_pos = np.zeros(n_nodes)

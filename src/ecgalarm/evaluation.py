@@ -15,7 +15,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .dwt import DEFAULT_LEVELS, N_BAND_STATS
 from .ensemble import (
@@ -123,6 +122,18 @@ def confusion_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMetric
     )
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of x, tied values sharing the mean of their ranks. Every
+    rank is a half-integer, so the floats are exact."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(y_true: np.ndarray, scores: np.ndarray):
     """AUC + ROC points. Tied scores collapse into single ROC steps; the
     trapezoidal area is cross-checked against the normalized Mann-Whitney
@@ -155,7 +166,7 @@ def roc_auc(y_true: np.ndarray, scores: np.ndarray):
     for (x0, y0, _), (x1, y1, _) in zip(points[:-1], points[1:]):
         auc_trap += (x1 - x0) * (y1 + y0) / 2.0
 
-    ranks = stats.rankdata(scores)  # midranks for ties
+    ranks = _midranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     auc_mw = u / (n_pos * n_neg)
     if abs(auc_trap - auc_mw) > 1e-12:

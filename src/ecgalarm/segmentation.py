@@ -16,7 +16,7 @@ between neighbouring R-peaks. Landmark amplitudes are read from the raw
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ConfigError, EmptySignal
 
@@ -76,10 +76,12 @@ def _integrate(squared: np.ndarray) -> np.ndarray:
     return np.convolve(squared, kernel, mode="full")[: len(squared)]
 
 
-def _trailing_max(x: np.ndarray) -> np.ndarray:
-    """Max of x over the integration window ending at each sample, [i - 37, i]."""
-    w = INTEGRATION_WINDOW
-    return maximum_filter1d(x, w, mode="nearest", origin=(w - 1) // 2)
+def _trailing_max(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Max of x over the integration window ending at each index i, [i - 37, i],
+    with x[0] repeated before the start. The detector passes absolute values;
+    given both -0.0 and 0.0 in one window, either zero may come back."""
+    padded = np.concatenate((np.full(INTEGRATION_WINDOW - 1, x[0]), x))
+    return sliding_window_view(padded, INTEGRATION_WINDOW)[idx].max(axis=1)
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -186,7 +188,7 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
             if best_noise is None or peak > best_noise[1]:
                 best_noise = (idx, peak, fpeak, slope)
 
-    fpeaks, slopes = (_trailing_max(s)[candidates].tolist() for s in (abs_f, np.abs(deriv)))
+    fpeaks, slopes = (_trailing_max(s, candidates).tolist() for s in (abs_f, np.abs(deriv)))
     for idx, peak, fpeak, slope in zip(candidates.tolist(), integ[candidates].tolist(),
                                        fpeaks, slopes):
         # Search-back: a long gap since the last QRS means one was missed;

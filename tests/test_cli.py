@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecgalarm
 from ecgalarm.cli import main
 from ecgalarm.feature_synthesis import HLF_LENGTH
 from ecgalarm.segment_features import LLF_LENGTH
@@ -63,6 +68,40 @@ def test_fixture_artifacts_byte_identical(pipeline_out):
     assert sorted(p.name for p in (pipeline_out / "roc").iterdir()) == sorted(
         name.split("/", 1)[1] for name in FIXTURE_DIGESTS if name.startswith("roc/")
     )
+
+
+def _run_python(*args, **env):
+    """Run a fresh interpreter that imports this checkout's ecgalarm."""
+    src = str(Path(ecgalarm.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
+# numpy picks its SIMD kernels at run time; these are the AVX-512 levels.
+_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.skipif(
+    not np._core._multiarray_umath.__cpu_features__.get("X86_V4", False),
+    reason="the CPU has no AVX-512, so there is no lower dispatch level to compare",
+)
+def test_fixture_artifacts_byte_identical_without_avx512():
+    # The digests hold whichever SIMD kernels numpy dispatches to.
+    test = f"{__file__}::test_fixture_artifacts_byte_identical"
+    done = _run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", test,
+                       NPY_DISABLE_CPU_FEATURES=_AVX512)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "1 passed" in done.stdout
+
+
+def test_import_loads_no_scipy():
+    done = _run_python("-c", "import sys, ecgalarm, ecgalarm.cli; "
+                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestIngest:

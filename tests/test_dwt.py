@@ -1,9 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from ecgalarm.dwt import (
     DWT_LENGTH,
     STAT_NAMES,
+    _skew_kurtosis,
     band_stats,
     daubechies_filter,
     dwt,
@@ -97,6 +104,44 @@ class TestBandStats:
     def test_energy_ratio(self):
         stats = dict(zip(STAT_NAMES, band_stats(np.array([3.0, 4.0]), total_energy=50.0)))
         assert stats["energy_ratio"] == pytest.approx(0.5)
+
+
+@st.composite
+def _bands(draw):
+    """Bands of 1-3 or up to 64 coefficients: raw or rounded (ties), around
+    zero or a large offset, with a spread down to below the offset's ulp, so
+    near-constant bands reach the second-moment-is-zero branch."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 64)))
+    x = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        x = np.round(x, decimals)
+    offset = draw(st.sampled_from([0.0, 1.0, -1e3, 1e9]))
+    spread = draw(st.sampled_from([1.0, 1e-3, 1e-9, 1e-14]))
+    return offset + spread * x
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestSkewKurtosis:
+    # scipy.stats is the reference the pinned dwt digests were recorded with.
+    @settings(max_examples=400)
+    @given(_bands())
+    @example(np.array([2.5]))
+    @example(np.full(5, 1e9))
+    @example(np.array([1e9, 1e9 + 2.0**-23, 1e9]))
+    def test_bits_equal_scipy(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy's precision-loss note
+            want = (stats.skew(c), stats.kurtosis(c))
+        got = _skew_kurtosis(c)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    def test_near_constant_band_is_nan(self):
+        skew, kurt = _skew_kurtosis(np.array([1e9, 1e9 + 2.0**-23, 1e9]))
+        assert np.isnan(skew) and np.isnan(kurt)
 
 
 class TestFeatureVector:

@@ -2,12 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from ecgalarm.ensemble import fit_adaboost
 from ecgalarm.evaluation import (
     FEATURE_BANKS,
     SCENARIOS,
     FeatureTable,
+    _midranks,
     combine_tables,
     confusion_metrics,
     render_markdown,
@@ -133,6 +138,18 @@ class TestRocAuc:
             scores = np.round(rng.normal(size=n), 1)  # rounding forces ties
             auc, _ = roc_auc(y, scores)
             assert 0.0 <= auc <= 1.0
+
+    @given(st.one_of(
+        arrays(np.float64, st.integers(0, 80), elements=st.floats(-1e6, 1e6)),
+        # few distinct values: long tie runs, and -0.0 tied with 0.0
+        arrays(np.float64, st.integers(0, 80),
+               elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0])),
+    ))
+    def test_midranks_bits_equal_scipy_rankdata(self, x):
+        want = stats.rankdata(x)
+        got = _midranks(x)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def _toy_tables(n=40, seed=0, dim_a=6, dim_b=4):

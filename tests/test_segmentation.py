@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.ndimage import maximum_filter1d
 
 from ecgalarm.exceptions import ConfigError, EmptySignal
 from ecgalarm.segmentation import (
@@ -116,14 +117,37 @@ class TestDetectRPeaks:
             np.testing.assert_array_equal(detect_r_peaks(c * ecg.samples, FS), base)
 
 
+@st.composite
+def _signal_and_indices(draw):
+    """A nonnegative signal of 1-120 samples (under and over one window) and a
+    sorted set of distinct indices into it, possibly empty, as the detector
+    passes. Nonnegative: the detector takes maxima of absolute values, and
+    the max of -0.0 and 0.0 may be either zero."""
+    x = draw(arrays(np.float64, st.integers(1, 120), elements=st.floats(0.0, 1e6),
+                    fill=st.nothing()))
+    return x, np.flatnonzero(draw(arrays(np.bool_, len(x))))
+
+
 class TestTrailingMax:
     @given(arrays(np.float64, st.integers(1, 120),
                   elements=st.floats(-1e6, 1e6, allow_nan=False)))
     def test_equals_window_slice_max(self, x):
-        got = _trailing_max(x)
+        got = _trailing_max(x, np.arange(len(x)))
         assert got.shape == x.shape
         for i in range(len(x)):
             assert got[i] == np.max(x[max(0, i - INTEGRATION_WINDOW + 1) : i + 1])
+
+    @given(_signal_and_indices())
+    @example((np.arange(5.0), np.empty(0, dtype=int)))
+    def test_equals_scipy_filter_at_indices(self, case):
+        # scipy's filter is the reference: the detector took its maxima
+        # from it before, and the detector's outputs are pinned.
+        x, idx = case
+        want = maximum_filter1d(x, INTEGRATION_WINDOW, mode="nearest",
+                                origin=(INTEGRATION_WINDOW - 1) // 2)[idx]
+        got = _trailing_max(x, idx)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDetectorRecallProperty:
