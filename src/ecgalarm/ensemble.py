@@ -12,6 +12,17 @@ Each fit sorts once: ``_boost`` argsorts every column stably, and each round
 and each child node filter that order. Node rows stay ascending, so a stable
 filter of a stable order is the node's own stable argsort: each node sums the
 same weights in the same sequence, and trees are bit-identical to resorting.
+
+A split marks each entry of the node's (features, rows) order by its side;
+``np.flatnonzero`` of the mask lists, feature by feature, the entries of one
+side in sorted order, and ``take`` copies them and their values into the
+child. The children of the split that uses up the budget keep only their
+rows. The split search runs its passes in place, in scratch buffers
+allocated once per tree: fresh temporaries the size of a large node are
+mapped from the system and page-faulted anew on every search. In place,
+each gain is still ``(parent - left) - right`` with each mass
+``2*p*n / (p+n)``: the same IEEE operations on the same numbers in the same
+order, so the bits hold.
 """
 
 from __future__ import annotations
@@ -29,32 +40,46 @@ DEFAULT_TARGET_RATIO = 1.0
 _EPS_PERFECT = 1e-10  # stand-in error when a round classifies perfectly
 
 
-def _gini_mass(w_pos: np.ndarray, w_neg: np.ndarray) -> np.ndarray:
-    """Weighted Gini impurity times node weight: 2*p*n/(p+n), 0 when empty."""
-    total = w_pos + w_neg
-    return np.divide(2.0 * w_pos * w_neg, total, out=np.zeros_like(total), where=total > 0)
+def _gini_mass(w_pos, w_neg, out, total):
+    """Weighted Gini impurity times node weight, 2*p*n/(p+n), 0 when empty,
+    into `out` (which may be `w_pos`); `total` is scratch. Weights are
+    nonnegative, so where p+n is 0 the product 2*p*n already is 0."""
+    total = np.add(w_pos, w_neg, out=total)
+    mass = np.multiply(2.0, w_pos, out=out)
+    mass *= w_neg
+    return np.divide(mass, total, out=mass, where=total > 0)
 
 
-def _best_split(w_pos, w_neg, rows, order, vals):
+def _best_split(w_pos, w_neg, rows, order, vals, work):
     """Best (gain, feature, threshold) over a node's rows; None if no split helps.
-    `rows` ascend; row f of `order` sorts them by feature f, and of `vals` their values."""
+    `rows` ascend; row f of `order` sorts them by feature f, and of `vals` their
+    values. `work` is four float buffers of at least `order.size` each."""
     p, n = float(w_pos[rows].sum()), float(w_neg[rows].sum())
     parent = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
     if parent <= 0 or len(rows) < 2:
         return None
 
-    cum_p = np.cumsum(w_pos[order], axis=1)
-    cum_n = np.cumsum(w_neg[order], axis=1)
-    left_p, left_n = cum_p[:, :-1], cum_n[:, :-1]
-    right_p, right_n = cum_p[:, -1:] - left_p, cum_n[:, -1:] - left_n
-    gains = parent - _gini_mass(left_p, left_n) - _gini_mass(right_p, right_n)
-    gains[vals[:, :-1] == vals[:, 1:]] = -np.inf  # ties can't split
+    # Column i splits after the i-th sorted row. The last column leaves the
+    # right side empty and is masked below; keeping it keeps every pass
+    # contiguous. Indices are valid, so mode="clip" only skips take's copy.
+    tmp, cum_p, cum_n, gains = (buf[: order.size].reshape(order.shape) for buf in work)
+    np.cumsum(w_pos.take(order, out=tmp, mode="clip"), axis=1, out=cum_p)
+    np.cumsum(w_neg.take(order, out=tmp, mode="clip"), axis=1, out=cum_n)
+    _gini_mass(cum_p, cum_n, out=gains, total=tmp)
+    np.subtract(parent, gains, out=gains)  # (parent - left) - right
+    right_p = np.subtract(cum_p[:, -1:], cum_p, out=tmp)
+    right_n = np.subtract(cum_n[:, -1:], cum_n, out=cum_p)
+    gains -= _gini_mass(right_p, right_n, out=right_p, total=cum_n)
+    ties = np.empty(order.shape, dtype=bool)  # ties can't split
+    np.equal(vals[:, :-1], vals[:, 1:], out=ties[:, :-1])
+    ties[:, -1] = True
+    np.putmask(gains, ties, -np.inf)
 
     # Gini gain is never negative, so any valid threshold is splittable;
     # zero-gain splits are allowed (an impure node may need two levels, as
-    # with XOR patterns) and the budget bounds growth.
-    f = int(gains.max(axis=1).argmax())  # first among equals: lowest feature,
-    i = int(gains[f].argmax())  # then lowest threshold
+    # with XOR patterns) and the budget bounds growth. The flat argmax takes
+    # the first among equals: lowest feature, then lowest threshold.
+    f, i = divmod(int(gains.argmax()), gains.shape[1])
     if gains[f, i] == -np.inf:
         return None
     return float(gains[f, i]), f, float(0.5 * (vals[f, i] + vals[f, i + 1]))
@@ -97,8 +122,8 @@ def fit_tree(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     w = np.asarray(w, dtype=np.float64)
-    if w.sum() <= 0:
-        raise ValueError("sample weights must sum to a positive value")
+    if not (w >= 0).all() or w.sum() <= 0:
+        raise ValueError("sample weights must be nonnegative and sum to a positive value")
     w_pos = np.where(y > 0, w, 0.0)
     w_neg = np.where(y < 0, w, 0.0)
     order = np.argsort(X.T, axis=1, kind="stable") if order is None else order
@@ -109,8 +134,9 @@ def fit_tree(
     right = [-1]
     # Per leaf: its rows ascending, their per-feature order and sorted values.
     nodes = {0: (np.arange(len(X)), order, np.take_along_axis(X.T, order, axis=1))}
+    work = np.empty((4, X.size))  # the searches' scratch, allocated once per tree
     # Candidate splits per leaf, refreshed as leaves appear.
-    candidates = {0: _best_split(w_pos, w_neg, *nodes[0])}
+    candidates = {0: _best_split(w_pos, w_neg, *nodes[0], work)}
 
     n_splits = 0
     while n_splits < max_splits:
@@ -127,16 +153,20 @@ def fit_tree(
         rows, order, vals = nodes.pop(best_leaf)
         n_splits += 1
         side = X[:, f] <= thr
-        for mask, sel in ((side[rows], side[order]), (~side[rows], ~side[order])):
+        to_left = side.take(order)
+        for mask, sel in ((side[rows], to_left), (~side[rows], ~to_left)):
             child = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            shape = (len(order), int(mask.sum()))
-            nodes[child] = (rows[mask], order[sel].reshape(shape), vals[sel].reshape(shape))
-            if n_splits < max_splits:  # the children of the last split stay leaves
-                candidates[child] = _best_split(w_pos, w_neg, *nodes[child])
+            if n_splits == max_splits:  # the children of the last split stay leaves
+                nodes[child] = (rows[mask], None, None)
+                continue
+            at = np.flatnonzero(sel)
+            shape = (len(order), len(at) // len(order))
+            nodes[child] = (rows[mask], order.take(at).reshape(shape), vals.take(at).reshape(shape))
+            candidates[child] = _best_split(w_pos, w_neg, *nodes[child], work)
         feature[best_leaf] = f
         threshold[best_leaf] = thr
         left[best_leaf] = len(feature) - 2
@@ -219,7 +249,8 @@ def _boost(
         # The presort restricted to this round's rows, as indices into them.
         local = np.full(n, -1)
         local[rows] = np.arange(len(rows))
-        order = local[presorted[local[presorted] >= 0]].reshape(len(presorted), len(rows))
+        kept = local.take(presorted)
+        order = kept.take(np.flatnonzero(kept >= 0)).reshape(len(presorted), len(rows))
         tree = fit_tree(Xn[rows], y[rows], w[rows] / w[rows].sum(), max_splits, order=order)
         pred = tree.predict(Xn)
         miss = pred != y

@@ -73,7 +73,8 @@ class ConfigError(EcgAlarmError):
 
 
 class MissingInput(EcgAlarmError):
-    """A required upstream artifact (manifest, feature CSV) is absent."""
+    """A required upstream artifact (manifest, feature CSV) is absent, stale,
+    or holds a non-finite feature."""
 
 
 class EmptyDataset(EcgAlarmError):

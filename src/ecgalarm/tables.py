@@ -52,6 +52,12 @@ def read_feature_csv(path: str | Path) -> FeatureTable:
             )
     # A header-only table keeps its width: X has shape (0, len(columns)).
     X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    # A tree would split a nan column at threshold nan and send every row right.
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        r, c = bad[0]
+        raise MissingInput(f"{path.name}: record {records[r]!r}, column {columns[c]!r} "
+                           f"holds {float(X[r, c])!r}; features must be finite")
     return FeatureTable(records, np.asarray(labels, dtype=int), X)
 
 

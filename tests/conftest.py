@@ -7,12 +7,16 @@ synthetic ECG model, so tests never need the real data.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import ecgalarm
 from ecgalarm.record_io import encode_signal
 from ecgalarm.synthetic import synthetic_ecg
 
@@ -99,3 +103,36 @@ def build_fixture_dataset(root: Path, per_cell: int = 3, duration_s: float = 30.
 def fixture_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("dataset")
     return build_fixture_dataset(root)
+
+
+def run_python(*args, **env):
+    """Run a fresh interpreter that imports this checkout's ecgalarm."""
+    src = str(Path(ecgalarm.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
+@pytest.fixture
+def fresh_python():
+    return run_python
+
+
+# numpy picks its SIMD kernels at run time; these are the AVX-512 levels.
+_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.fixture
+def without_avx512():
+    """Rerun the given tests in a fresh pytest with numpy's AVX-512 kernels off,
+    to check that pinned bytes hold at the lower (AVX2) dispatch level."""
+    if not np._core._multiarray_umath.__cpu_features__.get("X86_V4", False):
+        pytest.skip("the CPU has no AVX-512, so there is no lower dispatch level to compare")
+
+    def rerun(*tests):
+        return run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", *tests,
+                          NPY_DISABLE_CPU_FEATURES=_AVX512)
+
+    return rerun

@@ -1,15 +1,10 @@
 import hashlib
 import json
-import os
 import shutil
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ecgalarm
 from ecgalarm.cli import main
 from ecgalarm.feature_synthesis import HLF_LENGTH
 from ecgalarm.segment_features import LLF_LENGTH
@@ -70,36 +65,16 @@ def test_fixture_artifacts_byte_identical(pipeline_out):
     )
 
 
-def _run_python(*args, **env):
-    """Run a fresh interpreter that imports this checkout's ecgalarm."""
-    src = str(Path(ecgalarm.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=600,
-        env={**os.environ, "PYTHONPATH": path, **env},
-    )
-
-
-# numpy picks its SIMD kernels at run time; these are the AVX-512 levels.
-_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
-
-
-@pytest.mark.skipif(
-    not np._core._multiarray_umath.__cpu_features__.get("X86_V4", False),
-    reason="the CPU has no AVX-512, so there is no lower dispatch level to compare",
-)
-def test_fixture_artifacts_byte_identical_without_avx512():
+def test_fixture_artifacts_byte_identical_without_avx512(without_avx512):
     # The digests hold whichever SIMD kernels numpy dispatches to.
-    test = f"{__file__}::test_fixture_artifacts_byte_identical"
-    done = _run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", test,
-                       NPY_DISABLE_CPU_FEATURES=_AVX512)
+    done = without_avx512(f"{__file__}::test_fixture_artifacts_byte_identical")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "1 passed" in done.stdout
 
 
-def test_import_loads_no_scipy():
-    done = _run_python("-c", "import sys, ecgalarm, ecgalarm.cli; "
-                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_import_loads_no_scipy(fresh_python):
+    done = fresh_python("-c", "import sys, ecgalarm, ecgalarm.cli; "
+                              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -358,6 +333,25 @@ class TestEvaluate:
         assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: label for 'a101l'")
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    def test_non_finite_feature_exits_2(self, pipeline_out, tmp_path, capsys, bad):
+        # A near-constant wavelet band gives `dwt` a nan skewness; a tree
+        # would split on it at threshold nan and send every row right.
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline_out / "manifest.csv", out / "manifest.csv")
+        lines = (pipeline_out / "dwt.csv").read_text().splitlines()
+        columns = next(ln for ln in lines if ln.startswith("record,")).split(",")
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("a101l,"))
+        cells = lines[at].split(",")
+        cells[7] = bad
+        lines[at] = ",".join(cells)
+        (out / "dwt.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("evaluate", "--out", out, "--scenarios", "DWT") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: dwt.csv: record 'a101l', column {columns[7]!r} holds "
+                       f"{float(bad)!r}; features must be finite"]
 
     def test_tables_of_records_outside_manifest_fail(self, fixture_dataset, pipeline_out,
                                                       tmp_path, capsys):

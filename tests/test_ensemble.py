@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from ecgalarm.ensemble import (
     BoostedEnsemble,
     _best_split,
+    _gini_mass,
     fit_adaboost,
     fit_rusboost,
     fit_tree,
@@ -51,6 +52,13 @@ class TestFitTree:
             vals = np.unique(X[:, tree.feature[node]])
             mids = (vals[:-1] + vals[1:]) / 2.0
             assert np.any(np.isclose(mids, tree.threshold[node]))
+
+    def test_negative_weight_rejected(self):
+        # The split search's masses assume nonnegative weights: 2*p*n is 0
+        # where p+n is 0 only then.
+        X = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            fit_tree(X, np.array([1, -1, 1]), np.array([1.0, -1.0, 1.0]))
 
     def test_split_budget_respected(self):
         rng = np.random.default_rng(1)
@@ -99,11 +107,77 @@ def _weighted_nodes(draw):
     return X, np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0), rows
 
 
+def _hash_tree(h, tree):
+    for a in (tree.feature, tree.left, tree.right):
+        h.update(np.asarray(a, dtype="<i8").tobytes())
+    for a in (tree.threshold, tree.leaf_w_neg, tree.leaf_w_pos):
+        h.update(np.asarray(a, dtype="<f8").tobytes())
+
+
+def _edge_table(seed):
+    """A seeded table with what the first pin lacks: about 30% of rows weigh 0,
+    one column is constant and one takes two values; every fourth table has
+    all columns constant (no split exists), and every fourth other one gives
+    its negatives no weight (a weight-pure root)."""
+    rng = np.random.default_rng(1000 + seed)
+    n, f = int(rng.integers(20, 301)), int(rng.integers(2, 32))
+    X = np.round(rng.normal(size=(n, f)), int(rng.integers(0, 3)))
+    const, two = rng.choice(f, size=2, replace=False)
+    X[:, const] = rng.normal()
+    X[:, two] = rng.integers(0, 2, size=n)
+    y = np.where(rng.random(n) < 0.4, 1, -1)
+    w = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+    y[0], w[0] = 1, 1.0  # a positive weight sum
+    if seed % 4 == 0:
+        X[:] = X[0]
+    elif seed % 4 == 1:
+        w[y < 0] = 0.0
+    return X, y, w
+
+
+def _old_gini_mass(w_pos, w_neg):
+    """`_gini_mass` as it was before its passes went in place."""
+    total = w_pos + w_neg
+    return np.divide(2.0 * w_pos * w_neg, total, out=np.zeros_like(total), where=total > 0)
+
+
+def _plain_split(w_pos, w_neg, rows, order, vals):
+    """`_best_split` as plain array expressions, without buffers or in-place
+    passes: the bits the kernel must reproduce for any weights."""
+    p, n = float(w_pos[rows].sum()), float(w_neg[rows].sum())
+    parent = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
+    if parent <= 0 or len(rows) < 2:
+        return None
+    cum_p, cum_n = np.cumsum(w_pos[order], axis=1), np.cumsum(w_neg[order], axis=1)
+    left_p, left_n = cum_p[:, :-1], cum_n[:, :-1]
+    gains = (parent - _old_gini_mass(left_p, left_n)
+             - _old_gini_mass(cum_p[:, -1:] - left_p, cum_n[:, -1:] - left_n))
+    gains[vals[:, :-1] == vals[:, 1:]] = -np.inf
+    f = int(gains.max(axis=1).argmax())
+    i = int(gains[f].argmax())
+    if gains[f, i] == -np.inf:
+        return None
+    return float(gains[f, i]), f, float(0.5 * (vals[f, i] + vals[f, i + 1]))
+
+
+@st.composite
+def _class_weights(draw):
+    """Per-class weights of a (features, rows) table: each entry goes to one
+    class, and many are 0 or subnormal (below 2.2e-308)."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 30)))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1e-307), st.floats(0.0, 1.0))
+    w = draw(arrays(np.float64, shape, elements=weight))
+    pos = draw(arrays(np.bool_, shape))
+    return np.where(pos, w, 0.0), np.where(pos, 0.0, w)
+
+
 # sha256 of the trees `fit_tree` grows on 40 seeded tables. Rounding to 0-2
 # decimals makes tied values common. Plain fits call no `np.exp`, whose last
 # bits depend on the SIMD level; the digest is the same with numpy's AVX-512
-# dispatch disabled.
+# dispatch disabled (`test_split_search_without_avx512`).
 FIT_TREE_DIGEST = "f234f549a754fc4a8f6767fda8de508172559c671063bc9550636e1710c420f7"
+# The same over 40 `_edge_table`s.
+FIT_TREE_EDGE_DIGEST = "ee21e27edcdfd8ee3d88cca753eac2da22dbc46d0444cd903cbc7e9a7a796674"
 
 
 class TestSplitSearch:
@@ -112,8 +186,41 @@ class TestSplitSearch:
         X, w_pos, w_neg, rows = node
         order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
         vals = np.take_along_axis(X.T, order, axis=1)
-        got = _best_split(w_pos, w_neg, rows, order, vals)
+        got = _best_split(w_pos, w_neg, rows, order, vals, np.empty((4, order.size)))
         assert got == _brute_split(X, w_pos, w_neg, rows)
+
+    def test_best_split_bits_equal_plain_expressions(self):
+        # Weights in [0, 1) round as they sum, so evaluating the gains in
+        # another order changes bits the brute-force check cannot see (the
+        # winning split of about 3 in 10 of these nodes, when tried).
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, f = int(rng.integers(2, 41)), int(rng.integers(1, 5))
+            X = rng.integers(-3, 4, (n, f)) / 2.0
+            y = rng.choice([-1, 1], n)
+            w = np.where(rng.random(n) < 0.2, 0.0, rng.random(n))
+            w_pos, w_neg = np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0)
+            rows = np.flatnonzero(rng.random(n) < 0.8)
+            order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
+            vals = np.take_along_axis(X.T, order, axis=1)
+            got = _best_split(w_pos, w_neg, rows, order, vals, np.empty((4, order.size)))
+            assert got == _plain_split(w_pos, w_neg, rows, order, vals), seed
+
+    @given(_class_weights())
+    def test_gini_mass_bits_equal_old_formula(self, weights):
+        w_pos, w_neg = weights
+        cum_p, cum_n = np.cumsum(w_pos, axis=1), np.cumsum(w_neg, axis=1)
+        cases = [
+            (w_pos, w_neg),  # one side 0 in every entry, both where the weight is
+            (cum_p, cum_n),  # every prefix, as `_best_split` passes it
+            (cum_p[:, :-1], cum_n[:, :-1]),  # the left sides as slice views
+            (cum_p[:, -1:] - cum_p, cum_n[:, -1:] - cum_n),  # the right sides
+        ]
+        for p, n in cases:
+            want = _old_gini_mass(p, n).tobytes()
+            assert _gini_mass(p, n, np.empty_like(p), np.empty_like(p)).tobytes() == want
+            inplace = p.copy()  # `out` is `w_pos`, as for the right sides
+            assert _gini_mass(inplace, n, inplace, np.empty_like(p)).tobytes() == want
 
     def test_fit_tree_bytes_pinned(self):
         h = hashlib.sha256()
@@ -122,12 +229,21 @@ class TestSplitSearch:
             n, f = int(rng.integers(20, 401)), int(rng.integers(1, 41))
             X = np.round(rng.normal(size=(n, f)), int(rng.integers(0, 3)))
             y = np.where(rng.random(n) < 0.4, 1, -1)
-            tree = fit_tree(X, y, rng.random(n), max_splits=20)
-            for a in (tree.feature, tree.left, tree.right):
-                h.update(np.asarray(a, dtype="<i8").tobytes())
-            for a in (tree.threshold, tree.leaf_w_neg, tree.leaf_w_pos):
-                h.update(np.asarray(a, dtype="<f8").tobytes())
+            _hash_tree(h, fit_tree(X, y, rng.random(n), max_splits=20))
         assert h.hexdigest() == FIT_TREE_DIGEST
+
+    def test_fit_tree_bytes_pinned_edge_tables(self):
+        h = hashlib.sha256()
+        for seed in range(40):
+            _hash_tree(h, fit_tree(*_edge_table(seed), max_splits=20))
+        assert h.hexdigest() == FIT_TREE_EDGE_DIGEST
+
+
+def test_split_search_without_avx512(without_avx512):
+    # The split search's bits hold whichever SIMD kernels numpy dispatches to.
+    done = without_avx512(f"{__file__}::TestSplitSearch")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "5 passed" in done.stdout
 
 
 class TestAdaboost:
