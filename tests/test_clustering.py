@@ -166,15 +166,22 @@ class TestKmeansProperties:
         assert pairs_a == pairs_b
 
 
+def reference_costs(X, centroids, metric):
+    """(n, k) point costs from one (n, k, d) broadcast of the differences."""
+    diff = X[:, None, :] - centroids[None, :, :]
+    return np.sum(np.abs(diff) if metric == "cityblock" else diff**2, axis=2)
+
+
 def reference_lloyd(X, k, metric, seed):
     """Textbook Lloyd loop: a fresh cost matrix for every assignment and
-    another for every objective, the same seeding and repair rule."""
+    another for every objective, the same seeding and repair rule, costs
+    from `reference_costs` and medians over the members' rows."""
     rng = np.random.default_rng([seed & 0xFFFFFFFF, 0])
     centroids = _plusplus_init(X, k, metric, rng)
     rows = np.arange(len(X))
     prev, trace = None, []
     for _ in range(MAX_ITER):
-        costs = _costs_to_centroids(X, centroids, metric)
+        costs = reference_costs(X, centroids, metric)
         assign = np.argmin(costs, axis=1)
         for empty in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
             donors = np.flatnonzero((np.bincount(assign, minlength=k) > 1)[assign])
@@ -185,7 +192,7 @@ def reference_lloyd(X, k, metric, seed):
             if np.any(assign == c):
                 members = X[assign == c]
                 centroids[c] = (np.median if metric == "cityblock" else np.mean)(members, axis=0)
-        trace.append(float(_costs_to_centroids(X, centroids, metric)[rows, assign].sum()))
+        trace.append(float(reference_costs(X, centroids, metric)[rows, assign].sum()))
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign

@@ -144,6 +144,15 @@ class TestSkewKurtosis:
         assert np.isnan(skew) and np.isnan(kurt)
 
 
+class TestBandStatsPercentiles:
+    @given(_bands())
+    def test_equal_separate_percentile_calls(self, c):
+        got = band_stats(c)[[STAT_NAMES.index(name) for name in ("iqr", "p5", "p95")]]
+        want = np.array([np.percentile(c, 75) - np.percentile(c, 25),
+                         np.percentile(c, 5), np.percentile(c, 95)])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestFeatureVector:
     def test_length_120_and_finite(self):
         x = np.random.default_rng(1).normal(size=75000)

@@ -5,18 +5,27 @@ before their per-candidate and per-iteration work was vectorized; any drift
 in R-peak indices or in a feature array fails here. The records cover slow
 and fast rhythms, a noisy record (10 dB SNR) and one with dropped beats,
 where the detector's search-back runs.
+
+`QUANTIZED_DIGESTS` pin the same records after WFDB encoding, as ingest
+sees them: 16-bit ADC values at 200 units per mV. Their input digest is
+pinned on its own, so a change in the generator's float bits shows up as an
+input change; the outputs were recorded before delineation and k-means
+worked on whole arrays.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ecgalarm.pipeline import featurize_record
+from ecgalarm.record_io import encode_signal, parse_header, read_signal
 from ecgalarm.segmentation import detect_r_peaks
 from ecgalarm.synthetic import synthetic_ecg
 
 FS = 250.0
+GAIN = 200.0  # ADC units per mV
 
 # 5-min synthetic_ecg records: name -> keyword arguments.
 RECORDS = {
@@ -66,17 +75,97 @@ DIGESTS = {
 }
 
 
+QUANTIZED_DIGESTS = {
+    "bpm40": {
+        "input": "caa148a3e7b2fc8d0ebe09c348d05207a68776c03a9442ad2d7b04816d1b156e",
+        "r_peaks": "b429959a12dd43a8d19bb933ffd454886d055a49ad0c2736565a32c91d78bd68",
+        "llf": "786b2a996b1c6694ac4d1dd3c651527509fa1a9b0155f3893f1b36b221ed389b",
+        "hlf_cityblock": "ff7c8a76a0872d71f0313f4b9e47126d15be5f0e32b1716a6e3c85105cc8de51",
+        "hlf_euclidean": "9abb141ece5e0cde1660c53dc20d591bd21a9b30060787fb66de83faf8d4afdc",
+        "dwt": "cde12982e51ce9f276380419c53ad5d65ae1de161ce397ac90cf177b55f088ea",
+        "heart_rate": "ca6c6055f8cfc7446fd7ad85197112c4c22e2ba69fb93846160c15066d20bd54",
+        "n_beats": "b7eb91408f885cfdf186e9927f0a5d1e1024235fc062b412153ec4a24156ff7a",
+    },
+    "bpm75_snr10": {
+        "input": "b768625bd1b0cc615ee61c45e9229b02bdf25d0be31e7b34540a340cb87a9715",
+        "r_peaks": "c5f350936e86aa3a6014cab437dd53c5548f74b7905ef3a93bc0d10d7553f3cc",
+        "llf": "ceb648e8843a28cd084a29d33b349c51790c59435a1db5346f70a8ed6285f4be",
+        "hlf_cityblock": "e21128279036ae30e37de62f6c67f3ebf940a880e9820403f19bd7690300abe8",
+        "hlf_euclidean": "0b75495990c18a1968eb8b2f222f2a04fb416c632be93208638766a2ae75ee73",
+        "dwt": "48cdab1b8ab1f21cdb3ebfdc6d24573d4ff14b1a470c94ff58230d558959ed9d",
+        "heart_rate": "306eaafe9ac9ec27b99935046f9b9e14b48ccacafec2c0b40a5b56a41dcaa0de",
+        "n_beats": "512b8c9d137648a744f8b5d0f0302c824440509ee5670301112c045d7ade81db",
+    },
+    "bpm150_dropped": {
+        "input": "750ccfba30413c2d67ddca34939fd78cbafe607cbbf43bfa9fdebe31b0402757",
+        "r_peaks": "9927a971d89d379f4511fe2d307d9fbedea32c81d798372f24be78c743e4860a",
+        "llf": "7b22765fb0190ff8d41d4a664c2c3705807832d6eee37d62ffa32c5181f01400",
+        "hlf_cityblock": "48766ede3179fcd223495ab8820e5b4833b3c4fd1532e55306d67769c5e5eb67",
+        "hlf_euclidean": "2c39dc75ec8b20ff9d250f674c9161461c69d3e1cf62cb679edc62c3ef9611b1",
+        "dwt": "eb46d55bed69e5e8e043d9d73c1f4298e46920026c9b6b68deb156e4646f8ae2",
+        "heart_rate": "5733120850b78d9c5ab3809fe4a89b08a0b2dd7c1dd5349e934e97b52b49e216",
+        "n_beats": "350b758f23a2e887c187ad6f9252afc5fac4e8888662eed72bed273385d6c069",
+    },
+    "bpm190": {
+        "input": "4b4b50bafa2194adb929d37e91299febb20cf5a96e6f580ab6cf1c218a2cf883",
+        "r_peaks": "83f23b11c67e16b196dd7697ba0b199f5f65a59a4e0f4ada1f6c154efda7b507",
+        "llf": "244de702b0594af7e3411fae5cae70bb8b69be4c4a53fc7d73842bd70b54f6b8",
+        "hlf_cityblock": "419260a399f3f9bd724493106a58dda1b74be582dc9d5468fb9e9aad1948f812",
+        "hlf_euclidean": "08f3d4a3f0a90ad4b56b0723e6d7b5eaec4f3b214d8a883b7ccc59c0352d1844",
+        "dwt": "2be4170cbf842ddb0b1f76abc7f2cf29a05db624a8402a175bd624c454a57a6c",
+        "heart_rate": "f83a734488c6eebb5d9749e134b90e7e9a8e18a8baca83bd958d6e97b288360e",
+        "n_beats": "5c10f6d1fc071e0f1293b11f1b7e54cf50f9d0648397b8b528c6daed93b8b3eb",
+    },
+}
+
+
 def _digest(value) -> str:
     """sha256 over dtype, shape and raw bytes."""
     a = np.ascontiguousarray(np.asarray(value))
     return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
 
 
+def _as_ingested(samples: np.ndarray) -> np.ndarray:
+    """The samples after a round trip through a format-16 lead II record."""
+    adc = np.clip(np.round(samples * GAIN), -32768, 32767).astype(np.int16)
+    header = parse_header(f"q 1 250 {adc.size}\nq.mat 16 {GAIN:g}(0) 16 0 0 0 0 II\n")
+    return read_signal(header, encode_signal([adc]), 0)
+
+
+def _output_digests(name: str, samples: np.ndarray) -> dict:
+    got = {"r_peaks": _digest(detect_r_peaks(samples, FS))}
+    feats = featurize_record(name, samples, FS, "VTA", 1, seed=7)
+    for field in ("llf", "hlf_cityblock", "hlf_euclidean", "dwt", "heart_rate", "n_beats"):
+        got[field] = _digest(getattr(feats, field))
+    return got
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_featurize_bytes_unchanged(name):
     ecg = synthetic_ecg(300, **RECORDS[name])
-    got = {"r_peaks": _digest(detect_r_peaks(ecg.samples, FS))}
-    feats = featurize_record(name, ecg.samples, FS, "VTA", 1, seed=7)
-    for field in ("llf", "hlf_cityblock", "hlf_euclidean", "dwt", "heart_rate", "n_beats"):
-        got[field] = _digest(getattr(feats, field))
-    assert got == DIGESTS[name]
+    assert _output_digests(name, ecg.samples) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_quantized_input_bytes_unchanged(name):
+    samples = _as_ingested(synthetic_ecg(300, **RECORDS[name]).samples)
+    assert _digest(samples) == QUANTIZED_DIGESTS[name]["input"]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_quantized_featurize_bytes_unchanged(name):
+    samples = _as_ingested(synthetic_ecg(300, **RECORDS[name]).samples)
+    want = {k: v for k, v in QUANTIZED_DIGESTS[name].items() if k != "input"}
+    assert _output_digests(name, samples) == want
+
+
+def test_quantized_delineate_and_lloyd_without_avx512(without_avx512):
+    # The quantized cases, delineation and Lloyd hold their bits whichever
+    # SIMD kernels numpy dispatches to.
+    tests = Path(__file__).parent
+    done = without_avx512(f"{__file__}::test_quantized_input_bytes_unchanged",
+                          f"{__file__}::test_quantized_featurize_bytes_unchanged",
+                          f"{tests / 'test_segmentation.py'}::TestDelineate",
+                          f"{tests / 'test_clustering.py'}::TestLloydTraceProperty")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "17 passed" in done.stdout

@@ -9,7 +9,13 @@ from ecgalarm.exceptions import ConfigError, EmptySignal
 from ecgalarm.segmentation import (
     INTEGRATION_WINDOW,
     LANDMARKS,
+    P_WINDOW_MS,
+    Q_WINDOW_MS,
     REFRACTORY_SAMPLES,
+    S_WINDOW_MS,
+    T_MAX_MS,
+    T_MIN_MS,
+    _ms,
     _trailing_max,
     bandpass,
     delineate,
@@ -169,6 +175,62 @@ class TestDetectorRecallProperty:
         assert _recall(peaks, ecg.r_locations, tol=5) >= 0.95
 
 
+def _delineate_loop(samples, fs, r_peaks):
+    """Per-beat delineation, one slice argmin/argmax per landmark: the loop
+    `delineate` ran before it gathered all beats at once, and its reference."""
+    samples = np.asarray(samples, dtype=np.float64)
+    r_peaks = np.asarray(r_peaks, dtype=int)
+    n = samples.size
+    beats = []
+    w_q, w_p, w_s = _ms(Q_WINDOW_MS, fs), _ms(P_WINDOW_MS, fs), _ms(S_WINDOW_MS, fs)
+    w_t_min, w_t_max = _ms(T_MIN_MS, fs), _ms(T_MAX_MS, fs)
+    for k, r in enumerate(r_peaks):
+        left = 0 if k == 0 else (r_peaks[k - 1] + r + 1) // 2
+        right = n - 1 if k == len(r_peaks) - 1 else (r + r_peaks[k + 1]) // 2
+        q_lo = max(r - w_q, left, 0)
+        if q_lo >= r:
+            continue
+        qx = q_lo + int(np.argmin(samples[q_lo:r]))
+        s_hi = min(r + w_s, right, n - 1)
+        if s_hi <= r:
+            continue
+        sx = r + 1 + int(np.argmin(samples[r + 1 : s_hi + 1]))
+        p_lo = max(r - w_p, left, 0)
+        p_hi = r - w_q
+        if p_lo >= p_hi:
+            continue
+        px = p_lo + int(np.argmax(samples[p_lo:p_hi]))
+        t_hi = min(r + w_t_max, right, n - 1)
+        if k < len(r_peaks) - 1:
+            t_hi = min(t_hi, r + (2 * (r_peaks[k + 1] - r)) // 3)
+        t_lo = r + w_t_min
+        if t_lo >= t_hi:
+            continue
+        tx = t_lo + 1 + int(np.argmax(samples[t_lo + 1 : t_hi + 1]))
+        beats.append((px, qx, r, sx, tx, round((px + qx) / 2), round((sx + tx) / 2)))
+    x = np.array(beats, dtype=int).reshape(-1, len(LANDMARKS))
+    return np.stack([x, samples[x]], axis=-1, dtype=np.float64)
+
+
+@st.composite
+def _signal_and_peaks(draw):
+    """A signal of 1-3000 samples on a coarse grid of values, so windows hold
+    ties, and an int array of peaks: either any ints (unsorted, duplicated,
+    negative, past the end, adjacent or empty), or mostly rising steps of
+    one beat with some steps back, so that many beats keep all windows."""
+    n = draw(st.integers(1, 3000))
+    levels = draw(st.sampled_from([2, 5, 1000]))
+    samples = draw(arrays(np.int64, n, elements=st.integers(0, levels - 1))) / 4.0
+    if draw(st.booleans()):
+        peaks = draw(st.lists(st.integers(-200, n + 200), max_size=40))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        steps = np.where(rng.random(n // 100) < 0.8, rng.integers(30, 200, n // 100),
+                         rng.integers(-50, 30, n // 100))
+        peaks = np.cumsum([rng.integers(-50, 100), *steps])
+    return samples, np.array(peaks, dtype=int)
+
+
 def _waves_x(marks):
     """Integer P, Q, R, S, T positions per beat, one row per beat."""
     return marks[:, :5, 0].astype(int)
@@ -209,6 +271,22 @@ class TestDelineate:
             assert px < qx <= r <= sx < tx
             assert on_x == round((px + qx) / 2)
             assert off_x == round((sx + tx) / 2)
+
+    @settings(max_examples=300)
+    @given(_signal_and_peaks())
+    @example((np.zeros(1), np.empty(0, dtype=int)))
+    @example((np.zeros(500), np.arange(0, 500, 7)))
+    @example((np.arange(800.0) % 3, np.array([400, 400, 100, 700, 100, -5, 900])))
+    def test_equals_per_beat_loop(self, case):
+        samples, peaks = case
+        outcomes = []
+        for fn in (delineate, _delineate_loop):
+            try:
+                marks = fn(samples, FS, peaks)
+                outcomes.append((marks.dtype, marks.shape, marks.tobytes()))
+            except ValueError as exc:  # an empty slice: a peak 15+ samples past the end
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_y_values_from_raw_signal(self):
         ecg = synthetic_ecg(60, 70, snr_db=25, seed=6)
