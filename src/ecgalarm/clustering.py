@@ -2,9 +2,11 @@
 
 Lloyd iteration with k-means++ seeding. The update step matches the metric:
 per-dimension mean for squared Euclidean, per-dimension median for cityblock
-(the median minimizes within-cluster L1 cost). Empty clusters are repaired
-by splitting off the point currently farthest from its centroid, which keeps
-k constant and never increases the objective.
+(the median minimizes within-cluster L1 cost), taken along the rows of a
+contiguous transpose of the points. Empty clusters are repaired by splitting
+off the point currently farthest from its centroid, which keeps k constant
+and never increases the objective. Costs fill one (n, k) matrix in place, a
+centroid column at a time from one (n, d) scratch array.
 """
 
 from __future__ import annotations
@@ -35,14 +37,20 @@ class Clustering:
         return self.objective_trace[-1]
 
 
-def _costs_to_centroids(X: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
-    """(n, k) matrix of point costs under the metric."""
-    diff = X[:, None, :] - centroids[None, :, :]
-    if metric == "cityblock":
-        return np.sum(np.abs(diff), axis=2)
-    if metric == "sqeuclidean":
-        return np.sum(diff**2, axis=2)
-    raise ValueError(f"unknown metric {metric!r}")
+def _costs_to_centroids(X: np.ndarray, centroids: np.ndarray, metric: str,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """(n, k) matrix of point costs under the metric, written into `out` when
+    given. Fills one centroid's column at a time from one (n, d) scratch."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    if out is None:
+        out = np.empty((len(X), len(centroids)))
+    diff = np.empty_like(X)
+    for j, centroid in enumerate(centroids):
+        np.subtract(X, centroid, out=diff)
+        (np.abs if metric == "cityblock" else np.square)(diff, out=diff)
+        np.sum(diff, axis=1, out=out[:, j])
+    return out
 
 
 def _plusplus_init(X: np.ndarray, k: int, metric: str, rng: np.random.Generator) -> np.ndarray:
@@ -62,15 +70,10 @@ def _plusplus_init(X: np.ndarray, k: int, metric: str, rng: np.random.Generator)
     return X[np.array(chosen)].copy()
 
 
-def _update_centroid(points: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "cityblock":
-        return np.median(points, axis=0)
-    return np.mean(points, axis=0)
-
-
 def _lloyd(X: np.ndarray, k: int, metric: str, rng: np.random.Generator):
     centroids = _plusplus_init(X, k, metric, rng)
     costs = _costs_to_centroids(X, centroids, metric)
+    XT = np.ascontiguousarray(X.T) if metric == "cityblock" else None  # rows for medians
     prev_assign = None
     trace: list[float] = []
     for _ in range(MAX_ITER):
@@ -86,13 +89,14 @@ def _lloyd(X: np.ndarray, k: int, metric: str, rng: np.random.Generator):
             costs[far, empty] = 0.0
 
         for c in range(k):
-            members = X[assign == c]
-            if len(members):
-                centroids[c] = _update_centroid(members, metric)
+            members = assign == c
+            if members.any():
+                centroids[c] = (np.median(XT[:, members], axis=1) if metric == "cityblock"
+                                else np.mean(X[members], axis=0))
 
         # Costs at the updated centroids: this iteration's objective and the
         # next iteration's assignment.
-        costs = _costs_to_centroids(X, centroids, metric)
+        _costs_to_centroids(X, centroids, metric, out=costs)
         trace.append(float(costs[np.arange(len(X)), assign].sum()))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break

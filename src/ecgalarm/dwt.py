@@ -160,6 +160,7 @@ def band_stats(band: np.ndarray, total_energy: float | None = None) -> np.ndarra
     if total_energy is None:
         total_energy = energy
     ratio = energy / total_energy if total_energy > 0 else 0.0
+    p25, p75, p5, p95 = np.percentile(c, [25, 75, 5, 95])
 
     return np.array(
         [
@@ -173,9 +174,7 @@ def band_stats(band: np.ndarray, total_energy: float | None = None) -> np.ndarra
             float(np.max(c)),
             float(np.sqrt(np.mean(sq))),
             float(np.mean(np.abs(c - np.mean(c)))),
-            float(np.percentile(c, 75) - np.percentile(c, 25)),
-            float(np.percentile(c, 5)),
-            float(np.percentile(c, 95)),
+            float(p75 - p25), float(p5), float(p95),  # iqr, p5, p95
             energy,
             shannon,
             log_energy,

@@ -34,6 +34,10 @@ class EmptySignal(EcgAlarmError):
     """Operation requires a non-empty sample sequence."""
 
 
+class NonFiniteSignal(EcgAlarmError):
+    """A signal holds a NaN or infinite sample."""
+
+
 class EmptyBeats(EcgAlarmError):
     """Operation requires at least one delineated beat."""
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .clustering import kmeans, record_seed
 from .dwt import dwt_feature_vector
+from .exceptions import NonFiniteSignal
 from .feature_synthesis import HLF_CLUSTERS, synthesize
 from .segment_features import N_SEGMENT_FEATURES, heart_rate, llf_tail, segment_features
 from .segmentation import segment_record
@@ -42,8 +43,15 @@ def featurize_record(
 
     Records where nothing can be delineated (flatline, too few beats) fall
     back to the documented sentinels: zero heart rate, zero LLF, and the
-    padded high-level vector.
+    padded high-level vector. NonFiniteSignal names the first NaN or
+    infinite sample: the detector and the DWT statistics would carry it on
+    silently.
     """
+    samples = np.asarray(samples, dtype=np.float64)
+    finite = np.isfinite(samples)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NonFiniteSignal(f"sample {first} is {samples[first]}")
     marks = segment_record(samples, fs)
     hr = heart_rate(marks, fs)
     rows = segment_features(marks) if len(marks) else np.empty((0, N_SEGMENT_FEATURES))

@@ -9,8 +9,11 @@ are compensated so detected indices line up with the raw signal.
 
 Delineation places Q/S at the signal minima and P/T at the maxima inside
 fixed windows around each R, clipped to record bounds and to midpoints
-between neighbouring R-peaks. Landmark amplitudes are read from the raw
-(unfiltered) signal so downstream morphology features stay physical.
+between neighbouring R-peaks. It delineates all beats at once: one masked
+(beats, window) gather per landmark, with +inf past each window's end, so
+argmin picks the first of equal extremes, as a slice per beat would.
+Landmark amplitudes are read from the raw (unfiltered) signal so downstream
+morphology features stay physical.
 """
 
 from __future__ import annotations
@@ -155,13 +158,17 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
         rr = (rr_selected or rr_recent)[-8:]  # integer-valued, so the sum is exact
         return sum(rr) / len(rr) if rr else float(fs)  # neutral prior: 60 bpm
 
+    searchback_gap = SEARCHBACK_FACTOR * rr_average()  # moves only with the RR lists
+
     def record_rr(new_idx: int) -> None:
+        nonlocal searchback_gap
         if qrs_integ_idx:
             rr = float(new_idx - qrs_integ_idx[-1])
             rr_recent.append(rr)
             avg = rr_average()
             if 0.92 * avg <= rr <= 1.16 * avg:
                 rr_selected.append(rr)
+            searchback_gap = SEARCHBACK_FACTOR * rr_average()
 
     def accept_qrs(idx: int, peak: float, fpeak: float, slope: float,
                    searchback: bool = False) -> None:
@@ -193,7 +200,7 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
                                        fpeaks, slopes):
         # Search-back: a long gap since the last QRS means one was missed;
         # revisit the strongest rejected candidate at half threshold.
-        if qrs_integ_idx and idx - qrs_integ_idx[-1] > SEARCHBACK_FACTOR * rr_average():
+        if qrs_integ_idx and idx - qrs_integ_idx[-1] > searchback_gap:
             if best_noise is not None and best_noise[1] > 0.5 * thr_i.threshold:
                 accept_qrs(*best_noise, searchback=True)
 
@@ -226,61 +233,49 @@ def _ms(ms: float, fs: float) -> int:
     return int(round(ms * fs / 1000.0))
 
 
+def _first_min(samples: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: float) -> np.ndarray:
+    """Per beat, the index of the first minimum of sign * samples[lo:hi] (so
+    sign -1 finds the first maximum), from one (beats, widest window) gather
+    with +inf past the end of each window."""
+    idx = lo[:, None] + np.arange((hi - lo).max(initial=1))
+    window = sign * samples[np.minimum(idx, samples.size - 1)]
+    window[idx >= hi[:, None]] = np.inf
+    return lo + window.argmin(axis=1)
+
+
 def delineate(samples: np.ndarray, fs: float, r_peaks: np.ndarray) -> np.ndarray:
     """Locate P/Q/S/T around each R-peak: an (N, 7, 2) float64 array holding
     the (x, y) of every landmark in LANDMARKS order, x as an absolute sample
     index and y in mV.
 
-    Beats whose P or T search window is clipped empty (record edges) are
-    dropped. Every window is also clipped to the midpoints between adjacent
-    R-peaks so neighbouring beats never share samples.
+    Beats whose Q, S, P or T search window is clipped empty (record edges,
+    stray peaks) are dropped. Every window is also clipped to the midpoints
+    between adjacent R-peaks so neighbouring beats never share samples.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    r_peaks = np.asarray(r_peaks, dtype=int)
+    r = np.asarray(r_peaks, dtype=int)
     n = samples.size
-    beats: list[tuple[int, ...]] = []
+    w_q, w_p, w_s, w_t_min, w_t_max = (
+        _ms(ms, fs) for ms in (Q_WINDOW_MS, P_WINDOW_MS, S_WINDOW_MS, T_MIN_MS, T_MAX_MS))
 
-    w_q = _ms(Q_WINDOW_MS, fs)
-    w_p = _ms(P_WINDOW_MS, fs)
-    w_s = _ms(S_WINDOW_MS, fs)
-    w_t_min = _ms(T_MIN_MS, fs)
-    w_t_max = _ms(T_MAX_MS, fs)
+    left = np.concatenate(([0], (r[:-1] + r[1:] + 1) // 2)).clip(0)
+    right = np.concatenate(((r[:-1] + r[1:]) // 2, [n - 1])).clip(max=n - 1)
+    q_lo = np.maximum(r - w_q, left)  # Q: minimum on [r - 60ms, r)
+    s_hi = np.minimum(r + w_s, right)  # S: minimum on (r, r + 60ms]
+    p_lo = np.maximum(r - w_p, left)  # P: maximum on [r - 240ms, r - 60ms)
+    # T: maximum on (r + 80ms, min(r + 400ms, r + 2/3 RR_next)]
+    t_hi = np.minimum(r + w_t_max, right)
+    t_hi[:-1] = np.minimum(t_hi[:-1], r[:-1] + (2 * (r[1:] - r[:-1])) // 3)
+    keep = (q_lo < r) & (s_hi > r) & (p_lo < r - w_q) & (r + w_t_min < t_hi)
+    r, q_lo, s_hi, p_lo, t_hi = (a[keep] for a in (r, q_lo, s_hi, p_lo, t_hi))
 
-    for k, r in enumerate(r_peaks):
-        left = 0 if k == 0 else (r_peaks[k - 1] + r + 1) // 2
-        right = n - 1 if k == len(r_peaks) - 1 else (r + r_peaks[k + 1]) // 2
-
-        # Q: minimum on [r - 60ms, r)
-        q_lo = max(r - w_q, left, 0)
-        if q_lo >= r:
-            continue
-        qx = q_lo + int(np.argmin(samples[q_lo:r]))
-
-        # S: minimum on (r, r + 60ms]
-        s_hi = min(r + w_s, right, n - 1)
-        if s_hi <= r:
-            continue
-        sx = r + 1 + int(np.argmin(samples[r + 1 : s_hi + 1]))
-
-        # P: maximum on [r - 240ms, r - 60ms)
-        p_lo = max(r - w_p, left, 0)
-        p_hi = r - w_q  # exclusive
-        if p_lo >= p_hi:
-            continue
-        px = p_lo + int(np.argmax(samples[p_lo:p_hi]))
-
-        # T: maximum on (r + 80ms, min(r + 400ms, r + 2/3 RR_next)]
-        t_hi = min(r + w_t_max, right, n - 1)
-        if k < len(r_peaks) - 1:
-            t_hi = min(t_hi, r + (2 * (r_peaks[k + 1] - r)) // 3)
-        t_lo = r + w_t_min  # exclusive
-        if t_lo >= t_hi:
-            continue
-        tx = t_lo + 1 + int(np.argmax(samples[t_lo + 1 : t_hi + 1]))
-
-        beats.append((px, qx, r, sx, tx, round((px + qx) / 2), round((sx + tx) / 2)))
-
-    x = np.array(beats, dtype=int).reshape(-1, len(LANDMARKS))
+    qx = _first_min(samples, q_lo, r, 1.0)
+    sx = _first_min(samples, r + 1, s_hi + 1, 1.0)
+    px = _first_min(samples, p_lo, r - w_q, -1.0)
+    tx = _first_min(samples, r + w_t_min + 1, t_hi + 1, -1.0)
+    # Onset and offset halfway between, rounded half to even like round().
+    x = np.stack([px, qx, r, sx, tx, np.rint((px + qx) / 2), np.rint((sx + tx) / 2)],
+                 axis=1).astype(int)
     return np.stack([x, samples[x]], axis=-1, dtype=np.float64)
 
 

@@ -239,6 +239,20 @@ class TestFeaturize:
         assert run_cli("featurize", "--out", out) == 2
         assert [p.name for p in out.glob("*.csv")] == ["manifest.csv"]
 
+    def test_non_finite_record_dropped(self, fixture_dataset, tmp_path, capsys):
+        data_dir, labels = fixture_dataset
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out) == 0
+        cached = out / "cache" / "b107l.npy"
+        samples = np.load(cached)
+        samples[100] = np.inf
+        np.save(cached, samples)
+        assert run_cli("featurize", "--out", out) == 0
+        assert "featurize failed for b107l: NonFiniteSignal: sample 100 is inf" in (
+            capsys.readouterr().err)
+        table = read_feature_csv(out / "dwt.csv")
+        assert len(table.records) == 29 and "b107l" not in table.records
+
     def test_failed_featurize_leaves_no_stale_tables(self, pipeline_out, tmp_path):
         # The tables of an earlier run go when featurize starts, so a run in
         # which no record featurizes leaves nothing for evaluate to read.

@@ -203,6 +203,18 @@ point_sets = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1,
                     elements=st.floats(-100.0, 100.0, allow_nan=False))
 
 
+class TestCostsToCentroids:
+    @given(X=point_sets, k=st.integers(1, 6), metric=st.sampled_from(METRICS), data=st.data())
+    def test_equals_broadcast(self, X, k, metric, data):
+        centroids = data.draw(arrays(np.float64, (k, X.shape[1]),
+                                     elements=st.floats(-100.0, 100.0, allow_nan=False)))
+        want = reference_costs(X, centroids, metric)
+        assert _costs_to_centroids(X, centroids, metric).tobytes() == want.tobytes()
+        out = np.full((len(X), k), np.nan)
+        assert _costs_to_centroids(X, centroids, metric, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
 class TestLloydTraceProperty:
     """Each Lloyd iteration's objective comes from the cost matrix that also
     drives the next assignment; it must still be the true cost of the

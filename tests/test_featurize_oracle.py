@@ -168,4 +168,4 @@ def test_quantized_delineate_and_lloyd_without_avx512(without_avx512):
                           f"{tests / 'test_segmentation.py'}::TestDelineate",
                           f"{tests / 'test_clustering.py'}::TestLloydTraceProperty")
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "17 passed" in done.stdout
+    assert "18 passed" in done.stdout

@@ -177,7 +177,10 @@ class TestDetectorRecallProperty:
 
 def _delineate_loop(samples, fs, r_peaks):
     """Per-beat delineation, one slice argmin/argmax per landmark: the loop
-    `delineate` ran before it gathered all beats at once, and its reference."""
+    `delineate` ran before it gathered all beats at once, and its reference.
+    That loop sliced the Q window before it checked the S window, so a peak
+    15 or more samples past the end raised ValueError on an empty slice;
+    here all four drop conditions come first, as in `delineate`."""
     samples = np.asarray(samples, dtype=np.float64)
     r_peaks = np.asarray(r_peaks, dtype=int)
     n = samples.size
@@ -188,24 +191,18 @@ def _delineate_loop(samples, fs, r_peaks):
         left = 0 if k == 0 else (r_peaks[k - 1] + r + 1) // 2
         right = n - 1 if k == len(r_peaks) - 1 else (r + r_peaks[k + 1]) // 2
         q_lo = max(r - w_q, left, 0)
-        if q_lo >= r:
-            continue
-        qx = q_lo + int(np.argmin(samples[q_lo:r]))
         s_hi = min(r + w_s, right, n - 1)
-        if s_hi <= r:
-            continue
-        sx = r + 1 + int(np.argmin(samples[r + 1 : s_hi + 1]))
         p_lo = max(r - w_p, left, 0)
         p_hi = r - w_q
-        if p_lo >= p_hi:
-            continue
-        px = p_lo + int(np.argmax(samples[p_lo:p_hi]))
         t_hi = min(r + w_t_max, right, n - 1)
         if k < len(r_peaks) - 1:
             t_hi = min(t_hi, r + (2 * (r_peaks[k + 1] - r)) // 3)
         t_lo = r + w_t_min
-        if t_lo >= t_hi:
+        if q_lo >= r or s_hi <= r or p_lo >= p_hi or t_lo >= t_hi:
             continue
+        qx = q_lo + int(np.argmin(samples[q_lo:r]))
+        sx = r + 1 + int(np.argmin(samples[r + 1 : s_hi + 1]))
+        px = p_lo + int(np.argmax(samples[p_lo:p_hi]))
         tx = t_lo + 1 + int(np.argmax(samples[t_lo + 1 : t_hi + 1]))
         beats.append((px, qx, r, sx, tx, round((px + qx) / 2), round((sx + tx) / 2)))
     x = np.array(beats, dtype=int).reshape(-1, len(LANDMARKS))
@@ -279,14 +276,15 @@ class TestDelineate:
     @example((np.arange(800.0) % 3, np.array([400, 400, 100, 700, 100, -5, 900])))
     def test_equals_per_beat_loop(self, case):
         samples, peaks = case
-        outcomes = []
-        for fn in (delineate, _delineate_loop):
-            try:
-                marks = fn(samples, FS, peaks)
-                outcomes.append((marks.dtype, marks.shape, marks.tobytes()))
-            except ValueError as exc:  # an empty slice: a peak 15+ samples past the end
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        got = delineate(samples, FS, peaks)
+        want = _delineate_loop(samples, FS, peaks)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_past_the_end_dropped(self):
+        # Its Q window lies past the last sample; the loop raised ValueError.
+        marks = delineate(np.zeros(1000), FS, np.array([500, 1100]))
+        assert marks[:, 2, 0].tolist() == [500]
 
     def test_y_values_from_raw_signal(self):
         ecg = synthetic_ecg(60, 70, snr_db=25, seed=6)
