@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.ndimage import maximum_filter1d
 
 from ecgalarm.exceptions import ConfigError, EmptySignal
+from ecgalarm.record_io import encode_signal, parse_header, read_signal
 from ecgalarm.segmentation import (
     INTEGRATION_WINDOW,
     LANDMARKS,
@@ -13,8 +14,12 @@ from ecgalarm.segmentation import (
     Q_WINDOW_MS,
     REFRACTORY_SAMPLES,
     S_WINDOW_MS,
+    SEARCHBACK_FACTOR,
     T_MAX_MS,
     T_MIN_MS,
+    _derivative,
+    _integrate,
+    _local_maxima,
     _ms,
     _trailing_max,
     bandpass,
@@ -173,6 +178,169 @@ class TestDetectorRecallProperty:
         wander = np.linspace(0.0, drift_mv, len(ecg.samples))
         peaks = detect_r_peaks(scale * ecg.samples + wander, FS)
         assert _recall(peaks, ecg.r_locations, tol=5) >= 0.95
+
+
+
+class _Thresholds:
+    """Adaptive signal/noise levels for one detection stream."""
+
+    def __init__(self, signal_level, noise_level):
+        self.spk = signal_level
+        self.npk = noise_level
+
+    @property
+    def threshold(self):
+        return self.npk + 0.25 * (self.spk - self.npk)
+
+    def mark_signal(self, peak, searchback=False):
+        frac = 0.25 if searchback else 0.125
+        self.spk = frac * peak + (1.0 - frac) * self.spk
+
+    def mark_noise(self, peak):
+        self.npk = 0.125 * peak + 0.875 * self.npk
+
+
+def _detect_loop(samples, fs=FS):
+    """The detector's candidate scan with its levels held in `_Thresholds`
+    objects and the noise path through a `mark_noise` closure: the scan
+    `detect_r_peaks` ran before its levels became plain floats, and its
+    reference."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.size == 0:
+        return np.empty(0, dtype=int)
+
+    filtered = bandpass(samples, fs)
+    deriv = _derivative(filtered)
+    integ = _integrate(deriv**2)
+    abs_f = np.abs(filtered)
+    n = samples.size
+
+    candidates = _local_maxima(integ)
+    if candidates.size == 0:
+        return np.empty(0, dtype=int)
+
+    init = slice(0, min(500, n))
+    thr_i = _Thresholds(float(np.max(integ[init])), float(np.mean(integ[init])))
+    thr_f = _Thresholds(float(np.max(abs_f[init])), float(np.mean(abs_f[init])))
+
+    r_peaks, qrs_integ_idx, qrs_slopes, rr_recent, rr_selected = [], [], [], [], []
+    best_noise = None
+
+    def refine_r(cross_idx):
+        lo = max(0, cross_idx - 10)
+        hi = min(n, cross_idx + 11)
+        return lo + int(np.argmax(abs_f[lo:hi]))
+
+    def crossing_before(idx, level):
+        j = idx
+        while j > 0 and integ[j - 1] >= level:
+            j -= 1
+        return j
+
+    def rr_average():
+        rr = (rr_selected or rr_recent)[-8:]
+        return sum(rr) / len(rr) if rr else float(fs)
+
+    searchback_gap = SEARCHBACK_FACTOR * rr_average()
+
+    def record_rr(new_idx):
+        nonlocal searchback_gap
+        if qrs_integ_idx:
+            rr = float(new_idx - qrs_integ_idx[-1])
+            rr_recent.append(rr)
+            avg = rr_average()
+            if 0.92 * avg <= rr <= 1.16 * avg:
+                rr_selected.append(rr)
+            searchback_gap = SEARCHBACK_FACTOR * rr_average()
+
+    def accept_qrs(idx, peak, fpeak, slope, searchback=False):
+        nonlocal best_noise
+        level = 0.5 * thr_i.threshold if searchback else thr_i.threshold
+        cross = crossing_before(idx, min(level, peak))
+        r = refine_r(cross)
+        if r_peaks and r - r_peaks[-1] < REFRACTORY_SAMPLES:
+            return
+        record_rr(idx)
+        r_peaks.append(r)
+        qrs_integ_idx.append(idx)
+        qrs_slopes.append(slope)
+        thr_i.mark_signal(peak, searchback)
+        thr_f.mark_signal(fpeak, searchback)
+        if best_noise is not None and best_noise[0] <= idx:
+            best_noise = None
+
+    def mark_noise(idx, peak, fpeak, slope):
+        nonlocal best_noise
+        thr_i.mark_noise(peak)
+        thr_f.mark_noise(fpeak)
+        if not qrs_integ_idx or idx > qrs_integ_idx[-1] + REFRACTORY_SAMPLES:
+            if best_noise is None or peak > best_noise[1]:
+                best_noise = (idx, peak, fpeak, slope)
+
+    fpeaks, slopes = (_trailing_max(s, candidates).tolist() for s in (abs_f, np.abs(deriv)))
+    for idx, peak, fpeak, slope in zip(candidates.tolist(), integ[candidates].tolist(),
+                                       fpeaks, slopes):
+        if qrs_integ_idx and idx - qrs_integ_idx[-1] > searchback_gap:
+            if best_noise is not None and best_noise[1] > 0.5 * thr_i.threshold:
+                accept_qrs(*best_noise, searchback=True)
+        if qrs_integ_idx and idx - qrs_integ_idx[-1] < REFRACTORY_SAMPLES:
+            continue
+        if qrs_integ_idx and idx - qrs_integ_idx[-1] < int(0.36 * fs):
+            if qrs_slopes and slope < 0.5 * qrs_slopes[-1]:
+                mark_noise(idx, peak, fpeak, slope)
+                continue
+        if peak > thr_i.threshold and fpeak > thr_f.threshold:
+            accept_qrs(idx, peak, fpeak, slope)
+        else:
+            mark_noise(idx, peak, fpeak, slope)
+
+    out = []
+    for r in sorted(set(r_peaks)):
+        if out and r - out[-1] < REFRACTORY_SAMPLES:
+            if abs_f[r] > abs_f[out[-1]]:
+                out[-1] = r
+            continue
+        out.append(r)
+    return np.asarray(out, dtype=int)
+
+
+def _as_ingested(samples, gain=200.0):
+    """The samples after a round trip through a format-16 lead II record."""
+    adc = np.clip(np.round(samples * gain), -32768, 32767).astype(np.int16)
+    header = parse_header(f"q 1 250 {adc.size}\nq.mat 16 {gain:g}(0) 16 0 0 0 0 II\n")
+    return read_signal(header, encode_signal([adc]), 0)
+
+
+@st.composite
+def _detector_inputs(draw):
+    """A synthetic ECG of 0.1-120 s (so some are shorter than the 500-sample
+    threshold warm-up) at 40-200 bpm and 5-30 dB SNR with some beats
+    dropped, so search-back runs; some round-tripped through WFDB encoding;
+    or a flat signal of any level."""
+    if draw(st.integers(0, 9)) == 0:
+        return np.full(draw(st.integers(1, 3000)), draw(st.floats(-10.0, 10.0)))
+    short = draw(st.integers(0, 4)) == 4
+    duration = draw(st.sampled_from([0.1, 1.9]) if short else st.floats(10.0, 120.0))
+    bpm = draw(st.floats(40.0, 200.0))
+    beats = int(duration * bpm / 60.0)
+    ecg = synthetic_ecg(duration, bpm, snr_db=draw(st.floats(5.0, 30.0)),
+                        seed=draw(st.integers(0, 2**16)),
+                        drop_beats=tuple(draw(st.lists(st.integers(0, beats), min_size=1,
+                                                               max_size=8))))
+    return _as_ingested(ecg.samples) if draw(st.booleans()) else ecg.samples
+
+
+class TestDetectorEqualsLoop:
+    @settings(max_examples=150)
+    @given(_detector_inputs())
+    @example(np.zeros(75000))
+    @example(np.full(499, 0.3))
+    @example(synthetic_ecg(300, 60, drop_beats=(150, 151, 152)).samples)
+    def test_same_bytes(self, samples):
+        got = detect_r_peaks(samples, FS)
+        want = _detect_loop(samples, FS)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _delineate_loop(samples, fs, r_peaks):
