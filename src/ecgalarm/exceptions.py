@@ -35,7 +35,8 @@ class EmptySignal(EcgAlarmError):
 
 
 class NonFiniteSignal(EcgAlarmError):
-    """A signal holds a NaN or infinite sample."""
+    """A signal holds a NaN or infinite sample, or a feature matrix a NaN or
+    infinite entry."""
 
 
 class EmptyBeats(EcgAlarmError):

@@ -5,7 +5,9 @@ squaring, 150 ms moving-window integration, adaptive signal/noise thresholds
 on both the integrated and the filtered streams, a 200 ms refractory, T-wave
 slope rejection, and 1.66xRR search-back. Filter recursions are the original
 integer ones with delays rescaled from 200 Hz to 250 Hz; all group delays
-are compensated so detected indices line up with the raw signal.
+are compensated so detected indices line up with the raw signal. The
+candidate scan keeps its four signal and noise levels as plain floats, so
+the noise path, taken by most local maxima, calls no function.
 
 Delineation places Q/S at the signal minima and P/T at the maxima inside
 fixed windows around each R, clipped to record bounds and to midpoints
@@ -94,25 +96,6 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(interior) + 1
 
 
-class _Thresholds:
-    """Adaptive signal/noise levels for one detection stream."""
-
-    def __init__(self, signal_level: float, noise_level: float):
-        self.spk = signal_level
-        self.npk = noise_level
-
-    @property
-    def threshold(self) -> float:
-        return self.npk + 0.25 * (self.spk - self.npk)
-
-    def mark_signal(self, peak: float, searchback: bool = False) -> None:
-        frac = 0.25 if searchback else 0.125
-        self.spk = frac * peak + (1.0 - frac) * self.spk
-
-    def mark_noise(self, peak: float) -> None:
-        self.npk = 0.125 * peak + 0.875 * self.npk
-
-
 def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
     """R-peak sample indices, empty for flatline input; ConfigError unless fs is 250 Hz."""
     if fs != 250.0:
@@ -131,9 +114,11 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
     if candidates.size == 0:
         return np.empty(0, dtype=int)
 
-    init = slice(0, min(500, n))  # first 2 s
-    thr_i = _Thresholds(float(np.max(integ[init])), float(np.mean(integ[init])))
-    thr_f = _Thresholds(float(np.max(abs_f[init])), float(np.mean(abs_f[init])))
+    # Signal and noise levels of the integrated (i) and filtered (f) streams,
+    # from the first 2 s; each threshold is npk + 0.25 * (spk - npk).
+    init = slice(0, min(500, n))
+    spk_i, npk_i = float(np.max(integ[init])), float(np.mean(integ[init]))
+    spk_f, npk_f = float(np.max(abs_f[init])), float(np.mean(abs_f[init]))
 
     r_peaks: list[int] = []
     qrs_integ_idx: list[int] = []  # integrator candidate index per accepted QRS
@@ -143,80 +128,65 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
     # Strongest noise candidate since the last QRS: (integ idx, peak, fpeak, slope)
     best_noise: tuple[int, float, float, float] | None = None
 
-    def refine_r(cross_idx: int) -> int:
-        lo = max(0, cross_idx - 10)
-        hi = min(n, cross_idx + 11)
-        return lo + int(np.argmax(abs_f[lo:hi]))
-
-    def crossing_before(idx: int, level: float) -> int:
-        j = idx
-        while j > 0 and integ[j - 1] >= level:
-            j -= 1
-        return j
-
     def rr_average() -> float:
         rr = (rr_selected or rr_recent)[-8:]  # integer-valued, so the sum is exact
         return sum(rr) / len(rr) if rr else float(fs)  # neutral prior: 60 bpm
 
     searchback_gap = SEARCHBACK_FACTOR * rr_average()  # moves only with the RR lists
 
-    def record_rr(new_idx: int) -> None:
-        nonlocal searchback_gap
+    def accept_qrs(idx: int, peak: float, fpeak: float, slope: float,
+                   searchback: bool = False) -> None:
+        nonlocal best_noise, searchback_gap, spk_i, spk_f
+        # R: the largest |filtered| near where integ last rose through the level.
+        level = min((0.5 if searchback else 1.0) * (npk_i + 0.25 * (spk_i - npk_i)), peak)
+        cross = idx
+        while cross > 0 and integ[cross - 1] >= level:
+            cross -= 1
+        lo = max(0, cross - 10)
+        r = lo + int(np.argmax(abs_f[lo:min(n, cross + 11)]))
+        if r_peaks and r - r_peaks[-1] < REFRACTORY_SAMPLES:
+            return
         if qrs_integ_idx:
-            rr = float(new_idx - qrs_integ_idx[-1])
+            rr = float(idx - qrs_integ_idx[-1])
             rr_recent.append(rr)
             avg = rr_average()
             if 0.92 * avg <= rr <= 1.16 * avg:
                 rr_selected.append(rr)
             searchback_gap = SEARCHBACK_FACTOR * rr_average()
-
-    def accept_qrs(idx: int, peak: float, fpeak: float, slope: float,
-                   searchback: bool = False) -> None:
-        nonlocal best_noise
-        level = 0.5 * thr_i.threshold if searchback else thr_i.threshold
-        cross = crossing_before(idx, min(level, peak))
-        r = refine_r(cross)
-        if r_peaks and r - r_peaks[-1] < REFRACTORY_SAMPLES:
-            return
-        record_rr(idx)
         r_peaks.append(r)
         qrs_integ_idx.append(idx)
         qrs_slopes.append(slope)
-        thr_i.mark_signal(peak, searchback)
-        thr_f.mark_signal(fpeak, searchback)
+        frac = 0.25 if searchback else 0.125
+        spk_i = frac * peak + (1.0 - frac) * spk_i
+        spk_f = frac * fpeak + (1.0 - frac) * spk_f
         if best_noise is not None and best_noise[0] <= idx:
             best_noise = None
 
-    def mark_noise(idx: int, peak: float, fpeak: float, slope: float) -> None:
-        nonlocal best_noise
-        thr_i.mark_noise(peak)
-        thr_f.mark_noise(fpeak)
-        if not qrs_integ_idx or idx > qrs_integ_idx[-1] + REFRACTORY_SAMPLES:
-            if best_noise is None or peak > best_noise[1]:
-                best_noise = (idx, peak, fpeak, slope)
-
+    t_wave_gap = int(0.36 * fs)
     fpeaks, slopes = (_trailing_max(s, candidates).tolist() for s in (abs_f, np.abs(deriv)))
     for idx, peak, fpeak, slope in zip(candidates.tolist(), integ[candidates].tolist(),
                                        fpeaks, slopes):
-        # Search-back: a long gap since the last QRS means one was missed;
-        # revisit the strongest rejected candidate at half threshold.
-        if qrs_integ_idx and idx - qrs_integ_idx[-1] > searchback_gap:
-            if best_noise is not None and best_noise[1] > 0.5 * thr_i.threshold:
+        t_wave = False
+        if qrs_integ_idx:
+            # Search-back: a long gap since the last QRS means one was missed;
+            # revisit the strongest rejected candidate at half threshold.
+            if (idx - qrs_integ_idx[-1] > searchback_gap and best_noise is not None
+                    and best_noise[1] > 0.5 * (npk_i + 0.25 * (spk_i - npk_i))):
                 accept_qrs(*best_noise, searchback=True)
-
-        if qrs_integ_idx and idx - qrs_integ_idx[-1] < REFRACTORY_SAMPLES:
-            continue
-
-        # T-wave rejection: close to the last QRS with a much weaker slope.
-        if qrs_integ_idx and idx - qrs_integ_idx[-1] < int(0.36 * fs):
-            if qrs_slopes and slope < 0.5 * qrs_slopes[-1]:
-                mark_noise(idx, peak, fpeak, slope)
+            if idx - qrs_integ_idx[-1] < REFRACTORY_SAMPLES:
                 continue
+            # T-wave rejection: close to the last QRS with a much weaker slope.
+            t_wave = idx - qrs_integ_idx[-1] < t_wave_gap and slope < 0.5 * qrs_slopes[-1]
 
-        if peak > thr_i.threshold and fpeak > thr_f.threshold:
+        if (not t_wave and peak > npk_i + 0.25 * (spk_i - npk_i)
+                and fpeak > npk_f + 0.25 * (spk_f - npk_f)):
             accept_qrs(idx, peak, fpeak, slope)
-        else:
-            mark_noise(idx, peak, fpeak, slope)
+            continue
+        npk_i = 0.125 * peak + 0.875 * npk_i
+        npk_f = 0.125 * fpeak + 0.875 * npk_f
+        if not qrs_integ_idx or idx > qrs_integ_idx[-1] + REFRACTORY_SAMPLES:
+            if best_noise is None or peak > best_noise[1]:
+                best_noise = (idx, peak, fpeak, slope)
 
     # Enforce strict ordering and the refractory on the final index list.
     out: list[int] = []

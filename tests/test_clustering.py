@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -10,11 +10,12 @@ from ecgalarm.clustering import (
     MAX_ITER,
     METRICS,
     _costs_to_centroids,
+    _medians,
     _plusplus_init,
     kmeans,
     record_seed,
 )
-from ecgalarm.exceptions import EmptyInput
+from ecgalarm.exceptions import EmptyInput, NonFiniteSignal
 
 
 def brute_force_two_clusters(X, metric):
@@ -98,6 +99,19 @@ class TestKmeansBasics:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             kmeans(np.empty((0, 4)), 3, "cityblock", seed=0)
+
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            kmeans(np.zeros((4, 2)), 2, "cityblock", restarts=0)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, metric, bad):
+        X = np.arange(40.0).reshape(10, 4)
+        X[6, 2] = bad
+        X[8, 0] = np.nan
+        with pytest.raises(NonFiniteSignal, match=f"row 6, column 2 is {bad}"):
+            kmeans(X, 3, metric, seed=1)
 
     def test_sizes_sum_and_nonempty(self):
         rng = np.random.default_rng(5)
@@ -213,6 +227,44 @@ class TestCostsToCentroids:
         out = np.full((len(X), k), np.nan)
         assert _costs_to_centroids(X, centroids, metric, out=out) is out
         assert out.tobytes() == want.tobytes()
+
+
+# Coordinates on a coarse grid: ties, both zeros, subnormals and values whose
+# sum is far from overflow but whose bits differ from any small number's.
+GRID = [0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 2.5, 3.0, 5e-324, -5e-324, 7e300, -7e300]
+
+
+@st.composite
+def _points_and_labels(draw):
+    """Points on GRID and a label per point below k <= 130, so the labels
+    cross the int8 range and many of the k clusters are empty or singletons."""
+    X = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+                    elements=st.sampled_from(GRID)))
+    k = draw(st.integers(1, 130))
+    return X, draw(arrays(np.int64, len(X), elements=st.integers(0, k - 1))), k
+
+
+class TestMedians:
+    @settings(max_examples=300)
+    @given(_points_and_labels())
+    @example((np.array([[7e300], [7e300], [-0.0], [-0.0]]), np.array([0, 0, 1, 1]), 2))
+    @example((np.array(GRID * 3).reshape(-1, 2), np.arange(18) % 3 * 64, 130))
+    def test_equal_np_median_per_cluster(self, case):
+        X, assign, k = case
+        clusters = np.flatnonzero(np.bincount(assign, minlength=k))
+        got = _medians(X, np.argsort(X.T, axis=1), assign, clusters, k)
+        want = np.array([np.median(X[assign == c], axis=0) for c in clusters])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_kmeans_past_int8_labels_matches_reference(self, metric):
+        X = np.random.default_rng(4).integers(-40, 40, (300, 3)) / 4.0
+        result = kmeans(X, 140, metric, seed=11)
+        centroids, assign, trace = reference_lloyd(X, 140, metric, 11)
+        assert result.assignments.max() >= 128
+        assert result.objective_trace == trace
+        np.testing.assert_array_equal(result.assignments, assign)
+        assert result.centroids.tobytes() == centroids.tobytes()
 
 
 class TestLloydTraceProperty:

@@ -160,13 +160,15 @@ def test_quantized_featurize_bytes_unchanged(name):
 
 
 def test_quantized_delineate_and_lloyd_without_avx512(without_avx512):
-    # The quantized cases, delineation, the detector's scan and Lloyd hold
-    # their bits whichever SIMD kernels numpy dispatches to.
+    # The quantized cases, delineation, the detector's scan, the cluster
+    # medians and Lloyd hold their bits whichever SIMD kernels numpy
+    # dispatches to.
     tests = Path(__file__).parent
     done = without_avx512(f"{__file__}::test_quantized_input_bytes_unchanged",
                           f"{__file__}::test_quantized_featurize_bytes_unchanged",
                           f"{tests / 'test_segmentation.py'}::TestDelineate",
                           f"{tests / 'test_segmentation.py'}::TestDetectorEqualsLoop",
+                          f"{tests / 'test_clustering.py'}::TestMedians",
                           f"{tests / 'test_clustering.py'}::TestLloydTraceProperty")
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "19 passed" in done.stdout
+    assert "22 passed" in done.stdout
