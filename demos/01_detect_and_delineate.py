@@ -17,14 +17,14 @@ ecg = synthetic_ecg(duration_s=60, bpm=72, snr_db=20, seed=42)
 print(f"signal: {len(ecg.samples)} samples at {FS:g} Hz, {len(ecg.r_locations)} true beats")
 
 # ----- detect R-peaks -----
-peaks = detect_r_peaks(ecg.samples, FS)
+peaks = detect_r_peaks(ecg.samples)
 print(f"detected {len(peaks)} R-peaks")
 
 errors = [np.min(np.abs(peaks - t)) for t in ecg.r_locations]
 print(f"worst R localization error: {max(errors)} samples ({max(errors) * 1000 / FS:.0f} ms)")
 
 # ----- delineate the full beat -----
-marks = delineate(ecg.samples, FS, peaks)  # (N, 7, 2): (x, y) per landmark
+marks = delineate(ecg.samples, peaks)  # (N, 7, 2): (x, y) per landmark
 print(f"delineated {len(marks)} beats (edge beats without a full P or T window are dropped)")
 
 R = LANDMARKS.index("R")

@@ -15,10 +15,8 @@ from ecgalarm.segment_features import (
 from ecgalarm.segmentation import segment_record
 from ecgalarm.synthetic import synthetic_ecg
 
-FS = 250.0
-
 ecg = synthetic_ecg(duration_s=120, bpm=66, snr_db=22, seed=7)
-marks = segment_record(ecg.samples, FS)  # (N, 7, 2) landmark array
+marks = segment_record(ecg.samples)  # (N, 7, 2) landmark array
 matrix = segment_features(marks)
 
 print(f"{len(marks)} beats -> {matrix.shape[0]} usable segments x {matrix.shape[1]} features")
@@ -37,7 +35,7 @@ row = matrix[0]
 for name in ("Px", "Qx", "Rx", "OnQRS_x", "RR_interval", "RR2_interval", "R-R_amplitude"):
     print(f"  {name:15s} = {row[FEATURE_NAMES.index(name)]:+.3f}")
 
-print(f"\nheart rate: {heart_rate(marks, FS):.1f} bpm")
+print(f"\nheart rate: {heart_rate(marks):.1f} bpm")
 
 vec = llf_tail(matrix)
 print(f"tail vector: last 7 segments concatenated -> {len(vec)} entries")

@@ -13,17 +13,15 @@ from ecgalarm.segment_features import heart_rate, segment_features
 from ecgalarm.segmentation import segment_record
 from ecgalarm.synthetic import synthetic_ecg
 
-FS = 250.0
-
 # A record whose rhythm changes midway: the two regimes should land in
 # different clusters, which is exactly what the high-level features encode.
 first = synthetic_ecg(duration_s=150, bpm=70, snr_db=20, seed=1)
 second = synthetic_ecg(duration_s=150, bpm=150, snr_db=20, seed=2)
 samples = np.concatenate([first.samples, second.samples])
 
-marks = segment_record(samples, FS)
+marks = segment_record(samples)
 matrix = segment_features(marks)
-hr = heart_rate(marks, FS)
+hr = heart_rate(marks)
 print(f"{matrix.shape[0]} segments, mean heart rate {hr:.0f} bpm\n")
 
 for metric in ("cityblock", "sqeuclidean"):

@@ -13,7 +13,7 @@ ecg = synthetic_ecg(duration_s=300, bpm=80, snr_db=18, seed=3)
 x = ecg.samples
 print(f"signal: {len(x)} samples")
 
-coeffs = dwt(x, levels=6)
+coeffs = dwt(x)
 print("\nband sizes (expansive transform, symmetric extension):")
 for i, band in enumerate(coeffs.details, start=1):
     hz_hi = 250 / 2**i

@@ -7,7 +7,7 @@ matrix. See the demos/ directory for narrative walkthroughs of each stage.
 """
 
 from .clustering import Clustering, kmeans, record_seed
-from .dwt import band_stats, daubechies_filter, dwt, dwt_feature_vector, idwt
+from .dwt import band_stats, dwt, dwt_feature_vector, idwt
 from .ensemble import BoostedEnsemble, DecisionTree, fit_adaboost, fit_rusboost, fit_tree
 from .evaluation import (
     FeatureTable,

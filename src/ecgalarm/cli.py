@@ -123,7 +123,6 @@ def cmd_featurize(cfg: dict) -> int:
         (
             r["record"],
             str(cache_dir / f"{r['record']}.npy"),
-            TARGET_FS,
             r["alarm_type"],
             record_io.parse_label(r["label"], r["record"]),
             cfg["seed"],

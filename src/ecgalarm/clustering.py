@@ -30,7 +30,6 @@ class Clustering:
     centroids: np.ndarray  # k x d
     assignments: np.ndarray  # n
     sizes: np.ndarray  # k
-    seed: int
     objective_trace: list[float] = field(default_factory=list)
 
     @property
@@ -173,7 +172,6 @@ def kmeans(
         centroids=centroids,
         assignments=assign,
         sizes=sizes,
-        seed=seed,
         objective_trace=trace,
     )
 

@@ -1,24 +1,22 @@
-"""Daubechies wavelet decomposition and the 20-statistic band summary.
+"""Daubechies db8 wavelet decomposition and the 20-statistic band summary.
 
-The analysis/synthesis filter pair is built by spectral factorization of the
-Daubechies half-band polynomial, so any number of vanishing moments works;
-the pipeline uses db8 (8 vanishing moments, 16 taps). Decomposition uses
-symmetric boundary extension (expansive: each band keeps
-ceil((n + taps - 1) / 2) coefficients) and reconstructs exactly.
+The pipeline uses one wavelet at one depth: db8 (8 vanishing moments, 16
+taps) over 6 levels. Its low-pass taps are written out below;
+tests/test_dwt.py derives them by spectral factorization of the Daubechies
+half-band polynomial. Decomposition uses symmetric boundary extension
+(expansive: each band keeps ceil((n + taps - 1) / 2) coefficients) and
+reconstructs exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
 from .exceptions import EmptyBand, SignalTooShort
 
-DEFAULT_LEVELS = 6
-DEFAULT_VANISHING_MOMENTS = 8
+LEVELS = 6
 ENTROPY_EPS = 1e-12
 DWT_LAYOUT_VERSION = "dwt-stats-v1"
 
@@ -29,92 +27,65 @@ STAT_NAMES = (
     "energy_ratio",
 )
 N_BAND_STATS = len(STAT_NAMES)
-DWT_LENGTH = N_BAND_STATS * DEFAULT_LEVELS  # 120
+DWT_LENGTH = N_BAND_STATS * LEVELS  # 120
 
-
-@lru_cache(maxsize=None)
-def daubechies_filter(p: int) -> np.ndarray:
-    """Orthonormal Daubechies low-pass decomposition filter with p vanishing
-    moments (2p taps), via spectral factorization of the binomial half-band
-    polynomial; minimal-phase root selection."""
-    if p == 1:
-        return np.array([1.0, 1.0]) / np.sqrt(2.0)
-    poly_y = [comb(p - 1 + k, k) for k in range(p - 1, -1, -1)]
-    roots_y = np.roots(poly_y)
-
-    roots_z = []
-    for y in roots_y:
-        # y = (2 - z - 1/z) / 4  =>  z^2 - (2 - 4y) z + 1 = 0
-        b = 2.0 - 4.0 * y
-        disc = np.sqrt(b * b - 4.0 + 0j)
-        for z in ((b + disc) / 2.0, (b - disc) / 2.0):
-            if abs(z) < 1.0:
-                roots_z.append(z)
-    # (1 + z)^p factor contributes the vanishing moments.
-    h = np.real(np.poly(list(roots_z) + [-1.0] * p))
-    h *= np.sqrt(2.0) / h.sum()
-    return h
-
-
-def _filter_bank() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    dec_lo = daubechies_filter(DEFAULT_VANISHING_MOMENTS)
-    n = len(dec_lo)
-    dec_hi = np.array([(-1) ** k * dec_lo[n - 1 - k] for k in range(n)])
-    return dec_lo, dec_hi, dec_lo[::-1], dec_hi[::-1]
+# Orthonormal db8 low-pass decomposition filter (minimal phase) and its
+# quadrature mirror; reconstruction uses both reversed.
+DEC_LO = np.array([
+    0.054415842243104, 0.31287159091429995, 0.67563073629729, 0.5853546836542075,
+    -0.015829105256348203, -0.2840155429615464, 0.00047248457391282987,
+    0.12874742662047756, -0.01736930100180822, -0.044088253930795095,
+    0.013981027917398147, 0.008746094047405747, -0.0048703529934515715,
+    -0.0003917403733769465, 0.0006754494064505688, -0.00011747678412476945,
+])
+DEC_HI = DEC_LO[::-1] * (-1.0) ** np.arange(len(DEC_LO))
 
 
 @dataclass
 class DwtCoeffs:
-    details: list[np.ndarray]  # D1 .. Dlevels
+    details: list[np.ndarray]  # D1 .. D6
     approx: np.ndarray  # final approximation band
     lengths: list[int]  # input length at each level (for reconstruction)
 
 
-def _decompose_step(x: np.ndarray, dec_lo: np.ndarray, dec_hi: np.ndarray):
-    ext = np.pad(x, len(dec_lo) - 1, mode="symmetric")
-    approx = np.convolve(ext, dec_lo, mode="valid")[0::2]
-    detail = np.convolve(ext, dec_hi, mode="valid")[0::2]
+def _decompose_step(x: np.ndarray):
+    ext = np.pad(x, len(DEC_LO) - 1, mode="symmetric")
+    approx = np.convolve(ext, DEC_LO, mode="valid")[0::2]
+    detail = np.convolve(ext, DEC_HI, mode="valid")[0::2]
     return approx, detail
 
 
-def _reconstruct_step(
-    approx: np.ndarray,
-    detail: np.ndarray,
-    out_len: int,
-    rec_lo: np.ndarray,
-    rec_hi: np.ndarray,
-) -> np.ndarray:
-    taps = len(rec_lo)
+def _reconstruct_step(approx: np.ndarray, detail: np.ndarray, out_len: int) -> np.ndarray:
+    taps = len(DEC_LO)
     up_a = np.zeros(2 * len(approx))
     up_a[0::2] = approx
     up_d = np.zeros(2 * len(detail))
     up_d[0::2] = detail
-    y = np.convolve(up_a, rec_lo, mode="full") + np.convolve(up_d, rec_hi, mode="full")
+    y = (np.convolve(up_a, DEC_LO[::-1], mode="full")
+         + np.convolve(up_d, DEC_HI[::-1], mode="full"))
     return y[taps - 1 : taps - 1 + out_len]
 
 
-def dwt(signal: np.ndarray, levels: int = DEFAULT_LEVELS) -> DwtCoeffs:
-    """Multi-level db8 decomposition into detail bands D1..Dlevels + approx."""
+def dwt(signal: np.ndarray) -> DwtCoeffs:
+    """6-level db8 decomposition into detail bands D1..D6 + approx."""
     x = np.asarray(signal, dtype=np.float64)
-    if len(x) < 2**levels:
-        raise SignalTooShort(f"need at least {2**levels} samples, got {len(x)}")
-    dec_lo, dec_hi, _, _ = _filter_bank()
+    if len(x) < 2**LEVELS:
+        raise SignalTooShort(f"need at least {2**LEVELS} samples, got {len(x)}")
 
     details = []
     lengths = []
-    for _ in range(levels):
+    for _ in range(LEVELS):
         lengths.append(len(x))
-        x, d = _decompose_step(x, dec_lo, dec_hi)
+        x, d = _decompose_step(x)
         details.append(d)
     return DwtCoeffs(details, x, lengths)
 
 
 def idwt(coeffs: DwtCoeffs) -> np.ndarray:
     """Invert `dwt` exactly (up to float rounding)."""
-    _, _, rec_lo, rec_hi = _filter_bank()
     x = coeffs.approx
     for detail, out_len in zip(reversed(coeffs.details), reversed(coeffs.lengths)):
-        x = _reconstruct_step(x, detail, out_len, rec_lo, rec_hi)
+        x = _reconstruct_step(x, detail, out_len)
     return x
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dwt import DEFAULT_LEVELS, N_BAND_STATS
+from .dwt import LEVELS, N_BAND_STATS
 from .ensemble import (
     DEFAULT_LEARNING_RATE,
     DEFAULT_MAX_SPLITS,
@@ -37,7 +37,7 @@ FEATURE_BANKS = {
     "llf": [f"f{i}" for i in range(1, LLF_LENGTH + 1)],
     "hlf_cityblock": [f"f{i}" for i in range(1, HLF_LENGTH + 1)],
     "hlf_euclidean": [f"f{i}" for i in range(1, HLF_LENGTH + 1)],
-    "dwt": [f"d{level}_f{i}" for level in range(1, DEFAULT_LEVELS + 1)
+    "dwt": [f"d{level}_f{i}" for level in range(1, LEVELS + 1)
             for i in range(1, N_BAND_STATS + 1)],
 }
 # Scenario -> the feature banks whose columns it concatenates, in order.

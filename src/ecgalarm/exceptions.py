@@ -39,10 +39,6 @@ class NonFiniteSignal(EcgAlarmError):
     infinite entry."""
 
 
-class EmptyBeats(EcgAlarmError):
-    """Operation requires at least one delineated beat."""
-
-
 class EmptyInput(EcgAlarmError):
     """Operation requires a non-empty input set."""
 

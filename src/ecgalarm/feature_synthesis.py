@@ -49,7 +49,7 @@ def synthesize(
     values[0] = hr
     values[1 + ALARM_TYPES.index(alarm_type)] = 1.0
 
-    if clustering is None or clustering.k == 0:
+    if clustering is None:
         return values
     if clustering.k > HLF_CLUSTERS:
         raise ValueError(

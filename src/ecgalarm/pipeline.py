@@ -14,7 +14,7 @@ from .clustering import kmeans, record_seed
 from .dwt import dwt_feature_vector
 from .exceptions import NonFiniteSignal
 from .feature_synthesis import HLF_CLUSTERS, synthesize
-from .segment_features import N_SEGMENT_FEATURES, heart_rate, llf_tail, segment_features
+from .segment_features import heart_rate, llf_tail, segment_features
 from .segmentation import segment_record
 
 
@@ -34,7 +34,6 @@ class RecordFeatures:
 def featurize_record(
     record_name: str,
     samples: np.ndarray,
-    fs: float,
     alarm_type: str,
     label: int,
     seed: int = 0,
@@ -52,9 +51,9 @@ def featurize_record(
     if not finite.all():
         first = int(np.argmin(finite))
         raise NonFiniteSignal(f"sample {first} is {samples[first]}")
-    marks = segment_record(samples, fs)
-    hr = heart_rate(marks, fs)
-    rows = segment_features(marks) if len(marks) else np.empty((0, N_SEGMENT_FEATURES))
+    marks = segment_record(samples)
+    hr = heart_rate(marks)
+    rows = segment_features(marks)
 
     hlf = {}
     for metric in ("cityblock", "sqeuclidean"):
@@ -82,10 +81,10 @@ def featurize_record(
 
 def _featurize_task(args) -> tuple[str, RecordFeatures | None, str]:
     """Pool-friendly wrapper: returns (record, features-or-None, error)."""
-    record_name, cache_path, fs, alarm_type, label, seed = args
+    record_name, cache_path, alarm_type, label, seed = args
     try:
         samples = np.load(cache_path)
-        feats = featurize_record(record_name, samples, fs, alarm_type, label, seed)
+        feats = featurize_record(record_name, samples, alarm_type, label, seed)
         return record_name, feats, ""
     except Exception as exc:  # per-record failures must not kill the batch
         return record_name, None, f"{type(exc).__name__}: {exc}"

@@ -10,7 +10,7 @@ Each usable beat yields 84 time-domain features in a fixed canonical order:
   (e.g. the RR interval and R-R amplitude columns)
 * 7 + 7 next-but-one x-intervals / y-differences (RR2 interval etc.)
 
-x is in samples at the record rate, y in mV. The last two beats of a record
+x is in samples at 250 Hz, y in mV. The last two beats of a record
 have no next / next-but-one partner and are excluded rather than padded, so
 a record with N beats yields max(0, N - 2) rows.
 """
@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exceptions import EmptyBeats
+from .record_io import TARGET_FS
 from .segmentation import LANDMARKS
 
 N_SEGMENT_FEATURES = 84
@@ -57,11 +57,9 @@ _R = LANDMARKS.index("R")
 def segment_features(marks: np.ndarray) -> np.ndarray:
     """The (max(0, N - 2), 84) feature matrix of one record's (N, 7, 2)
     landmark array, as returned by `delineate`."""
-    if len(marks) == 0:
-        raise EmptyBeats("record has no beats")
     x, y = marks[..., 0], marks[..., 1]
     n = max(0, len(marks) - 2)
-    coords = np.stack([x - x[:, _Q : _Q + 1], y], axis=-1).reshape(len(marks), -1)
+    coords = np.stack([x - x[:, _Q : _Q + 1], y], axis=-1).reshape(-1, 2 * len(LANDMARKS))
     return np.hstack([
         coords[:n],
         x[:n, _PAIR_B] - x[:n, _PAIR_A],
@@ -73,11 +71,11 @@ def segment_features(marks: np.ndarray) -> np.ndarray:
     ])
 
 
-def heart_rate(marks: np.ndarray, fs: float) -> float:
+def heart_rate(marks: np.ndarray) -> float:
     """Mean heart rate in bpm over the landmark array; 0 when under 2 beats."""
     if len(marks) < 2:
         return 0.0
-    return float(60.0 * fs / np.mean(np.diff(marks[:, _R, 0])))
+    return float(60.0 * TARGET_FS / np.mean(np.diff(marks[:, _R, 0])))
 
 
 def llf_tail(rows: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 """R-peak detection (Pan-Tompkins) and P/Q/S/T delineation at 250 Hz.
 
+Every record reaching this module is sampled at 250 Hz (ingest skips any
+other rate), so each window, delay and interval below is a fixed sample
+count at that rate.
+
 The detector follows the classic recipe: bandpass, five-point derivative,
 squaring, 150 ms moving-window integration, adaptive signal/noise thresholds
 on both the integrated and the filtered streams, a 200 ms refractory, T-wave
@@ -23,18 +27,20 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import ConfigError, EmptySignal
+from .exceptions import EmptySignal
 
 REFRACTORY_SAMPLES = 50  # 200 ms at 250 Hz
 INTEGRATION_WINDOW = 38  # 150 ms at 250 Hz
+T_WAVE_GAP = 90  # 360 ms: a weak-slope candidate closer than this is a T wave
+RR_PRIOR = 250.0  # 1 s: the RR average before any QRS, 60 bpm
 SEARCHBACK_FACTOR = 1.66
 
-# Delineation windows in ms relative to R.
-Q_WINDOW_MS = 60.0
-P_WINDOW_MS = 240.0
-S_WINDOW_MS = 60.0
-T_MIN_MS = 80.0
-T_MAX_MS = 400.0
+# Delineation windows in samples relative to R.
+Q_WINDOW = 15  # 60 ms
+P_WINDOW = 60  # 240 ms
+S_WINDOW = 15  # 60 ms
+T_MIN = 20  # 80 ms
+T_MAX = 100  # 400 ms
 
 LANDMARKS = ("P", "Q", "R", "S", "T", "OnQRS", "OffQRS")
 
@@ -57,10 +63,8 @@ def _filter_aligned(samples: np.ndarray, kernel: np.ndarray, delay: int) -> np.n
     return full[delay : delay + len(samples)]
 
 
-def bandpass(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
-    """Same-length QRS bandpass aligned with the input; ConfigError unless fs is 250 Hz."""
-    if fs != 250.0:
-        raise ConfigError(f"bandpass supports only fs = 250 Hz, got {fs}")
+def bandpass(samples: np.ndarray) -> np.ndarray:
+    """Same-length QRS bandpass aligned with the input."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise EmptySignal("bandpass needs a non-empty signal")
@@ -96,15 +100,13 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(interior) + 1
 
 
-def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
-    """R-peak sample indices, empty for flatline input; ConfigError unless fs is 250 Hz."""
-    if fs != 250.0:
-        raise ConfigError(f"detect_r_peaks supports only fs = 250 Hz, got {fs}")
+def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
+    """R-peak sample indices, empty for flatline input."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         return np.empty(0, dtype=int)
 
-    filtered = bandpass(samples, fs)
+    filtered = bandpass(samples)
     deriv = _derivative(filtered)
     integ = _integrate(deriv**2)
     abs_f = np.abs(filtered)
@@ -130,7 +132,7 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
 
     def rr_average() -> float:
         rr = (rr_selected or rr_recent)[-8:]  # integer-valued, so the sum is exact
-        return sum(rr) / len(rr) if rr else float(fs)  # neutral prior: 60 bpm
+        return sum(rr) / len(rr) if rr else RR_PRIOR
 
     searchback_gap = SEARCHBACK_FACTOR * rr_average()  # moves only with the RR lists
 
@@ -162,7 +164,6 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
         if best_noise is not None and best_noise[0] <= idx:
             best_noise = None
 
-    t_wave_gap = int(0.36 * fs)
     fpeaks, slopes = (_trailing_max(s, candidates).tolist() for s in (abs_f, np.abs(deriv)))
     for idx, peak, fpeak, slope in zip(candidates.tolist(), integ[candidates].tolist(),
                                        fpeaks, slopes):
@@ -176,7 +177,7 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
             if idx - qrs_integ_idx[-1] < REFRACTORY_SAMPLES:
                 continue
             # T-wave rejection: close to the last QRS with a much weaker slope.
-            t_wave = idx - qrs_integ_idx[-1] < t_wave_gap and slope < 0.5 * qrs_slopes[-1]
+            t_wave = idx - qrs_integ_idx[-1] < T_WAVE_GAP and slope < 0.5 * qrs_slopes[-1]
 
         if (not t_wave and peak > npk_i + 0.25 * (spk_i - npk_i)
                 and fpeak > npk_f + 0.25 * (spk_f - npk_f)):
@@ -199,10 +200,6 @@ def detect_r_peaks(samples: np.ndarray, fs: float = 250.0) -> np.ndarray:
     return np.asarray(out, dtype=int)
 
 
-def _ms(ms: float, fs: float) -> int:
-    return int(round(ms * fs / 1000.0))
-
-
 def _first_min(samples: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: float) -> np.ndarray:
     """Per beat, the index of the first minimum of sign * samples[lo:hi] (so
     sign -1 finds the first maximum), from one (beats, widest window) gather
@@ -213,7 +210,7 @@ def _first_min(samples: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: float)
     return lo + window.argmin(axis=1)
 
 
-def delineate(samples: np.ndarray, fs: float, r_peaks: np.ndarray) -> np.ndarray:
+def delineate(samples: np.ndarray, r_peaks: np.ndarray) -> np.ndarray:
     """Locate P/Q/S/T around each R-peak: an (N, 7, 2) float64 array holding
     the (x, y) of every landmark in LANDMARKS order, x as an absolute sample
     index and y in mV.
@@ -225,30 +222,28 @@ def delineate(samples: np.ndarray, fs: float, r_peaks: np.ndarray) -> np.ndarray
     samples = np.asarray(samples, dtype=np.float64)
     r = np.asarray(r_peaks, dtype=int)
     n = samples.size
-    w_q, w_p, w_s, w_t_min, w_t_max = (
-        _ms(ms, fs) for ms in (Q_WINDOW_MS, P_WINDOW_MS, S_WINDOW_MS, T_MIN_MS, T_MAX_MS))
 
     left = np.concatenate(([0], (r[:-1] + r[1:] + 1) // 2)).clip(0)
     right = np.concatenate(((r[:-1] + r[1:]) // 2, [n - 1])).clip(max=n - 1)
-    q_lo = np.maximum(r - w_q, left)  # Q: minimum on [r - 60ms, r)
-    s_hi = np.minimum(r + w_s, right)  # S: minimum on (r, r + 60ms]
-    p_lo = np.maximum(r - w_p, left)  # P: maximum on [r - 240ms, r - 60ms)
+    q_lo = np.maximum(r - Q_WINDOW, left)  # Q: minimum on [r - 60ms, r)
+    s_hi = np.minimum(r + S_WINDOW, right)  # S: minimum on (r, r + 60ms]
+    p_lo = np.maximum(r - P_WINDOW, left)  # P: maximum on [r - 240ms, r - 60ms)
     # T: maximum on (r + 80ms, min(r + 400ms, r + 2/3 RR_next)]
-    t_hi = np.minimum(r + w_t_max, right)
+    t_hi = np.minimum(r + T_MAX, right)
     t_hi[:-1] = np.minimum(t_hi[:-1], r[:-1] + (2 * (r[1:] - r[:-1])) // 3)
-    keep = (q_lo < r) & (s_hi > r) & (p_lo < r - w_q) & (r + w_t_min < t_hi)
+    keep = (q_lo < r) & (s_hi > r) & (p_lo < r - Q_WINDOW) & (r + T_MIN < t_hi)
     r, q_lo, s_hi, p_lo, t_hi = (a[keep] for a in (r, q_lo, s_hi, p_lo, t_hi))
 
     qx = _first_min(samples, q_lo, r, 1.0)
     sx = _first_min(samples, r + 1, s_hi + 1, 1.0)
-    px = _first_min(samples, p_lo, r - w_q, -1.0)
-    tx = _first_min(samples, r + w_t_min + 1, t_hi + 1, -1.0)
+    px = _first_min(samples, p_lo, r - Q_WINDOW, -1.0)
+    tx = _first_min(samples, r + T_MIN + 1, t_hi + 1, -1.0)
     # Onset and offset halfway between, rounded half to even like round().
     x = np.stack([px, qx, r, sx, tx, np.rint((px + qx) / 2), np.rint((sx + tx) / 2)],
                  axis=1).astype(int)
     return np.stack([x, samples[x]], axis=-1, dtype=np.float64)
 
 
-def segment_record(samples: np.ndarray, fs: float) -> np.ndarray:
+def segment_record(samples: np.ndarray) -> np.ndarray:
     """Convenience: detect R-peaks then delineate."""
-    return delineate(samples, fs, detect_r_peaks(samples, fs))
+    return delineate(samples, detect_r_peaks(samples))

@@ -1,4 +1,6 @@
+import platform
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from ecgalarm.dwt import (
+    DEC_HI,
+    DEC_LO,
     DWT_LENGTH,
     STAT_NAMES,
     _skew_kurtosis,
     band_stats,
-    daubechies_filter,
     dwt,
     dwt_feature_vector,
     idwt,
@@ -20,22 +23,50 @@ from ecgalarm.dwt import (
 from ecgalarm.exceptions import EmptyBand, SignalTooShort
 
 
+def reference(p):
+    """Orthonormal Daubechies low-pass decomposition filter with p vanishing
+    moments (2p taps), via spectral factorization of the binomial half-band
+    polynomial; minimal-phase root selection."""
+    roots_y = np.roots([comb(p - 1 + k, k) for k in range(p - 1, -1, -1)])
+    roots_z = []
+    for y in roots_y:
+        # y = (2 - z - 1/z) / 4  =>  z^2 - (2 - 4y) z + 1 = 0
+        b = 2.0 - 4.0 * y
+        disc = np.sqrt(b * b - 4.0 + 0j)
+        roots_z += [z for z in ((b + disc) / 2.0, (b - disc) / 2.0) if abs(z) < 1.0]
+    # (1 + z)^p factor contributes the vanishing moments.
+    h = np.real(np.poly(roots_z + [-1.0] * p))
+    return h * np.sqrt(2.0) / h.sum()
+
+
 class TestFilters:
     def test_db8_is_16_taps(self):
-        h = daubechies_filter(8)
-        assert len(h) == 16
+        assert DEC_LO.shape == DEC_HI.shape == (16,)
+
+    def test_literals_match_reference(self):
+        # Not bit for bit: np.roots runs LAPACK, whose kernels differ per CPU.
+        np.testing.assert_allclose(DEC_LO, reference(8), rtol=0, atol=1e-14)
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="OpenBLAS core types name x86 kernels")
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_literals_match_reference_under_openblas_kernel(self, coretype, fresh_python):
+        result = fresh_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              f"{__file__}::TestFilters::test_literals_match_reference",
+                              OPENBLAS_CORETYPE=coretype)
+        assert result.returncode == 0, result.stdout[-2000:]
 
     def test_orthonormality(self):
         # Oracle: sum h = sqrt(2), sum h^2 = 1, even shifts orthogonal.
-        h = daubechies_filter(8)
-        assert h.sum() == pytest.approx(np.sqrt(2.0), abs=1e-12)
-        assert (h**2).sum() == pytest.approx(1.0, abs=1e-12)
-        for k in range(1, 8):
-            assert np.dot(h[2 * k :], h[: -2 * k]) == pytest.approx(0.0, abs=1e-12)
+        for h in (DEC_LO, reference(8)):
+            assert h.sum() == pytest.approx(np.sqrt(2.0), abs=1e-12)
+            assert (h**2).sum() == pytest.approx(1.0, abs=1e-12)
+            for k in range(1, 8):
+                assert np.dot(h[2 * k :], h[: -2 * k]) == pytest.approx(0.0, abs=1e-12)
 
     def test_db2_matches_reference_values(self):
         np.testing.assert_allclose(
-            daubechies_filter(2),
+            reference(2),
             [0.4829629131445341, 0.8365163037378079, 0.2241438680420134, -0.1294095225512604],
             atol=1e-12,
         )
@@ -43,19 +74,19 @@ class TestFilters:
 
 class TestDwt:
     def test_constant_annihilated(self):
-        coeffs = dwt(np.full(2000, 5.0), levels=6)
+        coeffs = dwt(np.full(2000, 5.0))
         for band in coeffs.details:
             assert np.max(np.abs(band)) < 1e-8
 
     @pytest.mark.parametrize("n", [4096, 75000, 75001])
     def test_roundtrip(self, n):
         x = np.random.default_rng(n).normal(size=n)
-        coeffs = dwt(x, levels=6)
+        coeffs = dwt(x)
         assert np.max(np.abs(idwt(coeffs) - x)) < 1e-8
 
     def test_band_lengths_follow_formula(self):
         n = 75000
-        coeffs = dwt(np.zeros(n), levels=6)
+        coeffs = dwt(np.zeros(n))
         taps = 16
         expected = n
         for band in coeffs.details:
@@ -64,7 +95,7 @@ class TestDwt:
 
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShort):
-            dwt(np.zeros(63), levels=6)
+            dwt(np.zeros(63))
 
     def test_deterministic(self):
         x = np.random.default_rng(3).normal(size=500)

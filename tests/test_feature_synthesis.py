@@ -20,7 +20,6 @@ def make_clustering(centroids, sizes, metric="cityblock"):
         centroids=centroids,
         assignments=assignments,
         sizes=sizes,
-        seed=0,
         objective_trace=[0.0],
     )
 

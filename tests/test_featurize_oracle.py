@@ -24,7 +24,6 @@ from ecgalarm.record_io import encode_signal, parse_header, read_signal
 from ecgalarm.segmentation import detect_r_peaks
 from ecgalarm.synthetic import synthetic_ecg
 
-FS = 250.0
 GAIN = 200.0  # ADC units per mV
 
 # 5-min synthetic_ecg records: name -> keyword arguments.
@@ -133,8 +132,8 @@ def _as_ingested(samples: np.ndarray) -> np.ndarray:
 
 
 def _output_digests(name: str, samples: np.ndarray) -> dict:
-    got = {"r_peaks": _digest(detect_r_peaks(samples, FS))}
-    feats = featurize_record(name, samples, FS, "VTA", 1, seed=7)
+    got = {"r_peaks": _digest(detect_r_peaks(samples))}
+    feats = featurize_record(name, samples, "VTA", 1, seed=7)
     for field in ("llf", "hlf_cityblock", "hlf_euclidean", "dwt", "heart_rate", "n_beats"):
         got[field] = _digest(getattr(feats, field))
     return got

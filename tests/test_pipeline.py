@@ -15,8 +15,8 @@ class TestNonFiniteSignal:
         samples = synthetic_ecg(60, 75, snr_db=20, seed=1).samples.copy()
         samples[[3000, 9000]] = value
         with pytest.raises(NonFiniteSignal, match=f"^sample 3000 is {value}$"):
-            featurize_record("r1", samples, 250.0, "VTA", 1)
+            featurize_record("r1", samples, "VTA", 1)
 
     def test_finite_record_unaffected(self):
         samples = synthetic_ecg(60, 75, snr_db=20, seed=1).samples
-        assert featurize_record("r1", samples, 250.0, "VTA", 1).n_beats == 75
+        assert featurize_record("r1", samples, "VTA", 1).n_beats == 75

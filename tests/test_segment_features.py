@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ecgalarm.exceptions import EmptyBeats
 from ecgalarm.segment_features import (
     FEATURE_NAMES,
     LLF_LENGTH,
@@ -17,8 +16,6 @@ from ecgalarm.segment_features import (
 )
 from ecgalarm.segmentation import LANDMARKS, segment_record
 from ecgalarm.synthetic import synthetic_ecg
-
-FS = 250.0
 
 # Offsets from R and heights (mV) of P, Q, R, S, T, OnQRS, OffQRS; the onset
 # and offset sit at the P-Q and S-T midpoints.
@@ -90,8 +87,8 @@ class TestSegmentFeatures:
 
     def test_amplitude_scaling_affects_only_y_columns(self):
         ecg = synthetic_ecg(60, 75, snr_db=25, seed=13)
-        m1 = segment_features(segment_record(ecg.samples, FS))
-        m2 = segment_features(segment_record(2.0 * ecg.samples, FS))
+        m1 = segment_features(segment_record(ecg.samples))
+        m2 = segment_features(segment_record(2.0 * ecg.samples))
         y_mask = np.array(
             [n.endswith("y") or n.startswith("dy") or "amplitude" in n
              for n in FEATURE_NAMES]
@@ -102,12 +99,12 @@ class TestSegmentFeatures:
 
     def test_no_nan_inf(self):
         ecg = synthetic_ecg(120, 80, snr_db=15, seed=21)
-        matrix = segment_features(segment_record(ecg.samples, FS))
+        matrix = segment_features(segment_record(ecg.samples))
         assert np.all(np.isfinite(matrix))
 
-    def test_empty_beats_raises(self):
-        with pytest.raises(EmptyBeats):
-            segment_features(make_marks([]))
+    def test_no_beats_gives_empty_matrix(self):
+        # max(0, N - 2) rows at N = 0 too, as for one beat.
+        assert segment_features(make_marks([])).shape == (0, N_SEGMENT_FEATURES)
 
 
 # Coordinate names spell the offset landmark "OFFQRS"; LANDMARKS spells it "OffQRS".
@@ -165,15 +162,15 @@ class TestFeatureDefinitions:
 class TestHeartRate:
     def test_60bpm(self):
         marks = make_marks(list(range(100, 100 + 250 * 10, 250)))
-        assert heart_rate(marks, FS) == pytest.approx(60.0)
+        assert heart_rate(marks) == pytest.approx(60.0)
 
     def test_120bpm(self):
         marks = make_marks(list(range(100, 100 + 125 * 10, 125)))
-        assert heart_rate(marks, FS) == pytest.approx(120.0)
+        assert heart_rate(marks) == pytest.approx(120.0)
 
     def test_single_beat_sentinel(self):
-        assert heart_rate(make_marks([500]), FS) == 0.0
-        assert heart_rate(make_marks([]), FS) == 0.0
+        assert heart_rate(make_marks([500])) == 0.0
+        assert heart_rate(make_marks([])) == 0.0
 
 
 class TestLlfTail:

@@ -5,29 +5,30 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import maximum_filter1d
 
-from ecgalarm.exceptions import ConfigError, EmptySignal
+from ecgalarm.exceptions import EmptySignal
 from ecgalarm.record_io import encode_signal, parse_header, read_signal
 from ecgalarm.segmentation import (
     INTEGRATION_WINDOW,
     LANDMARKS,
-    P_WINDOW_MS,
-    Q_WINDOW_MS,
+    P_WINDOW,
+    Q_WINDOW,
     REFRACTORY_SAMPLES,
-    S_WINDOW_MS,
+    RR_PRIOR,
+    S_WINDOW,
     SEARCHBACK_FACTOR,
-    T_MAX_MS,
-    T_MIN_MS,
+    T_MAX,
+    T_MIN,
+    T_WAVE_GAP,
     _derivative,
     _integrate,
     _local_maxima,
-    _ms,
     _trailing_max,
     bandpass,
     delineate,
     detect_r_peaks,
     segment_record,
 )
-from ecgalarm.synthetic import synthetic_ecg
+from ecgalarm.synthetic import DEFAULT_WAVES, synthetic_ecg
 
 FS = 250.0
 
@@ -45,30 +46,30 @@ def _recall(detected, truth, tol):
 
 class TestBandpass:
     def test_constant_rejected(self):
-        out = bandpass(np.full(2000, 3.3), FS)
+        out = bandpass(np.full(2000, 3.3))
         assert np.max(np.abs(out)) < 1e-12
 
     def test_output_length(self):
         x = np.random.default_rng(0).normal(size=1234)
-        assert len(bandpass(x, FS)) == 1234
+        assert len(bandpass(x)) == 1234
 
     def test_50hz_attenuated(self):
         # Oracle: numerically measured magnitude response on a pure tone.
         t = np.arange(5000) / FS
         x = np.sin(2 * np.pi * 50.0 * t)
-        y = bandpass(x, FS)
+        y = bandpass(x)
         assert _rms(y[200:-200]) < 0.1 * _rms(x[200:-200])
 
     def test_10hz_passed(self):
         t = np.arange(5000) / FS
         x = np.sin(2 * np.pi * 10.0 * t)
-        y = bandpass(x, FS)
+        y = bandpass(x)
         assert _rms(y[200:-200]) > 0.5 * _rms(x[200:-200])
 
     def test_peak_alignment_within_2_samples(self):
         t = np.arange(5000) / FS
         x = np.sin(2 * np.pi * 10.0 * t)
-        y = bandpass(x, FS)
+        y = bandpass(x)
         i = 2000 + int(np.argmax(x[2000:2100]))
         j_all = np.flatnonzero(
             (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
@@ -77,55 +78,51 @@ class TestBandpass:
 
     def test_empty_raises(self):
         with pytest.raises(EmptySignal):
-            bandpass(np.array([]), FS)
-
-    def test_other_rate_rejected(self):
-        # The kernel's delays are fixed for 250 Hz.
-        with pytest.raises(ConfigError):
-            bandpass(np.zeros(1000), 360.0)
+            bandpass(np.array([]))
 
 
 class TestDetectRPeaks:
     def test_flatline_empty(self):
-        assert len(detect_r_peaks(np.zeros(int(300 * FS)), FS)) == 0
+        assert len(detect_r_peaks(np.zeros(int(300 * FS)))) == 0
 
-    def test_other_rate_rejected(self):
-        # Refractory, integration window and threshold init are 250 Hz sample
-        # counts; the check comes before the empty-input shortcut.
-        with pytest.raises(ConfigError):
-            detect_r_peaks(synthetic_ecg(10, 70, fs=500.0).samples, 500.0)
-        with pytest.raises(ConfigError):
-            detect_r_peaks(np.array([]), 125.0)
+    @pytest.mark.parametrize("t_offset_ms, beats", [(260.0, 60), (300.0, 118)])
+    def test_t_wave_gap(self, t_offset_ms, beats):
+        # A tall, wide T wave whose candidate follows the QRS's within the
+        # 360 ms gap has under half its slope and is rejected; 40 ms later it
+        # is past the gap and counted as a beat.
+        waves = dict(DEFAULT_WAVES, T=(t_offset_ms, 0.8, 30.0))
+        ecg = synthetic_ecg(60, 60, snr_db=30, seed=1, waves=waves)
+        assert len(detect_r_peaks(ecg.samples)) == beats
 
     def test_synthetic_60bpm_count_and_accuracy(self):
         ecg = synthetic_ecg(300, 60, snr_db=20, seed=11)
-        peaks = detect_r_peaks(ecg.samples, FS)
+        peaks = detect_r_peaks(ecg.samples)
         assert 299 <= len(peaks) <= 301
         assert _recall(peaks, ecg.r_locations, tol=12) >= 0.99
 
     def test_searchback_recovers_deleted_beat(self):
         ecg = synthetic_ecg(300, 60, drop_beats=(150,))
-        peaks = detect_r_peaks(ecg.samples, FS)
+        peaks = detect_r_peaks(ecg.samples)
         hits = sum(1 for t in ecg.r_locations if np.min(np.abs(peaks - t)) <= 12)
         assert hits >= 298
 
     def test_refractory_and_ordering(self):
         ecg = synthetic_ecg(120, 180, snr_db=15, seed=5)
-        peaks = detect_r_peaks(ecg.samples, FS)
+        peaks = detect_r_peaks(ecg.samples)
         assert np.all(np.diff(peaks) >= REFRACTORY_SAMPLES)
         assert np.all(np.diff(peaks) > 0)
 
     def test_determinism(self):
         ecg = synthetic_ecg(60, 90, snr_db=15, seed=2)
-        a = detect_r_peaks(ecg.samples, FS)
-        b = detect_r_peaks(ecg.samples, FS)
+        a = detect_r_peaks(ecg.samples)
+        b = detect_r_peaks(ecg.samples)
         np.testing.assert_array_equal(a, b)
 
     def test_amplitude_scale_covariance(self):
         ecg = synthetic_ecg(60, 80, snr_db=20, seed=3)
-        base = detect_r_peaks(ecg.samples, FS)
+        base = detect_r_peaks(ecg.samples)
         for c in (0.2, 5.0, 40.0):
-            np.testing.assert_array_equal(detect_r_peaks(c * ecg.samples, FS), base)
+            np.testing.assert_array_equal(detect_r_peaks(c * ecg.samples), base)
 
 
 @st.composite
@@ -176,7 +173,7 @@ class TestDetectorRecallProperty:
     def test_recall(self, bpm, scale, drift_mv, snr_db, seed):
         ecg = synthetic_ecg(60, bpm, snr_db=snr_db, seed=seed)
         wander = np.linspace(0.0, drift_mv, len(ecg.samples))
-        peaks = detect_r_peaks(scale * ecg.samples + wander, FS)
+        peaks = detect_r_peaks(scale * ecg.samples + wander)
         assert _recall(peaks, ecg.r_locations, tol=5) >= 0.95
 
 
@@ -200,7 +197,7 @@ class _Thresholds:
         self.npk = 0.125 * peak + 0.875 * self.npk
 
 
-def _detect_loop(samples, fs=FS):
+def _detect_loop(samples):
     """The detector's candidate scan with its levels held in `_Thresholds`
     objects and the noise path through a `mark_noise` closure: the scan
     `detect_r_peaks` ran before its levels became plain floats, and its
@@ -209,7 +206,7 @@ def _detect_loop(samples, fs=FS):
     if samples.size == 0:
         return np.empty(0, dtype=int)
 
-    filtered = bandpass(samples, fs)
+    filtered = bandpass(samples)
     deriv = _derivative(filtered)
     integ = _integrate(deriv**2)
     abs_f = np.abs(filtered)
@@ -239,7 +236,7 @@ def _detect_loop(samples, fs=FS):
 
     def rr_average():
         rr = (rr_selected or rr_recent)[-8:]
-        return sum(rr) / len(rr) if rr else float(fs)
+        return sum(rr) / len(rr) if rr else RR_PRIOR
 
     searchback_gap = SEARCHBACK_FACTOR * rr_average()
 
@@ -285,7 +282,7 @@ def _detect_loop(samples, fs=FS):
                 accept_qrs(*best_noise, searchback=True)
         if qrs_integ_idx and idx - qrs_integ_idx[-1] < REFRACTORY_SAMPLES:
             continue
-        if qrs_integ_idx and idx - qrs_integ_idx[-1] < int(0.36 * fs):
+        if qrs_integ_idx and idx - qrs_integ_idx[-1] < T_WAVE_GAP:
             if qrs_slopes and slope < 0.5 * qrs_slopes[-1]:
                 mark_noise(idx, peak, fpeak, slope)
                 continue
@@ -337,13 +334,13 @@ class TestDetectorEqualsLoop:
     @example(np.full(499, 0.3))
     @example(synthetic_ecg(300, 60, drop_beats=(150, 151, 152)).samples)
     def test_same_bytes(self, samples):
-        got = detect_r_peaks(samples, FS)
-        want = _detect_loop(samples, FS)
+        got = detect_r_peaks(samples)
+        want = _detect_loop(samples)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
-def _delineate_loop(samples, fs, r_peaks):
+def _delineate_loop(samples, r_peaks):
     """Per-beat delineation, one slice argmin/argmax per landmark: the loop
     `delineate` ran before it gathered all beats at once, and its reference.
     That loop sliced the Q window before it checked the S window, so a peak
@@ -353,19 +350,17 @@ def _delineate_loop(samples, fs, r_peaks):
     r_peaks = np.asarray(r_peaks, dtype=int)
     n = samples.size
     beats = []
-    w_q, w_p, w_s = _ms(Q_WINDOW_MS, fs), _ms(P_WINDOW_MS, fs), _ms(S_WINDOW_MS, fs)
-    w_t_min, w_t_max = _ms(T_MIN_MS, fs), _ms(T_MAX_MS, fs)
     for k, r in enumerate(r_peaks):
         left = 0 if k == 0 else (r_peaks[k - 1] + r + 1) // 2
         right = n - 1 if k == len(r_peaks) - 1 else (r + r_peaks[k + 1]) // 2
-        q_lo = max(r - w_q, left, 0)
-        s_hi = min(r + w_s, right, n - 1)
-        p_lo = max(r - w_p, left, 0)
-        p_hi = r - w_q
-        t_hi = min(r + w_t_max, right, n - 1)
+        q_lo = max(r - Q_WINDOW, left, 0)
+        s_hi = min(r + S_WINDOW, right, n - 1)
+        p_lo = max(r - P_WINDOW, left, 0)
+        p_hi = r - Q_WINDOW
+        t_hi = min(r + T_MAX, right, n - 1)
         if k < len(r_peaks) - 1:
             t_hi = min(t_hi, r + (2 * (r_peaks[k + 1] - r)) // 3)
-        t_lo = r + w_t_min
+        t_lo = r + T_MIN
         if q_lo >= r or s_hi <= r or p_lo >= p_hi or t_lo >= t_hi:
             continue
         qx = q_lo + int(np.argmin(samples[q_lo:r]))
@@ -404,8 +399,8 @@ def _waves_x(marks):
 class TestDelineate:
     def test_landmark_accuracy_on_synthetic(self):
         ecg = synthetic_ecg(300, 60, snr_db=20, seed=4)
-        peaks = detect_r_peaks(ecg.samples, FS)
-        marks = delineate(ecg.samples, FS, peaks)
+        peaks = detect_r_peaks(ecg.samples)
+        marks = delineate(ecg.samples, peaks)
         assert len(marks) >= 295
         good = 0
         for beat in _waves_x(marks):
@@ -418,16 +413,16 @@ class TestDelineate:
     def test_single_edge_peak_dropped(self):
         samples = np.zeros(int(5 * FS))
         samples[10] = 1.0
-        marks = delineate(samples, FS, np.array([10]))
+        marks = delineate(samples, np.array([10]))
         assert len(marks) == 0
 
     def test_empty_peaks_empty_sequence(self):
-        marks = delineate(np.zeros(1000), FS, np.array([], dtype=int))
+        marks = delineate(np.zeros(1000), np.array([], dtype=int))
         assert marks.shape == (0, 7, 2)
 
     def test_window_bounds_property(self):
         ecg = synthetic_ecg(120, 75, snr_db=18, seed=9)
-        marks = segment_record(ecg.samples, FS)
+        marks = segment_record(ecg.samples)
         for px, qx, r, sx, tx, on_x, off_x in marks[..., 0].astype(int):
             assert r - 60 <= px < r - 15
             assert r - 15 <= qx < r
@@ -444,26 +439,26 @@ class TestDelineate:
     @example((np.arange(800.0) % 3, np.array([400, 400, 100, 700, 100, -5, 900])))
     def test_equals_per_beat_loop(self, case):
         samples, peaks = case
-        got = delineate(samples, FS, peaks)
-        want = _delineate_loop(samples, FS, peaks)
+        got = delineate(samples, peaks)
+        want = _delineate_loop(samples, peaks)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     def test_peak_past_the_end_dropped(self):
         # Its Q window lies past the last sample; the loop raised ValueError.
-        marks = delineate(np.zeros(1000), FS, np.array([500, 1100]))
+        marks = delineate(np.zeros(1000), np.array([500, 1100]))
         assert marks[:, 2, 0].tolist() == [500]
 
     def test_y_values_from_raw_signal(self):
         ecg = synthetic_ecg(60, 70, snr_db=25, seed=6)
-        marks = segment_record(ecg.samples, FS)
+        marks = segment_record(ecg.samples)
         assert marks.dtype == np.float64
         np.testing.assert_array_equal(marks[..., 1], ecg.samples[marks[..., 0].astype(int)])
 
     def test_scaling_leaves_x_scales_y(self):
         ecg = synthetic_ecg(60, 70, snr_db=22, seed=8)
-        m1 = segment_record(ecg.samples, FS)
-        m3 = segment_record(3.0 * ecg.samples, FS)
+        m1 = segment_record(ecg.samples)
+        m3 = segment_record(3.0 * ecg.samples)
         assert m1.shape == m3.shape
         np.testing.assert_array_equal(m1[..., 0], m3[..., 0])
         np.testing.assert_allclose(m3[..., 1], 3.0 * m1[..., 1], rtol=1e-6)
@@ -481,7 +476,7 @@ class TestRobustness:
             "T": (200.0, -0.35, 28.0),
         }
         ecg = synthetic_ecg(120, 80, snr_db=20, seed=2, waves=waves)
-        peaks = detect_r_peaks(ecg.samples, FS)
+        peaks = detect_r_peaks(ecg.samples)
         assert _recall(peaks, ecg.r_locations, tol=12) >= 0.95
 
     def test_absent_p_wave_still_delineates(self):
@@ -495,7 +490,7 @@ class TestRobustness:
             "T": (200.0, 0.4, 28.0),
         }
         ecg = synthetic_ecg(60, 70, snr_db=25, seed=3, waves=waves)
-        marks = segment_record(ecg.samples, FS)
+        marks = segment_record(ecg.samples)
         assert len(marks) > 30
         for px, _, r, _, _ in _waves_x(marks):
             assert r - 60 <= px < r - 15
@@ -503,16 +498,16 @@ class TestRobustness:
     def test_pure_noise_does_not_crash(self):
         rng = np.random.default_rng(4)
         noise = rng.normal(0, 0.05, int(60 * FS))
-        peaks = detect_r_peaks(noise, FS)
+        peaks = detect_r_peaks(noise)
         assert np.all(np.diff(peaks) >= REFRACTORY_SAMPLES)
-        marks = delineate(noise, FS, peaks)
+        marks = delineate(noise, peaks)
         assert len(marks) <= len(peaks)
 
     def test_baseline_wander_rejected(self):
         ecg = synthetic_ecg(120, 75, seed=5)
         t = np.arange(len(ecg.samples)) / FS
         wander = 0.8 * np.sin(2 * np.pi * 0.3 * t)  # 0.3 Hz drift
-        peaks_clean = detect_r_peaks(ecg.samples, FS)
-        peaks_wander = detect_r_peaks(ecg.samples + wander, FS)
+        peaks_clean = detect_r_peaks(ecg.samples)
+        peaks_wander = detect_r_peaks(ecg.samples + wander)
         assert _recall(peaks_wander, ecg.r_locations, tol=12) >= 0.99
         assert abs(len(peaks_wander) - len(peaks_clean)) <= 2
