@@ -21,14 +21,7 @@ import numpy as np
 
 from . import record_io
 from .dwt import DWT_LAYOUT_VERSION, STAT_NAMES
-from .evaluation import (
-    CLASSIFIERS,
-    FEATURE_BANKS,
-    SCENARIOS,
-    combine_tables,
-    render_markdown,
-    run_matrix,
-)
+from .evaluation import FEATURE_BANKS, SCENARIOS, FeatureTable, render_markdown, run_matrix
 from .exceptions import EcgAlarmError, EmptyDataset, MissingInput
 from .feature_synthesis import HLF_LAYOUT_VERSION
 from .pipeline import _featurize_task
@@ -155,11 +148,29 @@ def cmd_featurize(cfg: dict) -> int:
     return 0
 
 
-def _load_tables(out: Path, scenarios: list[str]) -> dict:
-    needed = dict.fromkeys(bank for scenario in scenarios for bank in SCENARIOS[scenario])
-    banks = {bank: read_feature_csv(out / f"{bank}.csv") for bank in needed}
+def _load_tables(out: Path, scenarios: list[str], manifest: dict) -> dict[str, FeatureTable]:
+    """Each scenario's table, its banks' columns side by side. Reads each bank
+    once and checks that all list the same records, each one in `manifest`
+    with the manifest's label."""
+    banks = {}
+    for bank in dict.fromkeys(bank for scenario in scenarios for bank in SCENARIOS[scenario]):
+        table = banks[bank] = read_feature_csv(out / f"{bank}.csv", FEATURE_BANKS[bank])
+        first_bank, first = next(iter(banks.items()))
+        if table.records != first.records:
+            raise MissingInput(f"{bank}.csv and {first_bank}.csv list different records "
+                               "(featurize again)")
+        unknown = [name for name in table.records if name not in manifest]
+        if unknown:
+            raise MissingInput(f"{len(unknown)} {bank}.csv records are not in the manifest, "
+                               f"first {unknown[0]!r} (featurize again after ingest)")
+        relabelled = [name for name, label in zip(table.records, table.y)
+                      if manifest[name][1] != label]
+        if relabelled:
+            raise MissingInput(f"{len(relabelled)} {bank}.csv labels differ from the manifest, "
+                               f"first {relabelled[0]!r} (featurize again after ingest)")
     return {
-        scenario: combine_tables(*(banks[bank] for bank in SCENARIOS[scenario]))
+        scenario: FeatureTable(first.records, first.y,
+                               np.hstack([banks[bank].X for bank in SCENARIOS[scenario]]))
         for scenario in scenarios
     }
 
@@ -172,17 +183,8 @@ def cmd_evaluate(cfg: dict) -> int:
     out = _out_dir(cfg)
     manifest = {r["record"]: (r["alarm_type"], record_io.parse_label(r["label"], r["record"]))
                 for r in read_manifest(out / "manifest.csv") if not r["skipped_reason"]}
-    scenarios = tuple(cfg["scenarios"])
-    tables = _load_tables(out, list(scenarios))
-
-    report = run_matrix(
-        tables,
-        manifest,
-        scenarios=scenarios,
-        classifiers=CLASSIFIERS,
-        folds=cfg["folds"],
-        seed=cfg["seed"],
-    )
+    tables = _load_tables(out, cfg["scenarios"], manifest)
+    report = run_matrix(tables, manifest, cfg["folds"], cfg["seed"])
 
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
     (out / "report.md").write_text(render_markdown(report))

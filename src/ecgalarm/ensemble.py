@@ -233,15 +233,11 @@ def _boost(
     y = np.asarray(y, dtype=int)
     _check_labels(y)
 
-    col_min = X.min(axis=0)
-    col_max = X.max(axis=0)
-    scale = np.where(col_max - col_min > 0, col_max - col_min, 1.0)
-    Xn = (X - col_min) / scale
+    model = BoostedEnsemble(trees=[], alphas=[], col_min=X.min(axis=0), col_max=X.max(axis=0))
+    Xn = model._normalize(X)
 
     n = len(X)
     w = np.full(n, 1.0 / n)
-    trees: list[DecisionTree] = []
-    alphas: list[float] = []
     presorted = np.argsort(Xn.T, axis=1, kind="stable")
 
     for t in range(rounds):
@@ -256,20 +252,20 @@ def _boost(
         miss = pred != y
         eps = float(w[miss].sum())
         if eps >= 0.5:
-            if not trees:
+            if not model.trees:
                 raise NoWeakLearner(f"boosting round 0 has weighted error {eps:.3f} >= 0.5")
             break  # discard this round
         if eps == 0.0:
-            alphas.append(learning_rate * 0.5 * np.log((1 - _EPS_PERFECT) / _EPS_PERFECT))
-            trees.append(tree)
+            model.alphas.append(learning_rate * 0.5 * np.log((1 - _EPS_PERFECT) / _EPS_PERFECT))
+            model.trees.append(tree)
             break
         alpha = learning_rate * 0.5 * np.log((1.0 - eps) / eps)
-        trees.append(tree)
-        alphas.append(alpha)
+        model.trees.append(tree)
+        model.alphas.append(alpha)
         w = w * np.exp(-alpha * y * pred)
         w = w / w.sum()
 
-    return BoostedEnsemble(trees=trees, alphas=alphas, col_min=col_min, col_max=col_max)
+    return model
 
 
 def fit_adaboost(
@@ -295,18 +291,18 @@ def fit_rusboost(
     rounds: int = DEFAULT_ROUNDS,
     learning_rate: float = DEFAULT_LEARNING_RATE,
     max_splits: int = DEFAULT_MAX_SPLITS,
-    target_ratio: float = DEFAULT_TARGET_RATIO,
     seed: int = 0,
 ) -> BoostedEnsemble:
     """RUSBoost: each round trains on all minority plus a random majority
-    subsample (minority:majority = target_ratio); errors and weight updates
-    stay on the full weighted set. Raises NoWeakLearner as fit_adaboost does."""
+    subsample (minority:majority = DEFAULT_TARGET_RATIO); errors and weight
+    updates stay on the full weighted set. Raises NoWeakLearner as
+    fit_adaboost does."""
     y = np.asarray(y, dtype=int)
     _check_labels(y)
     pos = np.flatnonzero(y > 0)
     neg = np.flatnonzero(y < 0)
     minority, majority = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
-    n_keep = min(len(majority), int(round(len(minority) / target_ratio)))
+    n_keep = min(len(majority), int(round(len(minority) / DEFAULT_TARGET_RATIO)))
     rng = np.random.default_rng(seed)
 
     def subset(t: int, w: np.ndarray) -> np.ndarray:

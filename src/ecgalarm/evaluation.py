@@ -12,7 +12,7 @@ alarms correctly suppressed.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .ensemble import (
     fit_adaboost,
     fit_rusboost,
 )
-from .exceptions import ConfigError, EmptyInput, MissingInput, UndefinedAuc
+from .exceptions import ConfigError, EmptyInput, UndefinedAuc
 from .feature_synthesis import HLF_LENGTH
 from .record_io import TRUE_ALARM
 from .segment_features import LLF_LENGTH
@@ -185,44 +185,6 @@ class FeatureTable:
     X: np.ndarray
 
 
-def combine_tables(first: FeatureTable, *rest: FeatureTable) -> FeatureTable:
-    """Column-concatenate scenario tables (records and labels must align)."""
-    for other in rest:
-        if other.records != first.records:
-            raise MissingInput("feature tables cover different record sets")
-        if not np.array_equal(other.y, first.y):
-            raise MissingInput("feature tables disagree on labels")
-    return FeatureTable(first.records, first.y, np.hstack([first.X] + [t.X for t in rest]))
-
-
-@dataclass
-class CellResult:
-    scenario: str
-    classifier: str
-    confusion: ConfusionMetrics
-    auc: float
-    roc_points: list[tuple[float, float, float]]
-    per_fold: list[dict] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "classifier": self.classifier,
-            "accuracy": self.confusion.accuracy,
-            "sensitivity": self.confusion.sensitivity,
-            "specificity": self.confusion.specificity,
-            "auc": self.auc,
-            "confusion": {
-                "tp": self.confusion.tp,
-                "fn": self.confusion.fn,
-                "tn": self.confusion.tn,
-                "fp": self.confusion.fp,
-            },
-            "per_fold": self.per_fold,
-            "roc_points": [list(pt) for pt in self.roc_points],
-        }
-
-
 def _cell_seed(seed: int, scenario: str, classifier: str, fold: int) -> int:
     tag = f"{scenario}|{classifier}|{fold}"
     return (seed ^ zlib.crc32(tag.encode())) & 0xFFFFFFFF
@@ -235,17 +197,10 @@ def _defined(rate: float) -> float | None:
 
 
 def run_cell(
-    table: FeatureTable,
-    folds: np.ndarray,
-    scenario: str,
-    classifier: str,
-    seed: int,
-    rounds: int = DEFAULT_ROUNDS,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    max_splits: int = DEFAULT_MAX_SPLITS,
-    target_ratio: float = DEFAULT_TARGET_RATIO,
-) -> CellResult:
-    """Cross-validated evaluation of one (scenario, classifier) cell."""
+    table: FeatureTable, folds: np.ndarray, scenario: str, classifier: str, seed: int
+) -> dict:
+    """Cross-validated evaluation of one (scenario, classifier) cell, as its
+    report.json entry."""
     n = len(table.records)
     pooled_pred = np.zeros(n, dtype=int)
     pooled_score = np.zeros(n, dtype=np.float64)
@@ -256,12 +211,10 @@ def run_cell(
         train = np.flatnonzero(folds != fold)
         X_train, y_train = table.X[train], table.y[train]
         if classifier == "BoostedTrees":
-            model = fit_adaboost(X_train, y_train, rounds, learning_rate, max_splits)
+            model = fit_adaboost(X_train, y_train)
         elif classifier == "RUSBoostedTrees":
-            model = fit_rusboost(
-                X_train, y_train, rounds, learning_rate, max_splits, target_ratio,
-                seed=_cell_seed(seed, scenario, classifier, fold),
-            )
+            model = fit_rusboost(X_train, y_train,
+                                 seed=_cell_seed(seed, scenario, classifier, fold))
         else:
             raise ConfigError(f"unknown classifier {classifier!r}")
         scores = model.score_batch(table.X[test])
@@ -281,71 +234,48 @@ def run_cell(
 
     confusion = confusion_metrics(table.y, pooled_pred)
     auc, points = roc_auc(table.y, pooled_score)
-    return CellResult(scenario, classifier, confusion, auc, points, per_fold)
+    return {
+        "scenario": scenario,
+        "classifier": classifier,
+        "accuracy": confusion.accuracy,
+        "sensitivity": confusion.sensitivity,
+        "specificity": confusion.specificity,
+        "auc": auc,
+        "confusion": {"tp": confusion.tp, "fn": confusion.fn,
+                      "tn": confusion.tn, "fp": confusion.fp},
+        "per_fold": per_fold,
+        "roc_points": [list(pt) for pt in points],
+    }
 
 
 def run_matrix(
     tables: dict[str, FeatureTable],
     manifest: dict[str, tuple[str, int]],
-    scenarios: tuple[str, ...] = tuple(SCENARIOS),
-    classifiers: tuple[str, ...] = CLASSIFIERS,
     folds: int = 5,
     seed: int = 0,
-    *,
-    rounds: int = DEFAULT_ROUNDS,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    max_splits: int = DEFAULT_MAX_SPLITS,
-    target_ratio: float = DEFAULT_TARGET_RATIO,
 ) -> dict:
-    """Evaluate every requested (scenario, classifier) cell on shared folds.
-    `manifest` maps each usable record to its (alarm type, label); it must
-    name every record of the tables with the label the tables carry."""
-    for scenario in scenarios:
-        if scenario not in tables:
-            raise MissingInput(f"no feature table for scenario {scenario!r}")
-        got = tables[scenario].X.shape[1]
-        want = sum(len(FEATURE_BANKS[bank]) for bank in SCENARIOS.get(scenario, ()))
-        if scenario in SCENARIOS and got != want:
-            raise ConfigError(f"{scenario}: expected {want} columns, got {got}")
-
-    base = tables[scenarios[0]]
-    for scenario in scenarios:
-        table = tables[scenario]
-        if table.records != base.records:
-            raise MissingInput("scenario tables cover different record sets")
-        unknown = [name for name in table.records if name not in manifest]
-        if unknown:
-            raise MissingInput(f"{len(unknown)} table records are not in the manifest, "
-                               f"first {unknown[0]!r} (featurize again after ingest)")
-        relabelled = [name for name, label in zip(table.records, table.y)
-                      if manifest[name][1] != label]
-        if relabelled:
-            raise MissingInput(f"{len(relabelled)} {scenario} table labels differ from the "
-                               f"manifest, first {relabelled[0]!r} (featurize again after ingest)")
-
-    meta = [manifest[name] for name in base.records]
-    fold_of = stratified_folds(meta, folds, seed)
-    hyper = {"rounds": rounds, "learning_rate": learning_rate,
-             "max_splits": max_splits, "target_ratio": target_ratio}
-
-    cells = {}
-    for scenario in scenarios:
-        for classifier in classifiers:
-            result = run_cell(
-                tables[scenario], fold_of, scenario, classifier, seed, **hyper
-            )
-            cells[f"{scenario}/{classifier}"] = result
-
+    """Evaluate every scenario of `tables`, in its order, under both CLASSIFIERS
+    on shared folds. The tables list the same records, and `manifest` maps
+    each to its (alarm type, label); `cli._load_tables` checks both."""
+    records = next(iter(tables.values())).records
+    fold_of = stratified_folds([manifest[name] for name in records], folds, seed)
     return {
         "config": {
             "folds": folds,
             "seed": seed,
-            "scenarios": list(scenarios),
-            "classifiers": list(classifiers),
-            "n_records": len(base.records),
-            **hyper,
+            "scenarios": list(tables),
+            "classifiers": list(CLASSIFIERS),
+            "n_records": len(records),
+            "rounds": DEFAULT_ROUNDS,
+            "learning_rate": DEFAULT_LEARNING_RATE,
+            "max_splits": DEFAULT_MAX_SPLITS,
+            "target_ratio": DEFAULT_TARGET_RATIO,
         },
-        "cells": {key: cell.as_dict() for key, cell in cells.items()},
+        "cells": {
+            f"{scenario}/{classifier}": run_cell(table, fold_of, scenario, classifier, seed)
+            for scenario, table in tables.items()
+            for classifier in CLASSIFIERS
+        },
     }
 
 

@@ -189,15 +189,9 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
             if best_noise is None or peak > best_noise[1]:
                 best_noise = (idx, peak, fpeak, slope)
 
-    # Enforce strict ordering and the refractory on the final index list.
-    out: list[int] = []
-    for r in sorted(set(r_peaks)):
-        if out and r - out[-1] < REFRACTORY_SAMPLES:
-            if abs_f[r] > abs_f[out[-1]]:
-                out[-1] = r
-            continue
-        out.append(r)
-    return np.asarray(out, dtype=int)
+    # accept_qrs keeps only an R at least REFRACTORY_SAMPLES past the last,
+    # so the list is already strictly increasing.
+    return np.asarray(r_peaks, dtype=int)
 
 
 def _first_min(samples: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: float) -> np.ndarray:

@@ -34,24 +34,33 @@ def write_feature_csv(
             writer.writerow([name, LABEL_TEXT[label]] + [repr(float(v)) for v in row])
 
 
-def read_feature_csv(path: str | Path) -> FeatureTable:
+def read_feature_csv(path: str | Path, columns: list[str]) -> FeatureTable:
+    """The table at `path`, whose header must be record, label and `columns`
+    in that order; MissingInput names the file and the record of any row
+    that does not fit it."""
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"feature CSV not found: {path}")
     records: list[str] = []
     labels: list[int] = []
-    rows: list[list[float]] = []
+    values: list[list[float]] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
-        columns = [c for c in reader.fieldnames or () if c not in ("record", "label")]
-        for row in reader:
-            records.append(row["record"])
-            labels.append(parse_label(row["label"], row["record"]))
-            rows.append(
-                [float(row[c]) for c in row if c not in ("record", "label")]
-            )
+        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        if next(reader, None) != ["record", "label", *columns]:
+            raise MissingInput(f"{path.name}: header is not record,label and the "
+                               f"{len(columns)} feature columns in order; featurize again")
+        for row in filter(None, reader):  # a blank line is no row
+            if len(row) != len(columns) + 2:
+                raise MissingInput(f"{path.name}: row {len(records) + 1} ({row[0]!r}) has "
+                                   f"{len(row)} fields, the header {len(columns) + 2}")
+            records.append(row[0])
+            labels.append(parse_label(row[1], row[0]))
+            try:
+                values.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise MissingInput(f"{path.name}: record {row[0]!r}: {exc}") from None
     # A header-only table keeps its width: X has shape (0, len(columns)).
-    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    X = np.asarray(values, dtype=np.float64).reshape(len(values), len(columns))
     # A tree would split a nan column at threshold nan and send every row right.
     bad = np.argwhere(~np.isfinite(X))
     if len(bad):

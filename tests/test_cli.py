@@ -5,14 +5,20 @@ import shutil
 import numpy as np
 import pytest
 
-from ecgalarm.cli import main
+from ecgalarm.cli import _load_tables, main
+from ecgalarm.evaluation import FEATURE_BANKS
 from ecgalarm.feature_synthesis import HLF_LENGTH
+from ecgalarm.record_io import parse_label
 from ecgalarm.segment_features import LLF_LENGTH
 from ecgalarm.tables import read_feature_csv, read_manifest
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def _read(out, bank):
+    return read_feature_csv(out / f"{bank}.csv", FEATURE_BANKS[bank])
 
 
 @pytest.fixture(scope="module")
@@ -211,10 +217,10 @@ class TestIngest:
 
 class TestFeaturize:
     def test_feature_csv_shapes(self, pipeline_out):
-        llf = read_feature_csv(pipeline_out / "llf.csv")
-        hlf_c = read_feature_csv(pipeline_out / "hlf_cityblock.csv")
-        hlf_e = read_feature_csv(pipeline_out / "hlf_euclidean.csv")
-        dwt = read_feature_csv(pipeline_out / "dwt.csv")
+        llf = _read(pipeline_out, "llf")
+        hlf_c = _read(pipeline_out, "hlf_cityblock")
+        hlf_e = _read(pipeline_out, "hlf_euclidean")
+        dwt = _read(pipeline_out, "dwt")
         assert llf.X.shape == (30, LLF_LENGTH)
         assert hlf_c.X.shape == (30, HLF_LENGTH)
         assert hlf_e.X.shape == (30, HLF_LENGTH)
@@ -250,7 +256,7 @@ class TestFeaturize:
         assert run_cli("featurize", "--out", out) == 0
         assert "featurize failed for b107l: NonFiniteSignal: sample 100 is inf" in (
             capsys.readouterr().err)
-        table = read_feature_csv(out / "dwt.csv")
+        table = _read(out, "dwt")
         assert len(table.records) == 29 and "b107l" not in table.records
 
     def test_failed_featurize_leaves_no_stale_tables(self, pipeline_out, tmp_path):
@@ -280,8 +286,8 @@ class TestFeaturize:
         out = tmp_path / "out"
         run_cli("ingest", "--data-dir", data, "--labels", tmp_path / "labels.csv", "--out", out)
         assert run_cli("featurize", "--out", out) == 0
-        llf = read_feature_csv(out / "llf.csv")
-        hlf = read_feature_csv(out / "hlf_cityblock.csv")
+        llf = _read(out, "llf")
+        hlf = _read(out, "hlf_cityblock")
         np.testing.assert_array_equal(llf.X[0], np.zeros(LLF_LENGTH))
         expected_hlf = np.zeros(HLF_LENGTH)
         expected_hlf[1] = 1.0  # ASY one-hot; heart rate 0
@@ -327,15 +333,15 @@ class TestEvaluate:
         for name in ("hlf_cityblock.csv", "dwt.csv"):
             header = (pipeline_out / name).read_text().splitlines()[:2]  # comment, header
             (out / name).write_text("\n".join(header) + "\n")
-        assert read_feature_csv(out / "dwt.csv").X.shape == (0, 120)
-        assert read_feature_csv(out / "hlf_cityblock.csv").X.shape == (0, HLF_LENGTH)
+        assert _read(out, "dwt").X.shape == (0, 120)
+        assert _read(out, "hlf_cityblock").X.shape == (0, HLF_LENGTH)
         assert run_cli("evaluate", "--out", out, "--scenarios", "DWT+HLF_cityblock") == 2
 
     def test_misspelled_label_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("record,label,f1\nr1,true,1.0\nr2,ture,2.0\n")
         with pytest.raises(ValueError, match="'r2' must be true/false, got 'ture'"):
-            read_feature_csv(path)
+            read_feature_csv(path, ["f1"])
 
     def test_bad_table_label_exits_2(self, pipeline_out, tmp_path, capsys):
         out = tmp_path / "out"
@@ -406,6 +412,80 @@ class TestEvaluate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "'a101l'" in err[0] and "featurize again" in err[0]
+
+
+    @staticmethod
+    def _evaluate_edited(pipeline_out, out, bank, edit, scenarios):
+        """Evaluate `scenarios` on the fixture's tables, with the lines of
+        `bank`'s table passed through `edit` first."""
+        out.mkdir()
+        for name in ("manifest.csv", "llf.csv", "hlf_cityblock.csv",
+                     "hlf_euclidean.csv", "dwt.csv"):
+            shutil.copy(pipeline_out / name, out / name)
+        path = out / f"{bank}.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        return run_cli("evaluate", "--out", out, "--scenarios", scenarios)
+
+    @staticmethod
+    def _edit_row(record, change):
+        def edit(lines):
+            at = next(i for i, ln in enumerate(lines) if ln.startswith(f"{record},"))
+            lines[at] = ",".join(change(lines[at].split(",")))
+            return lines
+        return edit
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda cells: cells[:-1], "row 1 ('a101l') has 32 fields, the header 33"),
+         (lambda cells: cells + ["0.0"], "row 1 ('a101l') has 34 fields, the header 33"),
+         (lambda cells: cells[:5] + ["abc"] + cells[6:],
+          "record 'a101l': could not convert string to float: 'abc'")],
+        ids=["short_row", "extra_field", "not_a_number"],
+    )
+    def test_malformed_row_exits_2(self, pipeline_out, tmp_path, capsys, change, message):
+        edit = self._edit_row("a101l", change)
+        assert self._evaluate_edited(pipeline_out, tmp_path / "out", "hlf_cityblock", edit,
+                                     "HLF_cityblock") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: hlf_cityblock.csv: {message}"]
+
+    @pytest.mark.parametrize(
+        "bank, change, scenarios",
+        [("hlf_cityblock", lambda cols: cols[:-1], "HLF_cityblock"),
+         ("hlf_cityblock", lambda cols: cols[:3] + cols[2:3] + cols[4:], "HLF_cityblock"),
+         ("dwt", lambda cols: cols[:2] + [cols[3], cols[2]] + cols[4:], "DWT+HLF_euclidean"),
+         ("dwt", lambda cols: cols[:2] + ["d1_mean"] + cols[3:], "DWT")],
+        ids=["narrow", "duplicate_column", "reordered", "renamed"],
+    )
+    def test_header_off_layout_exits_2(self, pipeline_out, tmp_path, capsys, bank, change,
+                                       scenarios):
+        # A table must carry its bank's columns by name and in order; a
+        # width check alone passes a renamed, reordered or duplicated one.
+        edit = self._edit_row("record", change)
+        assert self._evaluate_edited(pipeline_out, tmp_path / "out", bank, edit, scenarios) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bank}.csv: header is not ")
+
+    def test_banks_listing_other_records_exit_2(self, pipeline_out, tmp_path, capsys):
+        def drop_a101l(lines):
+            return [ln for ln in lines if not ln.startswith("a101l,")]
+
+        assert self._evaluate_edited(pipeline_out, tmp_path / "out", "hlf_cityblock",
+                                     drop_a101l, "DWT+HLF_cityblock") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: hlf_cityblock.csv and dwt.csv list different records (featurize again)"]
+
+    def test_scenario_joins_its_banks(self, pipeline_out):
+        manifest = {r["record"]: (r["alarm_type"], parse_label(r["label"], r["record"]))
+                    for r in read_manifest(pipeline_out / "manifest.csv")
+                    if not r["skipped_reason"]}
+        tables = _load_tables(pipeline_out, ["DWT+HLF_cityblock", "DWT"], manifest)
+        assert list(tables) == ["DWT+HLF_cityblock", "DWT"]
+        dwt, hlf = _read(pipeline_out, "dwt"), _read(pipeline_out, "hlf_cityblock")
+        joined = tables["DWT+HLF_cityblock"]
+        assert joined.X.shape == (30, 120 + HLF_LENGTH)
+        np.testing.assert_array_equal(joined.X, np.hstack([dwt.X, hlf.X]))
+        assert joined.records == dwt.records
+        np.testing.assert_array_equal(joined.y, dwt.y)
 
 
 class TestDeterminism:

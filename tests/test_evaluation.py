@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from ecgalarm.ensemble import fit_adaboost
+from ecgalarm.ensemble import DEFAULT_ROUNDS, fit_adaboost
 from ecgalarm.evaluation import (
-    FEATURE_BANKS,
-    SCENARIOS,
     FeatureTable,
     _midranks,
-    combine_tables,
     confusion_metrics,
     render_markdown,
     roc_auc,
@@ -24,7 +21,6 @@ from ecgalarm.evaluation import (
 from ecgalarm.exceptions import (
     ConfigError,
     EmptyInput,
-    MissingInput,
     UndefinedAuc,
 )
 from ecgalarm.record_io import ALARM_TYPES, FALSE_ALARM, TRUE_ALARM
@@ -174,10 +170,9 @@ class TestRunCell:
         table = tables["A"]
         meta = [manifest[r] for r in table.records]
         folds = stratified_folds(meta, 4, seed=1)
-        cell = run_cell(table, folds, "A", "BoostedTrees", seed=1, rounds=5)
-        c = cell.confusion
-        assert c.tp + c.fn + c.tn + c.fp == len(table.records)
-        assert len(cell.per_fold) == 4
+        cell = run_cell(table, folds, "A", "BoostedTrees", 1)
+        assert sum(cell["confusion"].values()) == len(table.records)
+        assert len(cell["per_fold"]) == 4
 
     def test_fold_scores_reproducible_from_train_only(self):
         # No leakage: the fold-0 scores equal those of a model fitted on the
@@ -187,20 +182,20 @@ class TestRunCell:
         table = tables["A"]
         meta = [manifest[r] for r in table.records]
         folds = stratified_folds(meta, 4, seed=2)
-        cell = run_cell(table, folds, "A", "BoostedTrees", seed=2, rounds=5)
+        cell = run_cell(table, folds, "A", "BoostedTrees", 2)
 
         test = np.flatnonzero(folds == 0)
         train = np.flatnonzero(folds != 0)
-        model = fit_adaboost(table.X[train], table.y[train], rounds=5)
+        model = fit_adaboost(table.X[train], table.y[train])
         pred = np.where(model.score_batch(table.X[test]) >= 0, 1, -1)
-        fold0 = next(f for f in cell.per_fold if f["fold"] == 0)
+        fold0 = next(f for f in cell["per_fold"] if f["fold"] == 0)
         assert fold0["accuracy"] == confusion_metrics(table.y[test], pred).accuracy
         # normalization comes from training rows only
         np.testing.assert_array_equal(model.col_min, table.X[train].min(axis=0))
         np.testing.assert_array_equal(model.col_max, table.X[train].max(axis=0))
         perturbed = table.X.copy()
         perturbed[test] *= 100.0
-        model2 = fit_adaboost(perturbed[train], table.y[train], rounds=5)
+        model2 = fit_adaboost(perturbed[train], table.y[train])
         np.testing.assert_array_equal(model.col_min, model2.col_min)
         np.testing.assert_array_equal(model.col_max, model2.col_max)
 
@@ -208,16 +203,11 @@ class TestRunCell:
 class TestRunMatrix:
     def test_report_structure_and_determinism(self):
         tables, manifest = _toy_tables(seed=5)
-        kwargs = dict(
-            scenarios=("A", "B"),
-            classifiers=("BoostedTrees", "RUSBoostedTrees"),
-            folds=4,
-            seed=7,
-            rounds=4,
-        )
-        r1 = run_matrix(tables, manifest, **kwargs)
-        r2 = run_matrix(tables, manifest, **kwargs)
+        r1 = run_matrix(tables, manifest, folds=4, seed=7)
+        r2 = run_matrix(tables, manifest, folds=4, seed=7)
         assert r1 == r2
+        assert r1["config"]["scenarios"] == ["A", "B"]  # the order of `tables`
+        assert r1["config"]["rounds"] == DEFAULT_ROUNDS
         assert set(r1["cells"]) == {
             "A/BoostedTrees", "A/RUSBoostedTrees",
             "B/BoostedTrees", "B/RUSBoostedTrees",
@@ -225,26 +215,6 @@ class TestRunMatrix:
         for cell in r1["cells"].values():
             for metric in ("accuracy", "sensitivity", "specificity", "auc"):
                 assert 0.0 <= cell[metric] <= 1.0
-
-    def test_missing_scenario_raises(self):
-        tables, manifest = _toy_tables()
-        with pytest.raises(MissingInput):
-            run_matrix(tables, manifest, scenarios=("A", "C"), folds=4, seed=0, rounds=2)
-
-    def test_scenario_dimension_check(self):
-        tables, manifest = _toy_tables(dim_a=30)
-        tables["HLF_cityblock"] = tables.pop("A")  # wrong width: 30 != 31
-        with pytest.raises(ConfigError):
-            run_matrix(
-                tables, manifest, scenarios=("HLF_cityblock",), folds=4, seed=0, rounds=2
-            )
-
-    def test_combine_tables_dims(self):
-        tables, _ = _toy_tables(dim_a=120, dim_b=31)
-        combined = combine_tables(tables["A"], tables["B"])
-        widths = [len(FEATURE_BANKS[bank]) for bank in SCENARIOS["DWT+HLF_cityblock"]]
-        assert widths == [120, 31]
-        assert combined.X.shape[1] == sum(widths)
 
     def test_fold_without_positives_writes_null_not_nan(self):
         # Two true alarms of one stratum (ASY) are dealt to two of four folds;
@@ -255,25 +225,20 @@ class TestRunMatrix:
         y[[0, 5]] = TRUE_ALARM
         table = FeatureTable(table.records, y, table.X + 3.0 * y[:, None])
         manifest = {r: (manifest[r][0], int(label)) for r, label in zip(table.records, y)}
-        report = run_matrix(
-            {"A": table}, manifest, scenarios=("A",), classifiers=("BoostedTrees",),
-            folds=4, seed=0, rounds=3,
-        )
-        per_fold = report["cells"]["A/BoostedTrees"]["per_fold"]
-        assert sum(f["sensitivity"] is None for f in per_fold) == 2
+        report = run_matrix({"A": table}, manifest, folds=4, seed=0)
+        for cell in report["cells"].values():
+            assert sum(f["sensitivity"] is None for f in cell["per_fold"]) == 2
         constants = []
         parsed = json.loads(json.dumps(report, sort_keys=True, indent=1),
                             parse_constant=lambda c: constants.append(c) or float(c))
-        # The only non-finite value is the ROC's first threshold, +inf.
-        assert constants == ["Infinity"]
-        assert parsed["cells"]["A/BoostedTrees"]["roc_points"][0][2] == float("inf")
+        # The only non-finite values are each cell's first ROC threshold, +inf.
+        assert constants == ["Infinity", "Infinity"]
+        for cell in parsed["cells"].values():
+            assert cell["roc_points"][0][2] == float("inf")
 
     def test_markdown_render(self):
         tables, manifest = _toy_tables(seed=8)
-        report = run_matrix(
-            tables, manifest, scenarios=("A",), classifiers=("BoostedTrees",),
-            folds=4, seed=1, rounds=3,
-        )
+        report = run_matrix({"A": tables["A"]}, manifest, folds=4, seed=1)
         text = render_markdown(report)
         assert "## BoostedTrees" in text
         assert "| Accuracy |" in text

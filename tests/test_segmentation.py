@@ -94,6 +94,22 @@ class TestDetectRPeaks:
         ecg = synthetic_ecg(60, 60, snr_db=30, seed=1, waves=waves)
         assert len(detect_r_peaks(ecg.samples)) == beats
 
+    @pytest.mark.parametrize("bpm, found", [(73.5, False), (71.4, True)])
+    def test_first_searchback_gap(self, bpm, found):
+        # Until the first RR interval is known, search-back waits
+        # SEARCHBACK_FACTOR * RR_PRIOR = 415 samples after the first QRS. The
+        # second beat, at 45% amplitude, is under the threshold but over half
+        # of it. The third beat comes 408 samples after the first (73.5 bpm),
+        # inside that gap, and the second is lost; at 420 samples (71.4 bpm)
+        # it is past the gap and search-back recovers the second.
+        strong = synthetic_ecg(6, bpm, drop_beats=(1,))
+        weak_waves = {name: (offset, 0.45 * amp, width)
+                      for name, (offset, amp, width) in DEFAULT_WAVES.items()}
+        weak = synthetic_ecg(6, bpm, waves=weak_waves, drop_beats=(0, *range(2, 10)))
+        peaks = detect_r_peaks(strong.samples + weak.samples)
+        assert len(peaks) == len(strong.r_locations) + found
+        assert np.any(np.abs(peaks - weak.r_locations[0]) <= 5) == found
+
     def test_synthetic_60bpm_count_and_accuracy(self):
         ecg = synthetic_ecg(300, 60, snr_db=20, seed=11)
         peaks = detect_r_peaks(ecg.samples)
