@@ -20,15 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import record_io
-from .dwt import DWT_LAYOUT_VERSION, STAT_NAMES
-from .evaluation import FEATURE_BANKS, SCENARIOS, FeatureTable, render_markdown, run_matrix
+from .evaluation import SCENARIOS, FeatureTable, render_markdown, run_matrix
 from .exceptions import EcgAlarmError, EmptyDataset, MissingInput
-from .feature_synthesis import HLF_LAYOUT_VERSION
 from .pipeline import _featurize_task
-from .record_io import ALARM_TYPES, LABEL_TEXT, TARGET_FS, TRUE_ALARM
+from .record_io import ALARM_TYPES, FALSE_ALARM, LABEL_TEXT, TARGET_FS, TRUE_ALARM
 from .tables import (
+    FEATURE_BANKS,
     read_feature_csv,
     read_manifest,
+    remove_feature_csvs,
+    usable_records,
     write_feature_csv,
     write_manifest,
 )
@@ -40,16 +41,16 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def cmd_ingest(cfg: dict) -> int:
-    """Parse, label and cache every record. A record without lead II, or
-    sampled at a rate other than TARGET_FS, gets a manifest row with its
-    skipped_reason and no cached signal."""
+    """Parse, label and cache every record. A record without lead II, sampled
+    at a rate other than TARGET_FS, or named by an earlier header, gets a
+    manifest row with its skipped_reason and no cached signal."""
     if not cfg["data_dir"] or not cfg["labels"]:
         raise MissingInput("ingest needs --data-dir and --labels")
     out = _out_dir(cfg)
     cache_dir = out / "cache"
     cache_dir.mkdir(exist_ok=True)
     labels = record_io.load_labels(cfg["labels"])
-    rows = []
+    rows, claimed = [], set()
     for path in record_io.discover_records(cfg["data_dir"]):
         row = {"record": path.stem, "alarm_type": "", "label": "",
                "n_samples": 0, "skipped_reason": ""}
@@ -67,61 +68,37 @@ def cmd_ingest(cfg: dict) -> int:
                     row["skipped_reason"] = f"fs_{record.sampling_rate:g}"
                 else:
                     samples = samples[: record_io.ANALYSIS_SAMPLES]
-                    np.save(cache_dir / f"{record.record_name}.npy", samples)
+                    if record.record_name not in claimed:
+                        np.save(cache_dir / f"{record.record_name}.npy", samples)
                 row["record"] = record.record_name
                 row["alarm_type"] = record.alarm_type
                 row["label"] = LABEL_TEXT[record.label]
                 row["n_samples"] = len(samples)
         except (EcgAlarmError, OSError, ValueError) as exc:
             row["skipped_reason"] = type(exc).__name__
+        if row["record"] in claimed:
+            row["skipped_reason"] = "duplicate_record"
+        claimed.add(row["record"])
         rows.append(row)
 
-    if not any(not r["skipped_reason"] for r in rows):
+    usable = list(usable_records(rows).values())
+    if not usable:
         raise EmptyDataset(f"no usable records in {cfg['data_dir']}")
-    write_manifest(out / "manifest.csv", rows)
-    _print_counts(rows)
-    return 0
-
-
-def _print_counts(rows: list[dict]) -> None:
-    usable = [r for r in rows if not r["skipped_reason"]]
+    write_manifest(out, rows)
     print(f"usable records: {len(usable)}   skipped: {len(rows) - len(usable)}")
     for alarm in ALARM_TYPES:
-        members = [r for r in usable if r["alarm_type"] == alarm]
-        n_true = sum(1 for r in members if r["label"] == LABEL_TEXT[TRUE_ALARM])
-        print(f"  {alarm}: {len(members)} patients, {len(members) - n_true} false, {n_true} true")
-
-
-# Layout line written above a feature bank's header row.
-_BANK_COMMENTS = {
-    "hlf_cityblock": f"layout={HLF_LAYOUT_VERSION} metric=cityblock",
-    "hlf_euclidean": f"layout={HLF_LAYOUT_VERSION} metric=sqeuclidean",
-    "dwt": f"layout={DWT_LAYOUT_VERSION} stats={','.join(STAT_NAMES)}",
-}
+        n_false, n_true = usable.count((alarm, FALSE_ALARM)), usable.count((alarm, TRUE_ALARM))
+        print(f"  {alarm}: {n_false + n_true} patients, {n_false} false, {n_true} true")
+    return 0
 
 
 def cmd_featurize(cfg: dict) -> int:
     """Feature tables for every usable record. A record that fails is left
     out of every table; EmptyDataset when no record featurizes."""
     out = _out_dir(cfg)
-    for bank in FEATURE_BANKS:  # the tables are stale until this run writes them
-        (out / f"{bank}.csv").unlink(missing_ok=True)
-    manifest = read_manifest(out / "manifest.csv")
-    cache_dir = out / "cache"
-    usable = sorted(
-        (r for r in manifest if not r["skipped_reason"]), key=lambda r: r["record"]
-    )
-
-    tasks = [
-        (
-            r["record"],
-            str(cache_dir / f"{r['record']}.npy"),
-            r["alarm_type"],
-            record_io.parse_label(r["label"], r["record"]),
-            cfg["seed"],
-        )
-        for r in usable
-    ]
+    remove_feature_csvs(out)  # the tables are stale until this run writes them
+    tasks = [(name, str(out / "cache" / f"{name}.npy"), alarm_type, label, cfg["seed"])
+             for name, (alarm_type, label) in usable_records(read_manifest(out)).items()]
 
     if cfg["workers"] > 1:
         with multiprocessing.Pool(cfg["workers"]) as pool:
@@ -140,10 +117,8 @@ def cmd_featurize(cfg: dict) -> int:
 
     records = [f.record_name for f in done]
     labels = [f.label for f in done]
-    for bank, columns in FEATURE_BANKS.items():
-        write_feature_csv(out / f"{bank}.csv", records, labels,
-                          np.array([getattr(f, bank) for f in done]), columns,
-                          comment=_BANK_COMMENTS.get(bank))
+    for bank in FEATURE_BANKS:
+        write_feature_csv(out, bank, records, labels, np.array([getattr(f, bank) for f in done]))
     print(f"featurized {len(done)} records -> {out}")
     return 0
 
@@ -154,7 +129,7 @@ def _load_tables(out: Path, scenarios: list[str], manifest: dict) -> dict[str, F
     with the manifest's label."""
     banks = {}
     for bank in dict.fromkeys(bank for scenario in scenarios for bank in SCENARIOS[scenario]):
-        table = banks[bank] = read_feature_csv(out / f"{bank}.csv", FEATURE_BANKS[bank])
+        table = banks[bank] = read_feature_csv(out, bank)
         first_bank, first = next(iter(banks.items()))
         if table.records != first.records:
             raise MissingInput(f"{bank}.csv and {first_bank}.csv list different records "
@@ -181,8 +156,7 @@ def _safe_name(text: str) -> str:
 
 def cmd_evaluate(cfg: dict) -> int:
     out = _out_dir(cfg)
-    manifest = {r["record"]: (r["alarm_type"], record_io.parse_label(r["label"], r["record"]))
-                for r in read_manifest(out / "manifest.csv") if not r["skipped_reason"]}
+    manifest = usable_records(read_manifest(out))
     tables = _load_tables(out, cfg["scenarios"], manifest)
     report = run_matrix(tables, manifest, cfg["folds"], cfg["seed"])
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dwt import LEVELS, N_BAND_STATS
 from .ensemble import (
     DEFAULT_LEARNING_RATE,
     DEFAULT_MAX_SPLITS,
@@ -26,20 +25,9 @@ from .ensemble import (
     fit_rusboost,
 )
 from .exceptions import ConfigError, EmptyInput, UndefinedAuc
-from .feature_synthesis import HLF_LENGTH
 from .record_io import TRUE_ALARM
-from .segment_features import LLF_LENGTH
 
 CLASSIFIERS = ("BoostedTrees", "RUSBoostedTrees")
-# Feature bank -> the columns of its table, written to <bank>.csv from the
-# RecordFeatures field of the same name.
-FEATURE_BANKS = {
-    "llf": [f"f{i}" for i in range(1, LLF_LENGTH + 1)],
-    "hlf_cityblock": [f"f{i}" for i in range(1, HLF_LENGTH + 1)],
-    "hlf_euclidean": [f"f{i}" for i in range(1, HLF_LENGTH + 1)],
-    "dwt": [f"d{level}_f{i}" for level in range(1, LEVELS + 1)
-            for i in range(1, N_BAND_STATS + 1)],
-}
 # Scenario -> the feature banks whose columns it concatenates, in order.
 SCENARIOS = {
     "LLF": ("llf",),

@@ -23,7 +23,7 @@ class TruncatedSignal(EcgAlarmError):
 
 
 class LabelError(EcgAlarmError, ValueError):
-    """A label other than true/false in the labels file or a feature table."""
+    """A malformed labels file, or a label other than true/false."""
 
 
 class MissingLabel(EcgAlarmError):

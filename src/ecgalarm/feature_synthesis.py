@@ -27,6 +27,8 @@ from .record_io import ALARM_TYPES
 HLF_LENGTH = 31
 HLF_CLUSTERS = 5
 HLF_LAYOUT_VERSION = "hlf-v1"
+# HLF feature bank -> the k-means metric of the clustering that fills it.
+HLF_METRICS = {"hlf_cityblock": "cityblock", "hlf_euclidean": "sqeuclidean"}
 
 
 def normalize_centroid(centroid: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 from .clustering import kmeans, record_seed
 from .dwt import dwt_feature_vector
 from .exceptions import NonFiniteSignal
-from .feature_synthesis import HLF_CLUSTERS, synthesize
+from .feature_synthesis import HLF_CLUSTERS, HLF_METRICS, synthesize
 from .segment_features import heart_rate, llf_tail, segment_features
 from .segmentation import segment_record
 
@@ -56,15 +56,13 @@ def featurize_record(
     rows = segment_features(marks)
 
     hlf = {}
-    for metric in ("cityblock", "sqeuclidean"):
+    for bank, metric in HLF_METRICS.items():
         if len(rows) > 0:
-            clustering = kmeans(
-                rows, k=HLF_CLUSTERS, metric=metric,
-                seed=record_seed(seed, record_name),
-            )
+            clustering = kmeans(rows, k=HLF_CLUSTERS, metric=metric,
+                                seed=record_seed(seed, record_name))
         else:
             clustering = None
-        hlf[metric] = synthesize(clustering, hr, alarm_type)
+        hlf[bank] = synthesize(clustering, hr, alarm_type)
 
     return RecordFeatures(
         record_name=record_name,
@@ -73,9 +71,8 @@ def featurize_record(
         n_beats=len(marks),
         heart_rate=hr,
         llf=llf_tail(rows),
-        hlf_cityblock=hlf["cityblock"],
-        hlf_euclidean=hlf["sqeuclidean"],
         dwt=dwt_feature_vector(samples),
+        **hlf,
     )
 
 

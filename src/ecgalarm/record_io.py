@@ -221,11 +221,20 @@ def parse_label(text: str, record: str) -> int:
 
 
 def load_labels(path: str | Path) -> dict[str, int]:
-    """Read the labels CSV (``record,label`` with label in {true,false})."""
+    """The labels CSV: header ``record,label``, one row per record. LabelError
+    names the file and the record of a row without two fields or repeated."""
     labels = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            labels[row["record"].strip()] = parse_label(row["label"], row["record"])
+        reader = csv.reader(fh)
+        if next(reader, None) != ["record", "label"]:
+            raise LabelError(f"{path}: header is not record,label")
+        for row in filter(None, reader):
+            record = row[0].strip()
+            if len(row) != 2:
+                raise LabelError(f"{path}: record {record!r} has {len(row)} fields, not 2")
+            if record in labels:
+                raise LabelError(f"{path}: record {record!r} is listed twice")
+            labels[record] = parse_label(row[1], record)
     return labels
 
 

@@ -92,7 +92,7 @@ class TestCriterion2OrderingReproduction:
 @needs_dataset
 class TestCriterion3DatasetStatistics:
     def test_per_type_counts_exact(self, challenge_run):
-        rows = read_manifest(challenge_run / "manifest.csv")
+        rows = read_manifest(challenge_run)
         usable = [r for r in rows if not r["skipped_reason"]]
         assert len(usable) == 721
         for alarm, (n_patients, n_false, n_true) in EXPECTED_TYPE_COUNTS.items():

@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from ecgalarm.cli import _load_tables, main
-from ecgalarm.evaluation import FEATURE_BANKS
 from ecgalarm.feature_synthesis import HLF_LENGTH
-from ecgalarm.record_io import parse_label
 from ecgalarm.segment_features import LLF_LENGTH
-from ecgalarm.tables import read_feature_csv, read_manifest
+from ecgalarm.tables import (
+    read_feature_csv,
+    read_manifest,
+    usable_records,
+    write_feature_csv,
+)
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
-
-
-def _read(out, bank):
-    return read_feature_csv(out / f"{bank}.csv", FEATURE_BANKS[bank])
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +89,7 @@ class TestIngest:
         data_dir, labels = fixture_dataset
         out = tmp_path / "out"
         assert run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out) == 0
-        rows = read_manifest(out / "manifest.csv")
+        rows = read_manifest(out)
         usable = [r for r in rows if not r["skipped_reason"]]
         skipped = [r for r in rows if r["skipped_reason"]]
         assert len(usable) == 30
@@ -112,7 +111,7 @@ class TestIngest:
         def ingest():
             assert run_cli("ingest", "--data-dir", data, "--labels", labels_copy,
                            "--out", out) == 0
-            return read_manifest(out / "manifest.csv")
+            return read_manifest(out)
 
         ingest()
 
@@ -137,6 +136,38 @@ class TestIngest:
                        "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: label for 'a101l'")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda text: text.replace("record,label", "record,lab"), "header is not record,label"),
+         (lambda text: text.replace("a101l,true", "a101l"), "record 'a101l' has 1 fields, not 2"),
+         (lambda text: text + "a101l,false\n", "record 'a101l' is listed twice")],
+        ids=["header", "short_row", "repeated_record"],
+    )
+    def test_malformed_labels_exit_2(self, fixture_dataset, tmp_path, capsys, edit, message):
+        data_dir, labels = fixture_dataset
+        bad = tmp_path / "labels.csv"
+        bad.write_text(edit(labels.read_text()))
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", bad,
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+
+    def test_repeated_record_skipped(self, fixture_dataset, tmp_path):
+        # zz.hea names a101l again, over a signal of zeros: the record is
+        # ingested once, from the first header, and featurized once.
+        data_dir, labels = fixture_dataset
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        header = (data / "a101l.hea").read_text()
+        (data / "zz.hea").write_text(header.replace("a101l.mat", "zz.mat"))
+        (data / "zz.mat").write_bytes(bytes(len((data / "a101l.mat").read_bytes())))
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--data-dir", data, "--labels", labels, "--out", out) == 0
+        rows = [r for r in read_manifest(out) if r["record"] == "a101l"]
+        assert [r["skipped_reason"] for r in rows] == ["", "duplicate_record"]
+        assert np.any(np.load(out / "cache" / "a101l.npy"))
+        assert run_cli("featurize", "--out", out) == 0
+        assert read_feature_csv(out, "llf").records.count("a101l") == 1
 
     def test_empty_dir_fails(self, tmp_path):
         empty = tmp_path / "empty"
@@ -164,7 +195,7 @@ class TestIngest:
         out = tmp_path / "out"
         assert run_cli("ingest", "--data-dir", data, "--labels",
                        tmp_path / "labels.csv", "--out", out) == 0
-        rows = {r["record"]: r for r in read_manifest(out / "manifest.csv")}
+        rows = {r["record"]: r for r in read_manifest(out)}
         assert rows["a700l"]["skipped_reason"] == ""
         assert rows["a701l"]["skipped_reason"] == "FileNotFoundError"
 
@@ -186,7 +217,7 @@ class TestIngest:
         out = tmp_path / "out"
         assert run_cli("ingest", "--data-dir", data, "--labels",
                        tmp_path / "labels.csv", "--out", out) == 0
-        rows = {r["record"]: r for r in read_manifest(out / "manifest.csv")}
+        rows = {r["record"]: r for r in read_manifest(out)}
         assert rows["a700l"]["skipped_reason"] == ""
         assert rows["a701l"]["skipped_reason"] == "fs_500"
         assert sorted(p.name for p in (out / "cache").iterdir()) == ["a700l.npy"]
@@ -209,7 +240,7 @@ class TestIngest:
         (tmp_path / "labels.csv").write_text("record,label\nv600l,true\n")
         out = tmp_path / "out"
         run_cli("ingest", "--data-dir", data, "--labels", tmp_path / "labels.csv", "--out", out)
-        rows = read_manifest(out / "manifest.csv")
+        rows = read_manifest(out)
         assert rows[0]["n_samples"] == str(ANALYSIS_SAMPLES)
         cached = np.load(out / "cache" / "v600l.npy")
         assert len(cached) == ANALYSIS_SAMPLES
@@ -217,10 +248,10 @@ class TestIngest:
 
 class TestFeaturize:
     def test_feature_csv_shapes(self, pipeline_out):
-        llf = _read(pipeline_out, "llf")
-        hlf_c = _read(pipeline_out, "hlf_cityblock")
-        hlf_e = _read(pipeline_out, "hlf_euclidean")
-        dwt = _read(pipeline_out, "dwt")
+        llf = read_feature_csv(pipeline_out, "llf")
+        hlf_c = read_feature_csv(pipeline_out, "hlf_cityblock")
+        hlf_e = read_feature_csv(pipeline_out, "hlf_euclidean")
+        dwt = read_feature_csv(pipeline_out, "dwt")
         assert llf.X.shape == (30, LLF_LENGTH)
         assert hlf_c.X.shape == (30, HLF_LENGTH)
         assert hlf_e.X.shape == (30, HLF_LENGTH)
@@ -234,6 +265,21 @@ class TestFeaturize:
 
     def test_missing_manifest_fails(self, tmp_path):
         assert run_cli("featurize", "--out", tmp_path / "nowhere") == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda lines: [ln.rsplit(",", 1)[0] for ln in lines],
+          "header is not record,alarm_type,label,n_samples,skipped_reason"),
+         (lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0]] + lines[2:],
+          "row 1 ('a101l') has 4 fields, the header 5")],
+        ids=["no_skipped_reason", "short_row"],
+    )
+    def test_malformed_manifest_exits_2(self, pipeline_out, tmp_path, capsys, edit, message):
+        lines = (pipeline_out / "manifest.csv").read_text().splitlines()
+        (tmp_path / "manifest.csv").write_text("\n".join(edit(lines)) + "\n")
+        assert run_cli("featurize", "--out", tmp_path) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: manifest.csv: {message}; run ingest again"]
 
     def test_no_record_featurizes_fails(self, fixture_dataset, tmp_path):
         # Every cached signal is gone, so every record fails: exit 2, no tables.
@@ -256,7 +302,7 @@ class TestFeaturize:
         assert run_cli("featurize", "--out", out) == 0
         assert "featurize failed for b107l: NonFiniteSignal: sample 100 is inf" in (
             capsys.readouterr().err)
-        table = _read(out, "dwt")
+        table = read_feature_csv(out, "dwt")
         assert len(table.records) == 29 and "b107l" not in table.records
 
     def test_failed_featurize_leaves_no_stale_tables(self, pipeline_out, tmp_path):
@@ -286,8 +332,8 @@ class TestFeaturize:
         out = tmp_path / "out"
         run_cli("ingest", "--data-dir", data, "--labels", tmp_path / "labels.csv", "--out", out)
         assert run_cli("featurize", "--out", out) == 0
-        llf = _read(out, "llf")
-        hlf = _read(out, "hlf_cityblock")
+        llf = read_feature_csv(out, "llf")
+        hlf = read_feature_csv(out, "hlf_cityblock")
         np.testing.assert_array_equal(llf.X[0], np.zeros(LLF_LENGTH))
         expected_hlf = np.zeros(HLF_LENGTH)
         expected_hlf[1] = 1.0  # ASY one-hot; heart rate 0
@@ -333,15 +379,17 @@ class TestEvaluate:
         for name in ("hlf_cityblock.csv", "dwt.csv"):
             header = (pipeline_out / name).read_text().splitlines()[:2]  # comment, header
             (out / name).write_text("\n".join(header) + "\n")
-        assert _read(out, "dwt").X.shape == (0, 120)
-        assert _read(out, "hlf_cityblock").X.shape == (0, HLF_LENGTH)
+        assert read_feature_csv(out, "dwt").X.shape == (0, 120)
+        assert read_feature_csv(out, "hlf_cityblock").X.shape == (0, HLF_LENGTH)
         assert run_cli("evaluate", "--out", out, "--scenarios", "DWT+HLF_cityblock") == 2
 
     def test_misspelled_label_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("record,label,f1\nr1,true,1.0\nr2,ture,2.0\n")
+        write_feature_csv(tmp_path, "hlf_cityblock", ["r1", "r2"], [1, -1],
+                          np.zeros((2, HLF_LENGTH)))
+        path = tmp_path / "hlf_cityblock.csv"
+        path.write_text(path.read_text().replace("\nr2,false,", "\nr2,ture,"))
         with pytest.raises(ValueError, match="'r2' must be true/false, got 'ture'"):
-            read_feature_csv(path, ["f1"])
+            read_feature_csv(tmp_path, "hlf_cityblock")
 
     def test_bad_table_label_exits_2(self, pipeline_out, tmp_path, capsys):
         out = tmp_path / "out"
@@ -388,7 +436,7 @@ class TestEvaluate:
         for name in ("llf.csv", "hlf_cityblock.csv", "hlf_euclidean.csv", "dwt.csv"):
             shutil.copy(pipeline_out / name, out / name)
         assert run_cli("ingest", "--data-dir", subset, "--labels", labels, "--out", out) == 0
-        assert len(read_manifest(out / "manifest.csv")) == 12
+        assert len(read_manifest(out)) == 12
         capsys.readouterr()
         assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
         err = capsys.readouterr().err.splitlines()
@@ -465,6 +513,17 @@ class TestEvaluate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bank}.csv: header is not ")
 
+    def test_repeated_record_exits_2(self, pipeline_out, tmp_path, capsys):
+        # Two copies of one record would be dealt to folds separately, so one
+        # could train the model that scores the other.
+        def repeat_a101l(lines):
+            return lines + [ln for ln in lines if ln.startswith("a101l,")]
+
+        assert self._evaluate_edited(pipeline_out, tmp_path / "out", "hlf_cityblock",
+                                     repeat_a101l, "HLF_cityblock") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: hlf_cityblock.csv: record 'a101l' is listed twice; featurize again"]
+
     def test_banks_listing_other_records_exit_2(self, pipeline_out, tmp_path, capsys):
         def drop_a101l(lines):
             return [ln for ln in lines if not ln.startswith("a101l,")]
@@ -475,12 +534,11 @@ class TestEvaluate:
             "error: hlf_cityblock.csv and dwt.csv list different records (featurize again)"]
 
     def test_scenario_joins_its_banks(self, pipeline_out):
-        manifest = {r["record"]: (r["alarm_type"], parse_label(r["label"], r["record"]))
-                    for r in read_manifest(pipeline_out / "manifest.csv")
-                    if not r["skipped_reason"]}
+        manifest = usable_records(read_manifest(pipeline_out))
         tables = _load_tables(pipeline_out, ["DWT+HLF_cityblock", "DWT"], manifest)
         assert list(tables) == ["DWT+HLF_cityblock", "DWT"]
-        dwt, hlf = _read(pipeline_out, "dwt"), _read(pipeline_out, "hlf_cityblock")
+        dwt = read_feature_csv(pipeline_out, "dwt")
+        hlf = read_feature_csv(pipeline_out, "hlf_cityblock")
         joined = tables["DWT+HLF_cityblock"]
         assert joined.X.shape == (30, 120 + HLF_LENGTH)
         np.testing.assert_array_equal(joined.X, np.hstack([dwt.X, hlf.X]))

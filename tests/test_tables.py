@@ -1,0 +1,44 @@
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ecgalarm.feature_synthesis import HLF_METRICS
+from ecgalarm.record_io import FALSE_ALARM, TRUE_ALARM
+from ecgalarm.tables import FEATURE_BANKS, read_feature_csv, write_feature_csv
+
+# Float edge cases a table must carry bit for bit: a signed zero, the
+# smallest subnormal and the largest finite magnitudes.
+EDGES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@pytest.mark.parametrize("bank", FEATURE_BANKS)
+@given(data=st.data())
+def test_round_trip_is_bit_exact(bank, data):
+    # Drawn rows, then one row that holds every edge case.
+    width = len(FEATURE_BANKS[bank])
+    drawn = data.draw(arrays(np.float64, (data.draw(st.integers(0, 3)), width), elements=FINITE))
+    matrix = np.vstack([drawn, np.resize(np.array(EDGES), (1, width))])
+    labels = data.draw(st.lists(st.sampled_from([TRUE_ALARM, FALSE_ALARM]),
+                                min_size=len(matrix), max_size=len(matrix)))
+    records = [f"r{i}" for i in range(len(matrix))]
+    with tempfile.TemporaryDirectory() as out:
+        write_feature_csv(out, bank, records, labels, matrix)
+        first = (Path(out) / f"{bank}.csv").read_text().splitlines()[0]
+        table = read_feature_csv(out, bank)
+    assert table.records == records
+    assert table.y.tolist() == labels
+    assert table.X.shape == (len(matrix), width)
+    np.testing.assert_array_equal(table.X.view(np.uint64), matrix.view(np.uint64))
+    if bank in HLF_METRICS:
+        assert first == f"# layout=hlf-v1 metric={HLF_METRICS[bank]}"
+    elif bank == "dwt":
+        assert first.startswith("# layout=dwt-stats-v1 stats=mean,median,")
+    else:
+        assert first == "record,label," + ",".join(FEATURE_BANKS[bank])
+
