@@ -1,12 +1,13 @@
 """Command-line pipeline: ingest -> featurize -> evaluate, or all three.
 
-Flags are the only configuration; each holds its default (see
-``build_parser``), and the boosting settings are the fixed
-``ensemble.DEFAULT_*``. All intermediate products are flat CSVs under the
-output directory, plus ``cache/<record>.npy``, the decoded signals ingest
-hands to featurize; ingest decodes every record on every run. A single
-seed drives fold shuffling, k-means init, and RUSBoost sampling, so
-identical flags produce byte-identical outputs.
+Flags are the only configuration, and each subcommand takes only the flags
+it reads (``all`` takes every one; see ``build_parser``); the boosting
+settings are the fixed ``ensemble.DEFAULT_*``. Only ingest creates the
+output directory. All intermediate products are flat CSVs under it, plus
+``cache/<record>.npy``, the decoded signals ingest hands to featurize;
+ingest decodes every record on every run. A single seed drives fold
+shuffling, k-means init, and RUSBoost sampling, so identical flags produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -34,21 +35,13 @@ from .tables import (
     write_manifest,
 )
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_ingest(cfg: dict) -> int:
     """Parse, label and cache every record. A record without lead II, sampled
     at a rate other than TARGET_FS, or named by an earlier header, gets a
     manifest row with its skipped_reason and no cached signal."""
-    if not cfg["data_dir"] or not cfg["labels"]:
-        raise MissingInput("ingest needs --data-dir and --labels")
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     cache_dir = out / "cache"
-    cache_dir.mkdir(exist_ok=True)
+    cache_dir.mkdir(parents=True, exist_ok=True)
     labels = record_io.load_labels(cfg["labels"])
     rows, claimed = [], set()
     for path in record_io.discover_records(cfg["data_dir"]):
@@ -95,10 +88,11 @@ def cmd_ingest(cfg: dict) -> int:
 def cmd_featurize(cfg: dict) -> int:
     """Feature tables for every usable record. A record that fails is left
     out of every table; EmptyDataset when no record featurizes."""
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     remove_feature_csvs(out)  # the tables are stale until this run writes them
-    tasks = [(name, str(out / "cache" / f"{name}.npy"), alarm_type, label, cfg["seed"])
-             for name, (alarm_type, label) in usable_records(read_manifest(out)).items()]
+    usable = usable_records(read_manifest(out))
+    tasks = [(name, str(out / "cache" / f"{name}.npy"), alarm_type, cfg["seed"])
+             for name, (alarm_type, _) in usable.items()]
 
     if cfg["workers"] > 1:
         with multiprocessing.Pool(cfg["workers"]) as pool:
@@ -116,7 +110,7 @@ def cmd_featurize(cfg: dict) -> int:
         raise EmptyDataset(f"no record could be featurized ({len(tasks)} tried)")
 
     records = [f.record_name for f in done]
-    labels = [f.label for f in done]
+    labels = [usable[name][1] for name in records]
     for bank in FEATURE_BANKS:
         write_feature_csv(out, bank, records, labels, np.array([getattr(f, bank) for f in done]))
     print(f"featurized {len(done)} records -> {out}")
@@ -155,13 +149,14 @@ def _safe_name(text: str) -> str:
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     manifest = usable_records(read_manifest(out))
     tables = _load_tables(out, cfg["scenarios"], manifest)
     report = run_matrix(tables, manifest, cfg["folds"], cfg["seed"])
 
+    markdown = render_markdown(report)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
-    (out / "report.md").write_text(render_markdown(report))
+    (out / "report.md").write_text(markdown)
     roc_dir = out / "roc"
     roc_dir.mkdir(exist_ok=True)
     for key, cell in report["cells"].items():
@@ -171,7 +166,7 @@ def cmd_evaluate(cfg: dict) -> int:
             fh.write("fpr,tpr,threshold\n")
             for fpr, tpr, thr in cell["roc_points"]:
                 fh.write(f"{fpr!r},{tpr!r},{thr!r}\n")
-    print(render_markdown(report))
+    print(markdown)
     return 0
 
 
@@ -203,22 +198,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ecgalarm",
         description="ECG false-alarm classification pipeline",
     )
+    flags = {
+        "--data-dir": dict(required=True, help="directory of .hea/.mat records"),
+        "--labels": dict(required=True, help="labels CSV (record,label)"),
+        "--out": dict(default="out", help="output directory (default: out)"),
+        "--seed": dict(type=_int_at_least(0), default=0),
+        "--folds": dict(type=_int_at_least(2), default=5),
+        "--scenarios": dict(type=_scenario_list, default=list(SCENARIOS),
+                            help="comma-separated scenario list (default: all six)"),
+        "--workers": dict(type=_int_at_least(1), default=1),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("ingest", "parse records, attach labels, cache signals"),
-        ("featurize", "compute LLF/HLF/DWT feature CSVs"),
-        ("evaluate", "cross-validated experiment matrix and reports"),
-        ("all", "ingest + featurize + evaluate"),
+    for name, help_text, takes in [
+        # ingest reads no seed. It keeps --seed because the benchmark
+        # (bench/run.py) passes `--seed 0` to every ingest it runs.
+        ("ingest", "parse records, attach labels, cache signals",
+         ["--data-dir", "--labels", "--out", "--seed"]),
+        ("featurize", "compute LLF/HLF/DWT feature CSVs", ["--out", "--seed", "--workers"]),
+        ("evaluate", "cross-validated experiment matrix and reports",
+         ["--out", "--seed", "--folds", "--scenarios"]),
+        ("all", "ingest + featurize + evaluate", list(flags)),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--data-dir", dest="data_dir", help="directory of .hea/.mat records")
-        p.add_argument("--labels", help="labels CSV (record,label)")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=_int_at_least(0), default=0)
-        p.add_argument("--folds", type=int, default=5)
-        p.add_argument("--scenarios", type=_scenario_list, default=list(SCENARIOS),
-                       help="comma-separated scenario list (default: all six)")
-        p.add_argument("--workers", type=_int_at_least(1), default=1)
+        for flag in takes:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 

@@ -216,11 +216,6 @@ class BoostedEnsemble:
         return np.where(self.score_batch(X) >= 0, 1, -1)
 
 
-def _check_labels(y: np.ndarray) -> None:
-    if len(np.unique(y)) < 2:
-        raise SingleClassError("training labels contain a single class")
-
-
 def _boost(
     X: np.ndarray,
     y: np.ndarray,
@@ -231,7 +226,8 @@ def _boost(
 ) -> BoostedEnsemble:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=int)
-    _check_labels(y)
+    if len(np.unique(y)) < 2:
+        raise SingleClassError("training labels contain a single class")
 
     model = BoostedEnsemble(trees=[], alphas=[], col_min=X.min(axis=0), col_max=X.max(axis=0))
     Xn = model._normalize(X)
@@ -298,7 +294,6 @@ def fit_rusboost(
     updates stay on the full weighted set. Raises NoWeakLearner as
     fit_adaboost does."""
     y = np.asarray(y, dtype=int)
-    _check_labels(y)
     pos = np.flatnonzero(y > 0)
     neg = np.flatnonzero(y < 0)
     minority, majority = (pos, neg) if len(pos) <= len(neg) else (neg, pos)

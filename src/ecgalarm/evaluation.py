@@ -277,11 +277,9 @@ def render_markdown(report: dict) -> str:
         lines.append("")
         lines.append("| Metric | " + " | ".join(scenarios) + " |")
         lines.append("|---" * (len(scenarios) + 1) + "|")
+        cells = [report["cells"][f"{scenario}/{classifier}"] for scenario in scenarios]
         for metric in METRIC_ROWS:
-            row = [metric.capitalize()]
-            for scenario in scenarios:
-                cell = report["cells"].get(f"{scenario}/{classifier}")
-                row.append("" if cell is None else f"{cell[metric]:.3f}")
+            row = [metric.capitalize()] + [f"{cell[metric]:.3f}" for cell in cells]
             lines.append("| " + " | ".join(row) + " |")
         lines.append("")
     return "\n".join(lines)

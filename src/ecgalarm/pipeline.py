@@ -21,8 +21,6 @@ from .segmentation import segment_record
 @dataclass
 class RecordFeatures:
     record_name: str
-    label: int
-    alarm_type: str
     n_beats: int
     heart_rate: float
     llf: np.ndarray  # 588
@@ -35,7 +33,6 @@ def featurize_record(
     record_name: str,
     samples: np.ndarray,
     alarm_type: str,
-    label: int,
     seed: int = 0,
 ) -> RecordFeatures:
     """Run segmentation, clustering, and all feature banks for one record.
@@ -66,8 +63,6 @@ def featurize_record(
 
     return RecordFeatures(
         record_name=record_name,
-        label=label,
-        alarm_type=alarm_type,
         n_beats=len(marks),
         heart_rate=hr,
         llf=llf_tail(rows),
@@ -78,10 +73,10 @@ def featurize_record(
 
 def _featurize_task(args) -> tuple[str, RecordFeatures | None, str]:
     """Pool-friendly wrapper: returns (record, features-or-None, error)."""
-    record_name, cache_path, alarm_type, label, seed = args
+    record_name, cache_path, alarm_type, seed = args
     try:
         samples = np.load(cache_path)
-        feats = featurize_record(record_name, samples, alarm_type, label, seed)
+        feats = featurize_record(record_name, samples, alarm_type, seed)
         return record_name, feats, ""
     except Exception as exc:  # per-record failures must not kill the batch
         return record_name, None, f"{type(exc).__name__}: {exc}"

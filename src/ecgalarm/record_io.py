@@ -209,15 +209,15 @@ def alarm_type_from_header(header: RecordHeader) -> str | None:
     return _PREFIX_TO_ALARM.get(header.record_name[:1].lower())
 
 
-def parse_label(text: str, record: str) -> int:
+def parse_label(text: str, record: str, source: str | Path) -> int:
     """TRUE_ALARM for "true", FALSE_ALARM for "false" (case and surrounding
-    whitespace ignored); LabelError (a ValueError) naming `record` for any
-    other text."""
+    whitespace ignored); LabelError (a ValueError) naming the file `source`
+    and `record` for any other text."""
     value = text.strip().lower()
     for label, name in LABEL_TEXT.items():
         if value == name:
             return label
-    raise LabelError(f"label for {record!r} must be true/false, got {value!r}")
+    raise LabelError(f"{source}: label for {record!r} must be true/false, got {value!r}")
 
 
 def load_labels(path: str | Path) -> dict[str, int]:
@@ -234,7 +234,7 @@ def load_labels(path: str | Path) -> dict[str, int]:
                 raise LabelError(f"{path}: record {record!r} has {len(row)} fields, not 2")
             if record in labels:
                 raise LabelError(f"{path}: record {record!r} is listed twice")
-            labels[record] = parse_label(row[1], record)
+            labels[record] = parse_label(row[1], record, path)
     return labels
 
 

@@ -76,7 +76,7 @@ def read_feature_csv(out: str | Path, bank: str) -> FeatureTable:
     for name, label, *row in _rows(path, ["record", "label", *columns], expected):
         if name in labels:
             raise MissingInput(f"{path.name}: record {name!r} is listed twice; featurize again")
-        labels[name] = parse_label(label, name)
+        labels[name] = parse_label(label, name, path.name)
         try:
             values.append([float(v) for v in row])
         except ValueError as exc:
@@ -114,5 +114,5 @@ def read_manifest(out: str | Path) -> list[dict]:
 
 def usable_records(rows: list[dict]) -> dict[str, tuple[str, int]]:
     """Each usable record of the manifest `rows` -> (alarm type, label), in record order."""
-    return {r["record"]: (r["alarm_type"], parse_label(r["label"], r["record"]))
+    return {r["record"]: (r["alarm_type"], parse_label(r["label"], r["record"], "manifest.csv"))
             for r in sorted(rows, key=lambda r: r["record"]) if not r["skipped_reason"]}

@@ -18,7 +18,6 @@ from ecgalarm.cli import main as cli_main
 from ecgalarm.clustering import kmeans
 from ecgalarm.evaluation import roc_auc, stratified_folds
 from ecgalarm.pipeline import featurize_record
-from ecgalarm.record_io import TRUE_ALARM
 from ecgalarm.segmentation import delineate, detect_r_peaks
 from ecgalarm.synthetic import synthetic_ecg
 from ecgalarm.tables import read_manifest
@@ -211,7 +210,7 @@ class TestCriterion5NumericalProperties:
 class TestCriterion6DimensionalContracts:
     def test_feature_vector_lengths(self):
         ecg = synthetic_ecg(60, 75, snr_db=20, seed=3)
-        feats = featurize_record("r1", ecg.samples, "VTA", TRUE_ALARM, seed=5)
+        feats = featurize_record("r1", ecg.samples, "VTA", seed=5)
 
         from ecgalarm.segment_features import segment_features
         from ecgalarm.segmentation import segment_record

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecgalarm.cli import _load_tables, main
+from ecgalarm.cli import _load_tables, build_parser, main
 from ecgalarm.feature_synthesis import HLF_LENGTH
 from ecgalarm.segment_features import LLF_LENGTH
 from ecgalarm.tables import (
@@ -134,8 +136,8 @@ class TestIngest:
         bad.write_text(labels.read_text().replace("a101l,true", "a101l,ture"))
         assert run_cli("ingest", "--data-dir", data_dir, "--labels", bad,
                        "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: label for 'a101l'")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: label for 'a101l' must be true/false, got 'ture'"]
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -264,7 +266,11 @@ class TestFeaturize:
         assert first.startswith("# layout=hlf-v1")
 
     def test_missing_manifest_fails(self, tmp_path):
-        assert run_cli("featurize", "--out", tmp_path / "nowhere") == 2
+        # Only ingest creates --out; a command that finds no manifest
+        # leaves no directory behind.
+        for command in ("featurize", "evaluate"):
+            assert run_cli(command, "--out", tmp_path / "nowhere") == 2
+            assert not (tmp_path / "nowhere").exists()
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -280,6 +286,15 @@ class TestFeaturize:
         assert run_cli("featurize", "--out", tmp_path) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: manifest.csv: {message}; run ingest again"]
+
+    def test_misspelled_manifest_label_exits_2(self, pipeline_out, tmp_path, capsys):
+        manifest = (pipeline_out / "manifest.csv").read_text()
+        assert "\na101l,ASY,true," in manifest
+        (tmp_path / "manifest.csv").write_text(
+            manifest.replace("\na101l,ASY,true,", "\na101l,ASY,ture,"))
+        assert run_cli("featurize", "--out", tmp_path) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: manifest.csv: label for 'a101l' must be true/false, got 'ture'"]
 
     def test_no_record_featurizes_fails(self, fixture_dataset, tmp_path):
         # Every cached signal is gone, so every record fails: exit 2, no tables.
@@ -388,7 +403,8 @@ class TestEvaluate:
                           np.zeros((2, HLF_LENGTH)))
         path = tmp_path / "hlf_cityblock.csv"
         path.write_text(path.read_text().replace("\nr2,false,", "\nr2,ture,"))
-        with pytest.raises(ValueError, match="'r2' must be true/false, got 'ture'"):
+        with pytest.raises(ValueError, match="^hlf_cityblock.csv: label for 'r2' must be "
+                                             "true/false, got 'ture'$"):
             read_feature_csv(tmp_path, "hlf_cityblock")
 
     def test_bad_table_label_exits_2(self, pipeline_out, tmp_path, capsys):
@@ -399,8 +415,8 @@ class TestEvaluate:
         assert "\na101l,true," in table
         (out / "hlf_cityblock.csv").write_text(table.replace("\na101l,true,", "\na101l,ture,"))
         assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: label for 'a101l'")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: hlf_cityblock.csv: label for 'a101l' must be true/false, got 'ture'"]
 
     @pytest.mark.parametrize("bad", ["nan", "-inf"])
     def test_non_finite_feature_exits_2(self, pipeline_out, tmp_path, capsys, bad):
@@ -566,20 +582,82 @@ class TestDeterminism:
             assert a == b, f"{rel} differs between identical runs"
 
 
+# The flags each subcommand reads; `all` reads every one.
+FLAGS = {
+    "ingest": ["--data-dir", "--labels", "--out", "--seed"],
+    "featurize": ["--out", "--seed", "--workers"],
+    "evaluate": ["--out", "--seed", "--folds", "--scenarios"],
+}
+ALL_FLAGS = ["--data-dir", "--labels", "--out", "--seed", "--folds", "--scenarios", "--workers"]
+
+
+def _parser_flags() -> dict[str, list[str]]:
+    """Each subcommand of `build_parser()` -> the long flags it takes, in order."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    return {name: [opt for action in p._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"]
+            for name, p in commands.items()}
+
+
+def _exits_2(capsys, *args):
+    """Run the CLI on `args`, expect argparse to stop it, return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestFlags:
     @pytest.mark.parametrize(
-        "flag",
-        [("--config", "x"), ("--cache", "reuse"), ("--seed", "abc"),
-         ("--scenarios", ","), ("--scenarios", "DWT,HLF"),
-         ("--seed", "-1"), ("--workers", "0")],
+        "command, flag",
+        [("evaluate", ("--config", "x")), ("evaluate", ("--cache", "reuse")),
+         ("evaluate", ("--seed", "abc")), ("evaluate", ("--scenarios", ",")),
+         ("evaluate", ("--scenarios", "DWT,HLF")), ("evaluate", ("--seed", "-1")),
+         ("featurize", ("--workers", "0"))],
         ids=["config", "cache", "seed", "no_scenario", "unknown_scenario",
              "negative_seed", "zero_workers"],
     )
-    def test_removed_or_malformed_flag_exits_2(self, flag, tmp_path, capsys):
+    def test_removed_or_malformed_flag_exits_2(self, command, flag, tmp_path, capsys):
         # Flags are the only configuration: a removed flag, a non-numeric
         # or out-of-range value and a scenario list naming no known scenario
         # all stop in argparse, before any command runs.
-        with pytest.raises(SystemExit) as exc:
-            run_cli("evaluate", "--out", tmp_path, *flag)
-        assert exc.value.code == 2
-        assert flag[0] in capsys.readouterr().err
+        assert flag[0] in _exits_2(capsys, command, "--out", tmp_path, *flag)
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, takes in FLAGS.items()
+         for flag in ALL_FLAGS if flag not in takes],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, command, flag, tmp_path, capsys):
+        # A flag that is accepted and then ignored would be a silent default.
+        out = tmp_path / "out"
+        required = (["--data-dir", tmp_path, "--labels", tmp_path / "labels.csv"]
+                    if command == "ingest" else [])
+        err = _exits_2(capsys, command, *required, "--out", out, flag, "3")
+        assert f"unrecognized arguments: {flag}" in err
+        assert not out.exists()
+
+    def test_ingest_needs_labels(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        err = _exits_2(capsys, "ingest", "--data-dir", tmp_path, "--out", out)
+        assert "required: --labels" in err
+        assert not out.exists()
+
+    def test_all_with_one_fold_stops_before_ingest(self, fixture_dataset, tmp_path, capsys):
+        data_dir, labels = fixture_dataset
+        out = tmp_path / "out"
+        err = _exits_2(capsys, "all", "--data-dir", data_dir, "--labels", labels,
+                       "--out", out, "--folds", "1")
+        assert "--folds" in err and "must be >= 2, got 1" in err
+        assert not (out / "manifest.csv").exists()
+
+    def test_readme_flag_table_matches_parser(self):
+        # The parser takes the flags above, and the README's flag table
+        # names, per flag, the subcommands that take it.
+        assert _parser_flags() == {**FLAGS, "all": ALL_FLAGS}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = {}
+        for flag, commands in re.findall(r"^\| `(--[a-z-]+)` \| ([^|]+) \|", readme, re.M):
+            for command in re.findall(r"`([a-z]+)`", commands):
+                documented.setdefault(command, []).append(flag)
+        assert documented == _parser_flags()

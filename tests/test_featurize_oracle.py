@@ -133,7 +133,7 @@ def _as_ingested(samples: np.ndarray) -> np.ndarray:
 
 def _output_digests(name: str, samples: np.ndarray) -> dict:
     got = {"r_peaks": _digest(detect_r_peaks(samples))}
-    feats = featurize_record(name, samples, "VTA", 1, seed=7)
+    feats = featurize_record(name, samples, "VTA", seed=7)
     for field in ("llf", "hlf_cityblock", "hlf_euclidean", "dwt", "heart_rate", "n_beats"):
         got[field] = _digest(getattr(feats, field))
     return got
