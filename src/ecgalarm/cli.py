@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 from pathlib import Path
 
@@ -95,6 +94,8 @@ def cmd_featurize(cfg: dict) -> int:
              for name, (alarm_type, _) in usable.items()]
 
     if cfg["workers"] > 1:
+        import multiprocessing  # here only: every other command would pay its ~8 ms import
+
         with multiprocessing.Pool(cfg["workers"]) as pool:
             results = pool.map(_featurize_task, tasks)
     else:
@@ -159,6 +160,8 @@ def cmd_evaluate(cfg: dict) -> int:
     (out / "report.md").write_text(markdown)
     roc_dir = out / "roc"
     roc_dir.mkdir(exist_ok=True)
+    for stale in roc_dir.glob("roc_*.csv"):  # cells of an earlier run
+        stale.unlink()
     for key, cell in report["cells"].items():
         scenario, classifier = key.split("/")
         path = roc_dir / f"roc_{_safe_name(scenario)}_{classifier}.csv"

@@ -61,8 +61,9 @@ def _plusplus_init(X: np.ndarray, k: int, metric: str, rng: np.random.Generator)
     while len(chosen) < k:
         total = cost.sum()
         if total <= 0:
-            remaining = np.setdiff1d(np.arange(n), np.array(chosen))
-            chosen.append(int(rng.choice(remaining)))
+            remaining = np.ones(n, dtype=bool)
+            remaining[chosen] = False
+            chosen.append(int(rng.choice(np.flatnonzero(remaining))))
         else:
             chosen.append(int(rng.choice(n, p=cost / total)))
         new_cost = _costs_to_centroids(X, X[chosen[-1:]], metric)[:, 0]

@@ -6,6 +6,16 @@ tests/test_dwt.py derives them by spectral factorization of the Daubechies
 half-band polynomial. Decomposition uses symmetric boundary extension
 (expansive: each band keeps ceil((n + taps - 1) / 2) coefficients) and
 reconstructs exactly.
+
+`band_stats` sorts each band once: the median and the four percentiles
+come from that sort, in the float steps of np.median and numpy's `linear`
+np.percentile, so no call partitions the band again (nor imports
+numpy.ma, as those calls do); a zero percentile between -0.0 and 0.0 is
+the one case whose sign may differ. The mean, deviations and second central
+moment are computed once and shared by the variance, standard deviation,
+mean absolute deviation, skewness and kurtosis. Min and max stay np.min
+and np.max: np.sort may leave -0.0 and 0.0 in either order, so the ends of
+the sort can carry the wrong sign of zero.
 """
 
 from __future__ import annotations
@@ -89,19 +99,56 @@ def idwt(coeffs: DwtCoeffs) -> np.ndarray:
     return x
 
 
-def _skew_kurtosis(c: np.ndarray) -> tuple[float, float]:
-    """Biased skewness and excess kurtosis of c, NaN for both when its second
-    central moment is within rounding of zero. Each moment is taken in the same
-    float steps as the reference that tests/test_dwt.py compares against
-    bit for bit, so the band statistics keep their pinned digests."""
+def _central_moments(c: np.ndarray):
+    """The mean (as a 1-array), deviations d, their squares and the second
+    central moment m2 of c, each computed once in np.var's float steps."""
     mean = np.mean(c, keepdims=True)
     d = c - mean
     sq = d**2
-    m2 = np.mean(sq)
+    return mean, d, sq, np.mean(sq)
+
+
+def _skew_kurtosis(mean, d, sq, m2) -> tuple[float, float]:
+    """Biased skewness and excess kurtosis from `_central_moments`, NaN for
+    both when the second central moment is within rounding of zero. Each
+    moment is taken in the same float steps as the reference that
+    tests/test_dwt.py compares against bit for bit, so the band statistics
+    keep their pinned digests."""
     if m2 <= (np.finfo(np.float64).eps * mean) ** 2:
         return float("nan"), float("nan")
     with np.errstate(all="ignore"):  # a tiny m2 underflows to NaN or inf, quietly
         return float(np.mean(sq * d) / m2**1.5), float(np.mean(sq**2) / m2**2.0 - 3)
+
+
+# np.percentile's fractions for p25, p75, p5 and p95, divided as it divides.
+_QUANTILES = np.true_divide([25, 75, 5, 95], 100)
+
+
+def _order_stats(s: np.ndarray) -> tuple[float, np.ndarray]:
+    """np.median and np.percentile(.., [25, 75, 5, 95]) of the band whose
+    ascending sort is s, bit for bit. The median is np.mean of the middle one
+    or two, which sums from +0.0. A percentile is numpy's `linear` lerp
+    between the neighbours of the virtual index (n - 1) * q, which clamps an
+    index at n - 1 by taking the last value twice, at weight index + 1.
+    Where -0.0 and 0.0 both neighbour that index, a zero percentile may take
+    the other sign than np.percentile's, whose sign then depends on where
+    its partition leaves them."""
+    n = len(s)
+    if n % 2:
+        median = s[n // 2] + 0.0
+    else:
+        median = ((s[n // 2 - 1] + 0.0) + s[n // 2]) / 2.0
+    virtual = (n - 1) * _QUANTILES
+    below = np.floor(virtual)
+    above = below + 1
+    clamped = virtual >= n - 1
+    below[clamped] = above[clamped] = -1
+    a, b = s[below.astype(np.intp)], s[above.astype(np.intp)]
+    weight = virtual - below
+    diff = b - a
+    pct = a + diff * weight
+    np.subtract(b, diff * (1 - weight), out=pct, where=weight >= 0.5)
+    return float(median), pct
 
 
 def band_stats(band: np.ndarray, total_energy: float | None = None) -> np.ndarray:
@@ -114,37 +161,40 @@ def band_stats(band: np.ndarray, total_energy: float | None = None) -> np.ndarra
     if c.size == 0:
         raise EmptyBand("cannot summarize an empty band")
 
-    energy = float(np.sum(c**2))
     sq = c**2
+    energy = float(np.sum(sq))
     prob = sq / (energy + ENTROPY_EPS)
     shannon = float(-np.sum(prob * np.log(prob + ENTROPY_EPS)))
     log_energy = float(np.sum(np.log(sq + ENTROPY_EPS)))
-    max_abs = float(np.max(np.abs(c)))
-    threshold_count = float(np.sum(np.abs(c) > 0.2 * max_abs)) if max_abs > 0 else 0.0
+    mag = np.abs(c)
+    max_abs = float(np.max(mag))
+    threshold_count = float(np.sum(mag > 0.2 * max_abs)) if max_abs > 0 else 0.0
     zero_crossings = float(np.sum(c[:-1] * c[1:] < 0))
     if c.size >= 3:
         local_maxima = float(np.sum((c[1:-1] > c[:-2]) & (c[1:-1] > c[2:])))
     else:
         local_maxima = 0.0
-    std = float(np.std(c))
-    skew, kurt = _skew_kurtosis(c) if std > 0 else (0.0, 0.0)
+    moments = _central_moments(c)
+    mean, d, _, m2 = moments
+    std = float(np.sqrt(m2))
+    skew, kurt = _skew_kurtosis(*moments) if std > 0 else (0.0, 0.0)
     if total_energy is None:
         total_energy = energy
     ratio = energy / total_energy if total_energy > 0 else 0.0
-    p25, p75, p5, p95 = np.percentile(c, [25, 75, 5, 95])
+    median, (p25, p75, p5, p95) = _order_stats(np.sort(c))
 
     return np.array(
         [
-            float(np.mean(c)),
-            float(np.median(c)),
+            float(mean[0]),
+            median,
             std,
-            float(np.var(c)),
+            float(m2),
             skew,
             kurt,
             float(np.min(c)),
             float(np.max(c)),
             float(np.sqrt(np.mean(sq))),
-            float(np.mean(np.abs(c - np.mean(c)))),
+            float(np.mean(np.abs(d))),
             float(p75 - p25), float(p5), float(p95),  # iqr, p5, p95
             energy,
             shannon,

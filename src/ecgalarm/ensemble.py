@@ -226,7 +226,7 @@ def _boost(
 ) -> BoostedEnsemble:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=int)
-    if len(np.unique(y)) < 2:
+    if (y == y[:1]).all():  # also true for no labels at all
         raise SingleClassError("training labels contain a single class")
 
     model = BoostedEnsemble(trees=[], alphas=[], col_min=X.min(axis=0), col_max=X.max(axis=0))

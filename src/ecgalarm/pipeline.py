@@ -12,7 +12,7 @@ import numpy as np
 
 from .clustering import kmeans, record_seed
 from .dwt import dwt_feature_vector
-from .exceptions import NonFiniteSignal
+from .exceptions import EcgAlarmError, NonFiniteSignal
 from .feature_synthesis import HLF_CLUSTERS, HLF_METRICS, synthesize
 from .segment_features import heart_rate, llf_tail, segment_features
 from .segmentation import segment_record
@@ -72,11 +72,16 @@ def featurize_record(
 
 
 def _featurize_task(args) -> tuple[str, RecordFeatures | None, str]:
-    """Pool-friendly wrapper: returns (record, features-or-None, error)."""
+    """Pool-friendly wrapper: returns (record, features-or-None, error). A
+    record is dropped only for a typed reason: its cached signal cannot be
+    loaded, or featurize_record raises an EcgAlarmError. Any other exception
+    is a defect and propagates, so the command fails."""
     record_name, cache_path, alarm_type, seed = args
     try:
         samples = np.load(cache_path)
-        feats = featurize_record(record_name, samples, alarm_type, seed)
-        return record_name, feats, ""
-    except Exception as exc:  # per-record failures must not kill the batch
+    except (OSError, ValueError) as exc:
+        return record_name, None, f"{type(exc).__name__}: {exc}"
+    try:
+        return record_name, featurize_record(record_name, samples, alarm_type, seed), ""
+    except EcgAlarmError as exc:
         return record_name, None, f"{type(exc).__name__}: {exc}"

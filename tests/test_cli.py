@@ -86,6 +86,39 @@ def test_import_loads_no_scipy(fresh_python):
     assert done.stdout.strip() == "[]"
 
 
+def test_commands_import_no_numpy_ma(fixture_dataset, tmp_path, fresh_python):
+    # np.median, np.percentile and np.unique import numpy.ma (about 15 ms)
+    # the first time they run; no command path calls them. `all` runs
+    # featurize_record, fit_adaboost and fit_rusboost; the k-means call on
+    # coinciding points takes the zero-cost seeding fallback.
+    data_dir, labels = fixture_dataset
+    done = fresh_python("-c", f"""
+import sys
+import numpy as np
+from ecgalarm.cli import main
+from ecgalarm.clustering import kmeans
+assert main(["all", "--data-dir", {str(data_dir)!r}, "--labels", {str(labels)!r},
+             "--out", {str(tmp_path / "out")!r}, "--scenarios", "HLF_cityblock"]) == 0
+kmeans(np.ones((6, 2)), 3)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]), file=sys.stderr)
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_name(tmp_path, fresh_python):
+    # bench/tracing.py wraps package functions by name; a renamed one would
+    # fail every traced benchmark run, so installing the tracer must work.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    done = fresh_python("-c", f"""
+import sys
+sys.path.insert(0, {str(bench)!r})
+import tracing
+tracing.install({str(tmp_path / "spans")!r})
+""")
+    assert done.returncode == 0, done.stderr
+
+
 class TestIngest:
     def test_manifest_counts(self, fixture_dataset, tmp_path):
         data_dir, labels = fixture_dataset
@@ -320,6 +353,32 @@ class TestFeaturize:
         table = read_feature_csv(out, "dwt")
         assert len(table.records) == 29 and "b107l" not in table.records
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_defect_fails_the_run(self, fixture_dataset, tmp_path, fresh_python, workers):
+        # A defect that is not a per-record error (here an IndexError in
+        # segment_features for the fast rhythms) stops featurize with exit 1
+        # and the traceback: dropping the records it hits would leave tables
+        # of a biased subset, the fast rhythms missing.
+        data_dir, labels = fixture_dataset
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out) == 0
+        done = fresh_python("-c", f"""
+import sys
+from ecgalarm import cli, pipeline
+real = pipeline.segment_features
+def broken(marks):
+    if len(marks) > 40:
+        raise IndexError("injected defect")
+    return real(marks)
+pipeline.segment_features = broken
+sys.exit(cli.main(["featurize", "--out", {str(out)!r}, "--workers", "{workers}"]))
+""")
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "Traceback" in done.stderr
+        assert done.stderr.rstrip().endswith("IndexError: injected defect")
+        assert "featurize failed" not in done.stderr
+        assert [p.name for p in out.glob("*.csv")] == ["manifest.csv"]
+
     def test_failed_featurize_leaves_no_stale_tables(self, pipeline_out, tmp_path):
         # The tables of an earlier run go when featurize starts, so a run in
         # which no record featurizes leaves nothing for evaluate to read.
@@ -367,16 +426,20 @@ class TestEvaluate:
         assert first[0] == "fpr,tpr,threshold"
 
     def test_scenario_restriction(self, pipeline_out, tmp_path):
-        # reuse the featurized CSVs; evaluate a single scenario
+        # reuse the featurized CSVs and the wider run's roc/; evaluate a
+        # single scenario: roc/ keeps only that scenario's cells
         out = tmp_path / "restricted"
         out.mkdir()
         for name in ("manifest.csv", "llf.csv", "dwt.csv",
                      "hlf_cityblock.csv", "hlf_euclidean.csv"):
             shutil.copy(pipeline_out / name, out / name)
+        shutil.copytree(pipeline_out / "roc", out / "roc")
         assert run_cli("evaluate", "--out", out, "--scenarios", "DWT",
                        "--folds", "5", "--seed", "11") == 0
         report = json.loads((out / "report.json").read_text())
         assert set(report["cells"]) == {"DWT/BoostedTrees", "DWT/RUSBoostedTrees"}
+        assert sorted(p.name for p in (out / "roc").iterdir()) == [
+            "roc_DWT_BoostedTrees.csv", "roc_DWT_RUSBoostedTrees.csv"]
 
     def test_missing_feature_csv_fails(self, pipeline_out, tmp_path):
         out = tmp_path / "missing"

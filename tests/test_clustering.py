@@ -124,6 +124,25 @@ class TestKmeansBasics:
             assert np.all(result.assignments < result.k)
 
 
+
+class TestPlusPlusInit:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_zero_cost_fallback_draws_as_setdiff1d(self, seed, k):
+        # Every squared distance between these distinct rows underflows to
+        # 0.0, so each pick after the first takes the zero-cost fallback: a
+        # uniform draw from the points not chosen yet, listed ascending as
+        # np.setdiff1d lists them.
+        n = 9
+        X = np.arange(1.0, n + 1)[:, None] * 1e-170
+        rng = np.random.default_rng(seed)
+        chosen = [int(rng.integers(n))]
+        while len(chosen) < k:
+            chosen.append(int(rng.choice(np.setdiff1d(np.arange(n), chosen))))
+        got = _plusplus_init(X, k, "sqeuclidean", np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, X[chosen])
+
+
 class TestKmeansProperties:
     def test_objective_non_increasing_100_instances(self):
         for s in range(100):

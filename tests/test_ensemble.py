@@ -282,6 +282,8 @@ class TestAdaboost:
         X = np.zeros((4, 2))
         with pytest.raises(SingleClassError):
             fit_adaboost(X, np.ones(4, dtype=int))
+        with pytest.raises(SingleClassError):  # no labels: no second class either
+            fit_adaboost(X[:0], np.zeros(0, dtype=int))
 
     def test_chance_first_round_raises(self):
         # A constant column cannot split, so round 0's single leaf has weighted
