@@ -151,6 +151,10 @@ def _safe_name(text: str) -> str:
 
 def cmd_evaluate(cfg: dict) -> int:
     out = Path(cfg["out"])
+    roc_dir = out / "roc"
+    # An earlier run's report is stale from here on, so a failed run leaves none.
+    for stale in [out / "report.json", out / "report.md", *roc_dir.glob("roc_*.csv")]:
+        stale.unlink(missing_ok=True)
     manifest = usable_records(read_manifest(out))
     tables = _load_tables(out, cfg["scenarios"], manifest)
     report = run_matrix(tables, manifest, cfg["folds"], cfg["seed"])
@@ -158,10 +162,7 @@ def cmd_evaluate(cfg: dict) -> int:
     markdown = render_markdown(report)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
     (out / "report.md").write_text(markdown)
-    roc_dir = out / "roc"
     roc_dir.mkdir(exist_ok=True)
-    for stale in roc_dir.glob("roc_*.csv"):  # cells of an earlier run
-        stale.unlink()
     for key, cell in report["cells"].items():
         scenario, classifier = key.split("/")
         path = roc_dir / f"roc_{_safe_name(scenario)}_{classifier}.csv"

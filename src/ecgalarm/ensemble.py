@@ -140,13 +140,9 @@ def fit_tree(
 
     n_splits = 0
     while n_splits < max_splits:
-        best_leaf = None
-        for leaf in sorted(candidates):
-            cand = candidates[leaf]
-            if cand is None:
-                continue
-            if best_leaf is None or cand[0] > candidates[best_leaf][0]:
-                best_leaf = leaf
+        # The dict holds leaves in ascending order, so equal gains go to the lowest.
+        best_leaf = max((leaf for leaf, cand in candidates.items() if cand is not None),
+                        key=lambda leaf: candidates[leaf][0], default=None)
         if best_leaf is None:
             break
         gain, f, thr = candidates.pop(best_leaf)
@@ -236,8 +232,8 @@ def _boost(
     w = np.full(n, 1.0 / n)
     presorted = np.argsort(Xn.T, axis=1, kind="stable")
 
-    for t in range(rounds):
-        rows = subset_fn(t, w)
+    for _ in range(rounds):
+        rows = subset_fn()
         # The presort restricted to this round's rows, as indices into them.
         local = np.full(n, -1)
         local[rows] = np.arange(len(rows))
@@ -251,13 +247,12 @@ def _boost(
             if not model.trees:
                 raise NoWeakLearner(f"boosting round 0 has weighted error {eps:.3f} >= 0.5")
             break  # discard this round
-        if eps == 0.0:
-            model.alphas.append(learning_rate * 0.5 * np.log((1 - _EPS_PERFECT) / _EPS_PERFECT))
-            model.trees.append(tree)
-            break
-        alpha = learning_rate * 0.5 * np.log((1.0 - eps) / eps)
+        e = eps or _EPS_PERFECT
+        alpha = learning_rate * 0.5 * np.log((1.0 - e) / e)
         model.trees.append(tree)
         model.alphas.append(alpha)
+        if eps == 0.0:
+            break  # reweighting scales all weights alike: later rounds would repeat it
         w = w * np.exp(-alpha * y * pred)
         w = w / w.sum()
 
@@ -276,9 +271,8 @@ def fit_adaboost(
     Boosting stops at the first round whose weighted error is >= 0.5; if that
     is round 0 it raises NoWeakLearner instead of returning an empty ensemble.
     """
-    n = len(X)
-    all_rows = np.arange(n)
-    return _boost(X, y, rounds, learning_rate, max_splits, subset_fn=lambda t, w: all_rows)
+    all_rows = np.arange(len(X))
+    return _boost(X, y, rounds, learning_rate, max_splits, subset_fn=lambda: all_rows)
 
 
 def fit_rusboost(
@@ -300,7 +294,7 @@ def fit_rusboost(
     n_keep = min(len(majority), int(round(len(minority) / DEFAULT_TARGET_RATIO)))
     rng = np.random.default_rng(seed)
 
-    def subset(t: int, w: np.ndarray) -> np.ndarray:
+    def subset() -> np.ndarray:
         sampled = rng.choice(majority, size=n_keep, replace=False)
         return np.sort(np.concatenate([minority, sampled]))
 

@@ -7,6 +7,12 @@ and accuracy / sensitivity / specificity / AUC are computed once over the
 pooled predictions (per-fold breakdowns are also reported). The positive
 class is the true alarm, so specificity reads as the fraction of false
 alarms correctly suppressed.
+
+The ROC takes one step per run of equal scores in one stable descending
+sort: the run's first score is its threshold, so a zero keeps that score's
+sign, and the cumulative counts at its last index give its rates. The
+trapezoids add strictly left to right by ``np.cumsum`` (``sum`` compensates
+from Python 3.12 on), and must agree with the Mann-Whitney AUC to 1e-12.
 """
 
 from __future__ import annotations
@@ -123,9 +129,7 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 
 def roc_auc(y_true: np.ndarray, scores: np.ndarray):
-    """AUC + ROC points. Tied scores collapse into single ROC steps; the
-    trapezoidal area is cross-checked against the normalized Mann-Whitney
-    statistic and must agree to 1e-12."""
+    """AUC and the ROC's (fpr, tpr, threshold) points, from +inf down."""
     y_true = np.asarray(y_true)
     scores = np.asarray(scores, dtype=np.float64)
     pos = y_true == TRUE_ALARM
@@ -136,23 +140,13 @@ def roc_auc(y_true: np.ndarray, scores: np.ndarray):
 
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    p = pos[order]
-
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[j] == s[i]:
-            j += 1
-        tp += int(p[i:j].sum())
-        fp += (j - i) - int(p[i:j].sum())
-        points.append((fp / n_neg, tp / n_pos, float(s[i])))
-        i = j
-
-    auc_trap = 0.0
-    for (x0, y0, _), (x1, y1, _) in zip(points[:-1], points[1:]):
-        auc_trap += (x1 - x0) * (y1 + y0) / 2.0
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    tp = np.cumsum(pos[order])[ends - 1]
+    fpr = np.r_[0.0, (ends - tp) / n_neg]
+    tpr = np.r_[0.0, tp / n_pos]
+    points = list(zip(fpr.tolist(), tpr.tolist(), np.r_[np.inf, s[starts]].tolist()))
+    auc_trap = float(np.cumsum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)[-1])
 
     ranks = _midranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0

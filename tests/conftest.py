@@ -7,6 +7,7 @@ synthetic ECG model, so tests never need the real data.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -25,6 +26,44 @@ from ecgalarm.synthetic import synthetic_ecg
 # per-example deadline depends on the machine's speed.
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomized")
+
+
+def _openblas_core() -> str:
+    """The kernel OpenBLAS picked for this CPU, read from numpy's bundled
+    library; "unknown" when numpy bundles none or it cannot say."""
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def _kernel_lines() -> list[str]:
+    """The CPU kernels that pinned bytes depend on: numpy's SIMD targets, as
+    numpy.show_runtime() lists them, and OpenBLAS's core (np.convolve sums
+    through its ddot)."""
+    umath = np._core._multiarray_umath
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]
+    not_found = [f for f in umath.__cpu_dispatch__ if not umath.__cpu_features__[f]]
+    return [
+        f"numpy {np.__version__} SIMD: baseline {' '.join(umath.__cpu_baseline__)}; "
+        f"found {' '.join(found) or '-'}; not found {' '.join(not_found) or '-'}",
+        f"OpenBLAS core: {_openblas_core()}",
+    ]
+
+
+def pytest_report_header(config):
+    return _kernel_lines()
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # -q hides the header; a failed run still names its kernels.
+    if config.get_verbosity() < 0 and exitstatus != pytest.ExitCode.OK:
+        for line in _kernel_lines():
+            terminalreporter.write_line(line)
+
 
 ALARM_COMMENT = {
     "ASY": "#Asystole",

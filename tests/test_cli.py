@@ -441,6 +441,17 @@ class TestEvaluate:
         assert sorted(p.name for p in (out / "roc").iterdir()) == [
             "roc_DWT_BoostedTrees.csv", "roc_DWT_RUSBoostedTrees.csv"]
 
+    def test_failed_evaluate_leaves_no_report(self, pipeline_out, tmp_path):
+        # An earlier run's report goes when evaluate starts, so a run that
+        # fails (more folds than records) leaves no report to be misread.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out, ignore=shutil.ignore_patterns("cache"))
+        assert (out / "report.json").exists() and len(list((out / "roc").iterdir())) == 12
+        assert run_cli("evaluate", "--out", out, "--scenarios", "DWT", "--folds", "1000") == 2
+        assert not (out / "report.json").exists()
+        assert not (out / "report.md").exists()
+        assert list((out / "roc").iterdir()) == []
+
     def test_missing_feature_csv_fails(self, pipeline_out, tmp_path):
         out = tmp_path / "missing"
         out.mkdir()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ecgalarm.ensemble import (
+    DEFAULT_LEARNING_RATE,
+    DEFAULT_ROUNDS,
     BoostedEnsemble,
     _best_split,
     _gini_mass,
@@ -59,6 +61,16 @@ class TestFitTree:
         X = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="nonnegative"):
             fit_tree(X, np.array([1, -1, 1]), np.array([1.0, -1.0, 1.0]))
+
+    def test_equal_gains_split_the_lowest_leaf(self):
+        # The root split leaves mirror-image children, (3+, 1-) and (1+, 3-),
+        # whose best splits gain the same: the second split goes to the
+        # lower-numbered leaf, the left child.
+        X = np.array([0, 1, 1, 1, 2, 3, 3, 3], dtype=float)[:, None]
+        y = np.array([1, -1, 1, 1, -1, -1, 1, -1])
+        tree = fit_tree(X, y, np.full(8, 1 / 8), max_splits=2)
+        assert tree.feature.tolist() == [0, 0, -1, -1, -1]
+        assert tree.threshold.tolist() == [1.5, 0.5, 0.0, 0.0, 0.0]
 
     def test_split_budget_respected(self):
         rng = np.random.default_rng(1)
@@ -278,6 +290,17 @@ class TestAdaboost:
         model = fit_adaboost(X, y, rounds=1, learning_rate=1.0, max_splits=1)
         assert model.alphas[0] == pytest.approx(0.5 * np.log(3.0), abs=1e-12)
 
+    def test_perfect_first_round(self):
+        # Round 0 classifies every row: boosting keeps that one tree, with the
+        # alpha of the stand-in error 1e-10, and stops.
+        X = np.arange(10.0)[:, None]
+        y = np.where(X[:, 0] < 5, -1, 1)
+        model = fit_adaboost(X, y)
+        assert len(model.trees) == 1
+        alpha = DEFAULT_LEARNING_RATE * 0.5 * np.log((1 - 1e-10) / 1e-10)
+        assert model.alphas == [alpha]
+        assert model.score_batch(X).tolist() == (alpha * y).tolist()
+
     def test_single_class_raises(self):
         X = np.zeros((4, 2))
         with pytest.raises(SingleClassError):
@@ -464,3 +487,47 @@ class TestScoring:
         np.testing.assert_array_equal(model.col_min, X.min(axis=0))
         np.testing.assert_array_equal(model.col_max, X.max(axis=0))
 
+
+
+def _metamorphic_data(seed, n=200, d=12):
+    """Train and held-out rows, values on a 0.01 grid (tied values), and
+    noisy labels, about 40% positive: no tree fits them, so all 30 rounds run."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n + 50, d)), 2)
+    y = np.where(X[:, 0] - X[:, 3] + 2.0 * rng.normal(size=n + 50) > 0.8, 1, -1)
+    return X[:n], y[:n], X[n:]
+
+
+class TestMetamorphic:
+    """Relations that hold bit for bit on any input, so they outlast a
+    deliberate change of the pinned digests."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
+    def test_power_of_two_column_scale(self, fit, seed):
+        # Column j times 2**(j - 6): scaling by a power of two is exact, and
+        # min-max normalization cancels it, so every score keeps its bits.
+        X, y, X_test = _metamorphic_data(seed)
+        scale = 2.0 ** (np.arange(X.shape[1]) - 6)
+        model, scaled = fit(X, y), fit(X * scale, y)
+        assert scaled.score_batch(X * scale).tobytes() == model.score_batch(X).tobytes()
+        assert (scaled.score_batch(X_test * scale).tobytes()
+                == model.score_batch(X_test).tobytes())
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("warp", [lambda x: x**3, np.exp], ids=["cube", "exp"])
+    def test_adaboost_rank_invariance(self, warp, seed):
+        # A strictly increasing column map keeps each column's order and ties,
+        # and an AdaBoost tree sees only those: its split features, its
+        # predictions on the training rows and so every alpha and training
+        # score keep their bits; only the thresholds move. RUSBoost fails
+        # this: a tree splits at the midpoint between adjacent values of the
+        # round's subsample, and a row left out of the subsample can fall on
+        # either side of the moved midpoint, which changes the round's error.
+        X, y, _ = _metamorphic_data(seed)
+        model, warped = fit_adaboost(X, y), fit_adaboost(warp(X), y)
+        assert len(warped.trees) == len(model.trees) == DEFAULT_ROUNDS
+        for tree, other in zip(model.trees, warped.trees):
+            assert other.feature.tolist() == tree.feature.tolist()
+        assert warped.alphas == model.alphas
+        assert warped.score_batch(warp(X)).tobytes() == model.score_batch(X).tobytes()

@@ -98,6 +98,56 @@ class TestConfusionMetrics:
             confusion_metrics(np.array([]), np.array([]))
 
 
+def _roc_loop(y_true, scores):
+    """The ROC scan roc_auc ran before it took its steps from cumulative
+    counts: one pass per run of equal scores, trapezoids added one by one.
+    Kept as the reference whose points and AUC roc_auc must equal bit for bit."""
+    pos = np.asarray(y_true) == TRUE_ALARM
+    n_pos = int(pos.sum())
+    n_neg = int(len(pos) - n_pos)
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    p = pos[order]
+
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    i = 0
+    while i < len(s):
+        j = i
+        while j < len(s) and s[j] == s[i]:
+            j += 1
+        tp += int(p[i:j].sum())
+        fp += (j - i) - int(p[i:j].sum())
+        points.append((fp / n_neg, tp / n_pos, float(s[i])))
+        i = j
+
+    auc = 0.0
+    for (x0, y0, _), (x1, y1, _) in zip(points[:-1], points[1:]):
+        auc += (x1 - x0) * (y1 + y0) / 2.0
+    return auc, points
+
+
+@st.composite
+def _tied_scores(draw):
+    """Labels with both classes and scores with heavy ties: rounded normals,
+    a small integer grid, one value throughout, or signed zeros among a few
+    values."""
+    n = draw(st.integers(2, 800))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "grid", "equal", "zeros"]))
+    if kind == "normal":
+        scores = np.round(rng.normal(size=n), draw(st.integers(0, 2)))
+    elif kind == "grid":
+        scores = rng.integers(-3, 4, size=n).astype(np.float64)
+    elif kind == "equal":
+        scores = np.full(n, draw(st.sampled_from([-0.0, 0.0, -1.5, 2.0])))
+    else:
+        scores = rng.choice([-0.0, 0.0, -0.5, 1.0], size=n, p=[0.4, 0.4, 0.1, 0.1])
+    y = np.where(rng.random(n) < draw(st.floats(0.05, 0.95)), TRUE_ALARM, FALSE_ALARM)
+    y[rng.choice(n, size=2, replace=False)] = [TRUE_ALARM, FALSE_ALARM]
+    return y, scores
+
+
 class TestRocAuc:
     def test_perfect_ordering(self):
         y = np.array([1, 1, -1, -1])
@@ -134,6 +184,12 @@ class TestRocAuc:
             scores = np.round(rng.normal(size=n), 1)  # rounding forces ties
             auc, _ = roc_auc(y, scores)
             assert 0.0 <= auc <= 1.0
+
+    @given(_tied_scores())
+    def test_bits_equal_scan(self, case):
+        # Points (thresholds' signs of zero included) and AUC, by repr.
+        y, scores = case
+        assert repr(roc_auc(y, scores)) == repr(_roc_loop(y, scores))
 
     @given(st.one_of(
         arrays(np.float64, st.integers(0, 80), elements=st.floats(-1e6, 1e6)),
