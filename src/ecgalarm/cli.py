@@ -96,7 +96,9 @@ def cmd_featurize(cfg: dict) -> int:
     if cfg["workers"] > 1:
         import multiprocessing  # here only: every other command would pay its ~8 ms import
 
-        with multiprocessing.Pool(cfg["workers"]) as pool:
+        # fork, by name: Python 3.14 makes forkserver the POSIX default, and
+        # bench/tracing.py follows workers only through os.register_at_fork.
+        with multiprocessing.get_context("fork").Pool(cfg["workers"]) as pool:
             results = pool.map(_featurize_task, tasks)
     else:
         results = [_featurize_task(t) for t in tasks]

@@ -8,25 +8,35 @@ on their training data and apply it internally when scoring. Defaults follow
 the common "Boosted Trees" / "RUSBoosted Trees" presets: 30 rounds, learning
 rate 0.1, 20 splits, 1:1 resampling.
 
-Each fit sorts once: ``_boost`` argsorts every column stably, and each round
-and each child node filter that order. Node rows stay ascending, so a stable
-filter of a stable order is the node's own stable argsort: each node sums the
-same weights in the same sequence, and trees are bit-identical to resorting.
+Each fit does its per-fit work once: ``_boost`` argsorts every column
+stably, takes the sorted values, and allocates the split searches' scratch
+buffers. Each round filters that order and those values by one index of the
+entries of its rows (for AdaBoost, every entry). Each child node filters its
+parent's order the same way. Node rows stay ascending, so a stable filter of
+a stable order is the node's own stable argsort: each node sums the same
+weights in the same sequence, and trees are bit-identical to resorting.
 
 A split marks each entry of the node's (features, rows) order by its side;
 ``np.flatnonzero`` of the mask lists, feature by feature, the entries of one
 side in sorted order, and ``take`` copies them and their values into the
 child. The children of the split that uses up the budget keep only their
-rows. The split search runs its passes in place, in scratch buffers
-allocated once per tree: fresh temporaries the size of a large node are
-mapped from the system and page-faulted anew on every search. In place,
+rows. The next leaf to split comes off a heap of ``(-gain, leaf)``, so among
+equal gains the lowest leaf splits first. The split search runs its passes
+in place, in the fit's buffers: fresh temporaries the size of a large node
+are mapped from the system and page-faulted anew on every search. In place,
 each gain is still ``(parent - left) - right`` with each mass
 ``2*p*n / (p+n)``: the same IEEE operations on the same numbers in the same
 order, so the bits hold.
+
+The grower also returns each training row's +-1 from the leaf it ends in,
+by the rule ``predict`` applies to that leaf; a row reaches that leaf
+through the same ``X[:, f] <= threshold`` tests that ``predict`` makes. So
+a round calls ``predict`` only on the rows it held back: none for AdaBoost.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,18 +53,23 @@ _EPS_PERFECT = 1e-10  # stand-in error when a round classifies perfectly
 def _gini_mass(w_pos, w_neg, out, total):
     """Weighted Gini impurity times node weight, 2*p*n/(p+n), 0 when empty,
     into `out` (which may be `w_pos`); `total` is scratch. Weights are
-    nonnegative, so where p+n is 0 the product 2*p*n already is 0."""
+    nonnegative, so where p+n is 0 the product 2*p*n already is 0, and 0
+    divided by the least subnormal stays 0; every positive p+n is at least
+    that subnormal, so the clamp leaves it as it is."""
     total = np.add(w_pos, w_neg, out=total)
+    np.maximum(total, 5e-324, out=total)
     mass = np.multiply(2.0, w_pos, out=out)
     mass *= w_neg
-    return np.divide(mass, total, out=mass, where=total > 0)
+    return np.divide(mass, total, out=mass)
 
 
-def _best_split(w_pos, w_neg, rows, order, vals, work):
+def _best_split(w, rows, order, vals, work):
     """Best (gain, feature, threshold) over a node's rows; None if no split helps.
-    `rows` ascend; row f of `order` sorts them by feature f, and of `vals` their
-    values. `work` is four float buffers of at least `order.size` each."""
-    p, n = float(w_pos[rows].sum()), float(w_neg[rows].sum())
+    `w` stacks the positive and the negative class's weights, as (2, rows of
+    X). `rows` ascend; row f of `order` sorts them by feature f, and of `vals`
+    their values. `work` holds a float buffer of at least 5 * `order.size` and
+    a bool buffer of at least `order.size`."""
+    p, n = w.take(rows, axis=1).sum(axis=1).tolist()
     parent = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
     if parent <= 0 or len(rows) < 2:
         return None
@@ -62,15 +77,17 @@ def _best_split(w_pos, w_neg, rows, order, vals, work):
     # Column i splits after the i-th sorted row. The last column leaves the
     # right side empty and is masked below; keeping it keeps every pass
     # contiguous. Indices are valid, so mode="clip" only skips take's copy.
-    tmp, cum_p, cum_n, gains = (buf[: order.size].reshape(order.shape) for buf in work)
-    np.cumsum(w_pos.take(order, out=tmp, mode="clip"), axis=1, out=cum_p)
-    np.cumsum(w_neg.take(order, out=tmp, mode="clip"), axis=1, out=cum_n)
-    _gini_mass(cum_p, cum_n, out=gains, total=tmp)
+    # Both classes go through each take, cumsum and subtraction at once; the
+    # sums still run along each (class, feature) lane in row order.
+    floats, mask = work
+    bufs = floats[: 5 * order.size].reshape(5, *order.shape)
+    tmp, cum, gains = bufs[:2], bufs[2:4], bufs[4]
+    np.add.accumulate(w.take(order, axis=1, out=tmp, mode="clip"), axis=2, out=cum)
+    _gini_mass(cum[0], cum[1], out=gains, total=tmp[0])
     np.subtract(parent, gains, out=gains)  # (parent - left) - right
-    right_p = np.subtract(cum_p[:, -1:], cum_p, out=tmp)
-    right_n = np.subtract(cum_n[:, -1:], cum_n, out=cum_p)
-    gains -= _gini_mass(right_p, right_n, out=right_p, total=cum_n)
-    ties = np.empty(order.shape, dtype=bool)  # ties can't split
+    right = np.subtract(cum[:, :, -1:], cum, out=tmp)
+    gains -= _gini_mass(right[0], right[1], out=right[0], total=cum[0])
+    ties = mask[: order.size].reshape(order.shape)  # ties can't split
     np.equal(vals[:, :-1], vals[:, 1:], out=ties[:, :-1])
     ties[:, -1] = True
     np.putmask(gains, ties, -np.inf)
@@ -113,68 +130,68 @@ class DecisionTree:
         return int(np.sum(self.feature >= 0))
 
 
-def fit_tree(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, max_splits: int = DEFAULT_MAX_SPLITS,
-    order: np.ndarray | None = None,
-) -> DecisionTree:
-    """Grow a tree best-first by weighted Gini decrease up to `max_splits`.
-    `order` is X's stable argsort per column, as (features, rows); None sorts here."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    w = np.asarray(w, dtype=np.float64)
-    if not (w >= 0).all() or w.sum() <= 0:
-        raise ValueError("sample weights must be nonnegative and sum to a positive value")
-    w_pos = np.where(y > 0, w, 0.0)
-    w_neg = np.where(y < 0, w, 0.0)
-    order = np.argsort(X.T, axis=1, kind="stable") if order is None else order
+def _presort(X):
+    """Each column's stable order, as (features, rows), its sorted values, and
+    the split search's scratch buffers for a node of every row."""
+    order = np.argsort(X.T, axis=1, kind="stable")
+    work = np.empty(5 * order.size), np.empty(order.size, dtype=bool)
+    return order, np.take_along_axis(X.T, order, axis=1), work
 
+
+def _grow(X, y, w, rows, order, vals, work, max_splits):
+    """Grow a tree best-first by weighted Gini decrease on X's `rows`
+    (ascending), up to `max_splits`. Row f of `order` sorts the rows by
+    feature f, as indices into X, and row f of `vals` holds their values;
+    `work` holds `_best_split`'s buffers. Returns the tree and each row's +-1
+    from its leaf, 0 for rows outside `rows`."""
+    w = np.stack([np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0)])
     feature = [-1]
     threshold = [0.0]
     left = [-1]
     right = [-1]
-    # Per leaf: its rows ascending, their per-feature order and sorted values.
-    nodes = {0: (np.arange(len(X)), order, np.take_along_axis(X.T, order, axis=1))}
-    work = np.empty((4, X.size))  # the searches' scratch, allocated once per tree
-    # Candidate splits per leaf, refreshed as leaves appear.
-    candidates = {0: _best_split(w_pos, w_neg, *nodes[0], work)}
+    leaves = {0: rows}  # per leaf: its rows ascending
+    # Per splittable leaf: (-gain, leaf, feature, threshold, its order, its
+    # values). Leaves are distinct, so entries never compare past the leaf.
+    heap = []
 
+    def search(leaf, order, vals):
+        cand = _best_split(w, leaves[leaf], order, vals, work)
+        if cand is not None:
+            heapq.heappush(heap, (-cand[0], leaf, cand[1], cand[2], order, vals))
+
+    search(0, order, vals)
     n_splits = 0
-    while n_splits < max_splits:
-        # The dict holds leaves in ascending order, so equal gains go to the lowest.
-        best_leaf = max((leaf for leaf, cand in candidates.items() if cand is not None),
-                        key=lambda leaf: candidates[leaf][0], default=None)
-        if best_leaf is None:
-            break
-        gain, f, thr = candidates.pop(best_leaf)
-        rows, order, vals = nodes.pop(best_leaf)
+    while heap and n_splits < max_splits:
+        _, leaf, f, thr, order, vals = heapq.heappop(heap)
+        rows = leaves.pop(leaf)
         n_splits += 1
         side = X[:, f] <= thr
         to_left = side.take(order)
-        for mask, sel in ((side[rows], to_left), (~side[rows], ~to_left)):
+        in_left = side.take(rows)
+        for mask, sel in ((in_left, to_left), (~in_left, ~to_left)):
             child = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            if n_splits == max_splits:  # the children of the last split stay leaves
-                nodes[child] = (rows[mask], None, None)
-                continue
-            at = np.flatnonzero(sel)
-            shape = (len(order), len(at) // len(order))
-            nodes[child] = (rows[mask], order.take(at).reshape(shape), vals.take(at).reshape(shape))
-            candidates[child] = _best_split(w_pos, w_neg, *nodes[child], work)
-        feature[best_leaf] = f
-        threshold[best_leaf] = thr
-        left[best_leaf] = len(feature) - 2
-        right[best_leaf] = len(feature) - 1
+            leaves[child] = rows[mask]
+            if n_splits < max_splits:  # the children of the last split stay leaves
+                at = np.flatnonzero(sel)
+                shape = (len(order), len(at) // len(order))
+                search(child, order.take(at).reshape(shape), vals.take(at).reshape(shape))
+        feature[leaf] = f
+        threshold[leaf] = thr
+        left[leaf] = len(feature) - 2
+        right[leaf] = len(feature) - 1
 
     n_nodes = len(feature)
     leaf_w_pos = np.zeros(n_nodes)
     leaf_w_neg = np.zeros(n_nodes)
-    for node, (rows, _, _) in nodes.items():
-        leaf_w_pos[node] = w_pos[rows].sum()
-        leaf_w_neg[node] = w_neg[rows].sum()
-    return DecisionTree(
+    pred = np.zeros(len(X), dtype=int)
+    for node, rows in leaves.items():
+        leaf_w_pos[node], leaf_w_neg[node] = w.take(rows, axis=1).sum(axis=1)
+        pred[rows] = 1 if leaf_w_pos[node] >= leaf_w_neg[node] else -1  # as `predict`
+    tree = DecisionTree(
         feature=np.asarray(feature, dtype=int),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=int),
@@ -182,6 +199,19 @@ def fit_tree(
         leaf_w_neg=leaf_w_neg,
         leaf_w_pos=leaf_w_pos,
     )
+    return tree, pred
+
+
+def fit_tree(
+    X: np.ndarray, y: np.ndarray, w: np.ndarray, max_splits: int = DEFAULT_MAX_SPLITS,
+) -> DecisionTree:
+    """Grow a tree best-first by weighted Gini decrease up to `max_splits`."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    w = np.asarray(w, dtype=np.float64)
+    if not (w >= 0).all() or w.sum() <= 0:
+        raise ValueError("sample weights must be nonnegative and sum to a positive value")
+    return _grow(X, y, w, np.arange(len(X)), *_presort(X), max_splits)[0]
 
 
 @dataclass
@@ -230,17 +260,18 @@ def _boost(
 
     n = len(X)
     w = np.full(n, 1.0 / n)
-    presorted = np.argsort(Xn.T, axis=1, kind="stable")
+    order, vals, work = _presort(Xn)  # once per fit
 
     for _ in range(rounds):
         rows = subset_fn()
-        # The presort restricted to this round's rows, as indices into them.
-        local = np.full(n, -1)
-        local[rows] = np.arange(len(rows))
-        kept = local.take(presorted)
-        order = kept.take(np.flatnonzero(kept >= 0)).reshape(len(presorted), len(rows))
-        tree = fit_tree(Xn[rows], y[rows], w[rows] / w[rows].sum(), max_splits, order=order)
-        pred = tree.predict(Xn)
+        in_round = np.zeros(n, dtype=bool)
+        in_round[rows] = True
+        at = np.flatnonzero(in_round.take(order))  # the round's entries of the presort
+        shape = (len(order), len(rows))
+        tree, pred = _grow(Xn, y, w / w[rows].sum(), rows, order.take(at).reshape(shape),
+                           vals.take(at).reshape(shape), work, max_splits)
+        held = np.flatnonzero(~in_round)
+        pred[held] = tree.predict(Xn[held])
         miss = pred != y
         eps = float(w[miss].sum())
         if eps >= 0.5:

@@ -11,6 +11,7 @@ from ecgalarm.cli import _load_tables, build_parser, main
 from ecgalarm.feature_synthesis import HLF_LENGTH
 from ecgalarm.segment_features import LLF_LENGTH
 from ecgalarm.tables import (
+    FEATURE_BANKS,
     read_feature_csv,
     read_manifest,
     usable_records,
@@ -378,6 +379,27 @@ sys.exit(cli.main(["featurize", "--out", {str(out)!r}, "--workers", "{workers}"]
         assert done.stderr.rstrip().endswith("IndexError: injected defect")
         assert "featurize failed" not in done.stderr
         assert [p.name for p in out.glob("*.csv")] == ["manifest.csv"]
+
+    def test_workers_fork_and_match_one_worker(self, pipeline_out, tmp_path, monkeypatch):
+        # The pool forks by name, whatever the platform's default start
+        # method, and two workers write the bytes of one (`pipeline_out`).
+        import multiprocessing
+
+        real, methods = multiprocessing.get_context, []
+
+        def spy(method=None):
+            methods.append(method)
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline_out / "manifest.csv", out)
+        shutil.copytree(pipeline_out / "cache", out / "cache")
+        assert run_cli("featurize", "--out", out, "--seed", "11", "--workers", "2") == 0
+        assert methods == ["fork"]
+        for bank in FEATURE_BANKS:
+            assert (out / f"{bank}.csv").read_bytes() == (pipeline_out / f"{bank}.csv").read_bytes()
 
     def test_failed_featurize_leaves_no_stale_tables(self, pipeline_out, tmp_path):
         # The tables of an earlier run go when featurize starts, so a run in

@@ -153,6 +153,19 @@ class TestKmeansProperties:
             diffs = np.diff(trace)
             assert np.all(diffs <= 1e-9), f"instance {s}: objective increased"
 
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_power_of_two_scale(self, metric):
+        # 4X scales every cost by 4 or 16, exactly, so k-means++ draws with
+        # the same probabilities, Lloyd makes the same choices and the
+        # centroids (medians or means) come out exactly 4 times larger.
+        for seed in range(8):
+            X = np.random.default_rng(seed).normal(size=(300, 12))
+            base, scaled = kmeans(X, 5, metric, seed=seed), kmeans(4.0 * X, 5, metric, seed=seed)
+            assert scaled.assignments.tolist() == base.assignments.tolist()
+            assert scaled.centroids.tobytes() == (4.0 * base.centroids).tobytes()
+            power = 1.0 if metric == "cityblock" else 2.0
+            assert scaled.objective_trace == [4.0**power * c for c in base.objective_trace]
+
     def test_determinism(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(30, 6))

@@ -6,12 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ecgalarm.ensemble as ens
 from ecgalarm.ensemble import (
+    _EPS_PERFECT,
     DEFAULT_LEARNING_RATE,
     DEFAULT_ROUNDS,
     BoostedEnsemble,
     _best_split,
     _gini_mass,
+    _grow,
+    _presort,
     fit_adaboost,
     fit_rusboost,
     fit_tree,
@@ -78,6 +82,20 @@ class TestFitTree:
         y = np.where(rng.random(200) > 0.5, 1, -1)
         tree = fit_tree(X, y, np.full(200, 1 / 200), max_splits=7)
         assert tree.n_splits <= 7
+
+    @given(st.data(), st.integers(0, 6))
+    def test_training_signs_equal_predict(self, data, max_splits):
+        # The grower's +-1 for each of its rows comes from the leaf the row
+        # ends in; `predict` routes the same row to the same leaf and answers
+        # by the same rule. Rows outside the node get 0.
+        X, w_pos, w_neg, rows = data.draw(_weighted_nodes())
+        y = np.where(w_pos > 0, 1, np.where(w_neg > 0, -1, data.draw(
+            arrays(np.int64, len(X), elements=st.sampled_from([-1, 1])))))
+        order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
+        vals = np.take_along_axis(X.T, order, axis=1)
+        tree, pred = _grow(X, y, w_pos + w_neg, rows, order, vals, _presort(X)[2], max_splits)
+        assert pred[rows].tolist() == tree.predict(X[rows]).tolist()
+        assert not pred[np.setdiff1d(np.arange(len(X)), rows)].any()
 
 
 def _brute_split(X, w_pos, w_neg, rows):
@@ -198,7 +216,7 @@ class TestSplitSearch:
         X, w_pos, w_neg, rows = node
         order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
         vals = np.take_along_axis(X.T, order, axis=1)
-        got = _best_split(w_pos, w_neg, rows, order, vals, np.empty((4, order.size)))
+        got = _best_split(np.stack([w_pos, w_neg]), rows, order, vals, _presort(X)[2])
         assert got == _brute_split(X, w_pos, w_neg, rows)
 
     def test_best_split_bits_equal_plain_expressions(self):
@@ -215,7 +233,7 @@ class TestSplitSearch:
             rows = np.flatnonzero(rng.random(n) < 0.8)
             order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
             vals = np.take_along_axis(X.T, order, axis=1)
-            got = _best_split(w_pos, w_neg, rows, order, vals, np.empty((4, order.size)))
+            got = _best_split(np.stack([w_pos, w_neg]), rows, order, vals, _presort(X)[2])
             assert got == _plain_split(w_pos, w_neg, rows, order, vals), seed
 
     @given(_class_weights())
@@ -256,6 +274,106 @@ def test_split_search_without_avx512(without_avx512):
     done = without_avx512(f"{__file__}::TestSplitSearch")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "5 passed" in done.stdout
+
+
+def _boost_reference(X, y, rounds, learning_rate, max_splits, subset_fn):
+    """`_boost`'s round loop in plain steps, the bits it must reproduce: each
+    round fits its rows' table with `fit_tree`, which sorts that table afresh
+    (the fit-wide presort filtered to the rows is the same order, see
+    `test_round_order_is_stable_argsort`), and predicts every row with
+    `predict`."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=int)
+    if (y == y[:1]).all():
+        raise SingleClassError("training labels contain a single class")
+    model = BoostedEnsemble(trees=[], alphas=[], col_min=X.min(axis=0), col_max=X.max(axis=0))
+    Xn = model._normalize(X)
+    w = np.full(len(X), 1.0 / len(X))
+    for _ in range(rounds):
+        rows = subset_fn()
+        tree = fit_tree(Xn[rows], y[rows], w[rows] / w[rows].sum(), max_splits)
+        pred = tree.predict(Xn)
+        eps = float(w[pred != y].sum())
+        if eps >= 0.5:
+            if not model.trees:
+                raise NoWeakLearner(f"boosting round 0 has weighted error {eps:.3f} >= 0.5")
+            break
+        e = eps or _EPS_PERFECT
+        alpha = learning_rate * 0.5 * np.log((1.0 - e) / e)
+        model.trees.append(tree)
+        model.alphas.append(alpha)
+        if eps == 0.0:
+            break
+        w = w * np.exp(-alpha * y * pred)
+        w = w / w.sum()
+    return model
+
+
+def _fit_outcome(fit, X, y):
+    """The model `fit` returns, or the type of the boosting error it raises."""
+    try:
+        return fit(X, y)
+    except (NoWeakLearner, SingleClassError) as error:
+        return type(error)
+
+
+def _assert_fit_equals_reference(fit, X, y):
+    """`fit` and `fit` run through `_boost_reference` give the same trees,
+    alphas and scores, bit for bit, or raise the same boosting error. Both
+    reweight with the same `np.exp`, so this holds at any SIMD level."""
+    got = _fit_outcome(fit, X, y)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ens, "_boost", _boost_reference)
+        want = _fit_outcome(fit, X, y)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want
+        return
+    trees = []
+    for model in (got, want):
+        h = hashlib.sha256()
+        for tree in model.trees:
+            _hash_tree(h, tree)
+        trees.append(h.hexdigest())
+    assert trees[0] == trees[1]
+    assert repr(got.alphas) == repr(want.alphas)
+    assert got.score_batch(X).tobytes() == want.score_batch(X).tobytes()
+
+
+def _fit_tree_table(seed):
+    """The features and labels of seed `seed` in `test_fit_tree_bytes_pinned`."""
+    rng = np.random.default_rng(seed)
+    n, f = int(rng.integers(20, 401)), int(rng.integers(1, 41))
+    X = np.round(rng.normal(size=(n, f)), int(rng.integers(0, 3)))
+    return X, np.where(rng.random(n) < 0.4, 1, -1)
+
+
+class TestBoostReference:
+    @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
+    def test_pinned_tables(self, fit):
+        # 10 rounds on these larger tables keep the suite fast; the edge
+        # tables below run all 30, with the rounds that stop boosting.
+        for seed in range(40):
+            X, y = _fit_tree_table(seed)
+            _assert_fit_equals_reference(lambda X, y: fit(X, y, rounds=10), X, y)
+
+    @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
+    def test_edge_tables(self, fit):
+        for seed in range(40):
+            X, y, _ = _edge_table(seed)
+            _assert_fit_equals_reference(fit, X, y)
+
+    @given(st.data())
+    def test_held_back_rows_get_predicts_answer(self, data):
+        # RUSBoost scores its held-back rows with `predict` and its training
+        # rows from their leaves; the reference predicts every row, so a
+        # held-back row scored otherwise would change that round's error.
+        n = data.draw(st.integers(4, 30))
+        f = data.draw(st.integers(1, 3))
+        X = data.draw(arrays(np.int64, (n, f), elements=st.integers(-3, 3))) / 2.0
+        y = data.draw(arrays(np.int64, n, elements=st.sampled_from([-1, -1, 1])))
+        seed = data.draw(st.integers(0, 3))
+        _assert_fit_equals_reference(
+            lambda X, y: fit_rusboost(X, y, rounds=10, seed=seed), X, y)
 
 
 class TestAdaboost:
@@ -371,17 +489,15 @@ class TestRusboost:
         return X, y
 
     def test_subset_balance_contract(self, monkeypatch):
-        import ecgalarm.ensemble as ens
-
         X, y = self._imbalanced()
         seen = []
-        original = ens.fit_tree
+        original = ens._grow
 
-        def spy(Xs, ys, ws, *args, **kwargs):
-            seen.append((int(np.sum(ys > 0)), int(np.sum(ys < 0))))
-            return original(Xs, ys, ws, *args, **kwargs)
+        def spy(Xn, y, w, rows, *args):
+            seen.append((int(np.sum(y[rows] > 0)), int(np.sum(y[rows] < 0))))
+            return original(Xn, y, w, rows, *args)
 
-        monkeypatch.setattr(ens, "fit_tree", spy)
+        monkeypatch.setattr(ens, "_grow", spy)
         ens.fit_rusboost(X, y, rounds=5, seed=1)
         assert seen, "no boosting rounds ran"
         for n_pos, n_neg in seen:
@@ -389,21 +505,22 @@ class TestRusboost:
 
     @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
     def test_round_order_is_stable_argsort(self, fit, monkeypatch):
-        # The order each round takes from the fit-wide presort must be the
-        # stable argsort of that round's table, so its tree equals a fit
-        # that sorts afresh.
-        import ecgalarm.ensemble as ens
-
+        # The order and values each round takes from the fit-wide presort
+        # must be the stable argsort of that round's table and its sorted
+        # values, so its tree equals a fit that sorts afresh.
         X, y = self._imbalanced(seed=4)
         X = np.round(X, 1)  # tied values
-        original = ens.fit_tree
+        original = ens._grow
         rounds = []
 
-        def spy(Xs, ys, ws, max_splits, order):
-            rounds.append(np.array_equal(order, np.argsort(Xs.T, axis=1, kind="stable")))
-            return original(Xs, ys, ws, max_splits, order)
+        def spy(Xn, y, w, rows, order, vals, work, max_splits):
+            Xs = Xn[rows]
+            fresh = np.argsort(Xs.T, axis=1, kind="stable")
+            rounds.append(np.array_equal(order, rows[fresh]) and np.take_along_axis(
+                Xs.T, fresh, axis=1).tobytes() == vals.tobytes())
+            return original(Xn, y, w, rows, order, vals, work, max_splits)
 
-        monkeypatch.setattr(ens, "fit_tree", spy)
+        monkeypatch.setattr(ens, "_grow", spy)
         fit(X, y, rounds=5)
         assert rounds and all(rounds)
 

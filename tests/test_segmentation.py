@@ -480,6 +480,32 @@ class TestDelineate:
         np.testing.assert_allclose(m3[..., 1], 3.0 * m1[..., 1], rtol=1e-6)
 
 
+# 2-min records from 40 to 180 bpm and from 5 to 26 dB SNR.
+SCALE_RECORDS = [(40, 5), (60, 26), (80, 12), (100, 20), (120, 8), (140, 15), (160, 22), (180, 10)]
+
+
+class TestPowerOfTwoScale:
+    """Scaling a record by a power of two is exact in IEEE arithmetic, the
+    filters are linear and each threshold is an affine mix of the levels,
+    so the detector finds the same peaks bit for bit, and delineate the
+    same landmarks with every amplitude scaled exactly. Unlike a comparison
+    with an older implementation, this holds across a deliberate change of
+    the pinned digests."""
+
+    @pytest.mark.parametrize("bpm, snr_db", SCALE_RECORDS)
+    def test_detector_and_delineate(self, bpm, snr_db):
+        samples = synthetic_ecg(120, bpm, snr_db=snr_db, seed=bpm).samples
+        peaks = detect_r_peaks(samples)
+        marks = delineate(samples, peaks)
+        assert len(marks) > 0
+        for s in (2.0**-6, 0.25, 2.0, 8.0, 2.0**6):
+            scaled = detect_r_peaks(s * samples)
+            assert scaled.tolist() == peaks.tolist()
+            got = delineate(s * samples, scaled)
+            assert got[..., 0].tobytes() == marks[..., 0].tobytes()
+            assert got[..., 1].tobytes() == (s * marks[..., 1]).tobytes()
+
+
 class TestRobustness:
     def test_inverted_qrs_detected(self):
         # Negative QRS polarity (common in ventricular rhythms): detection
