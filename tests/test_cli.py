@@ -281,6 +281,55 @@ class TestIngest:
         cached = np.load(out / "cache" / "v600l.npy")
         assert len(cached) == ANALYSIS_SAMPLES
 
+    def test_edge_case_manifest(self, tmp_path, capsys):
+        # One header per admission case, in file-name order; the whole
+        # manifest and cache/ are pinned. A header without lead II needs no
+        # label. A failed first header (t103l, no signal file) still claims
+        # its file-stem name, so zz2's readable t103l is a duplicate.
+        from ecgalarm.record_io import encode_signal
+
+        data = tmp_path / "data"
+        data.mkdir()
+
+        def record(stem, name=None, fs=250, n=7500, leads=("II",), comment="#Asystole",
+                   signal=True):
+            lines = [f"{name or stem} {len(leads)} {fs} {n}"]
+            lines += [f"{stem}.mat 16+24 200(0) 16 0 0 0 0 {lead}" for lead in leads]
+            (data / f"{stem}.hea").write_text("\n".join(lines + [comment]) + "\n")
+            if signal:
+                adc = (np.arange(n) % 400 - 200).astype(np.int16)
+                (data / f"{stem}.mat").write_bytes(
+                    encode_signal([adc] * len(leads), byte_offset=24))
+
+        record("a100l")
+        record("a101l", leads=("V", "PLETH"))
+        record("b102l", fs=500, n=15000, comment="#Bradycardia")
+        record("t103l", comment="#Tachycardia", signal=False)
+        record("v104l", n=82500, comment="#Ventricular_Tachycardia")
+        record("x105l", comment="")  # no alarm comment, no alarm-type prefix
+        record("f106l", comment="#Ventricular_Flutter_Fib")  # not in the labels file
+        record("zz1", name="a100l")
+        record("zz2", name="t103l", comment="#Tachycardia")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("record,label\na100l,true\nb102l,false\nt103l,true\n"
+                          "v104l,true\nx105l,false\n")
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--data-dir", data, "--labels", labels, "--out", out) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "usable records: 2   skipped: 7"
+        assert (out / "manifest.csv").read_text() == (
+            "record,alarm_type,label,n_samples,skipped_reason\n"
+            "a100l,ASY,true,7500,\n"
+            "a100l,ASY,true,7500,duplicate_record\n"
+            "a101l,ASY,,7500,no_lead_II\n"
+            "b102l,EBR,false,15000,fs_500\n"
+            "f106l,,,0,MissingLabel\n"
+            "t103l,,,0,FileNotFoundError\n"
+            "t103l,ETC,true,7500,duplicate_record\n"
+            "v104l,VTA,true,75000,\n"
+            "x105l,,,0,ValueError\n"
+        )
+        assert sorted(p.name for p in (out / "cache").iterdir()) == ["a100l.npy", "v104l.npy"]
+
 
 class TestFeaturize:
     def test_feature_csv_shapes(self, pipeline_out):
