@@ -4,10 +4,12 @@ Flags are the only configuration, and each subcommand takes only the flags
 it reads (``all`` takes every one; see ``build_parser``); the boosting
 settings are the fixed ``ensemble.DEFAULT_*``. Only ingest creates the
 output directory. All intermediate products are flat CSVs under it, plus
-``cache/<record>.npy``, the decoded signals ingest hands to featurize;
-ingest decodes every record on every run. A single seed drives fold
-shuffling, k-means init, and RUSBoost sampling, so identical flags produce
-byte-identical outputs.
+``cache/<record>.npy``, the decoded signals ingest hands to featurize.
+Ingest first deletes an earlier run's manifest and tables, then decodes
+every record; ``record_io.load_any`` decides which ones it admits, and only
+a package error, an OSError or an undecodable header skips one. A single
+seed drives fold shuffling, k-means init, and RUSBoost sampling, so
+identical flags produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -23,55 +25,41 @@ from . import record_io
 from .evaluation import SCENARIOS, FeatureTable, render_markdown, run_matrix
 from .exceptions import EcgAlarmError, EmptyDataset, MissingInput
 from .pipeline import _featurize_task
-from .record_io import ALARM_TYPES, FALSE_ALARM, LABEL_TEXT, TARGET_FS, TRUE_ALARM
+from .record_io import ALARM_TYPES, FALSE_ALARM, LABEL_TEXT, TRUE_ALARM, EcgRecord
 from .tables import (
     FEATURE_BANKS,
     read_feature_csv,
     read_manifest,
     remove_feature_csvs,
+    remove_manifest,
     usable_records,
     write_feature_csv,
     write_manifest,
 )
 
+
 def cmd_ingest(cfg: dict) -> int:
-    """Parse, label and cache every record. A record without lead II, sampled
-    at a rate other than TARGET_FS, or named by an earlier header, gets a
-    manifest row with its skipped_reason and no cached signal."""
+    """Label and cache every record `record_io.load_any` admits. Every header
+    gets a manifest row: a record it skips or cannot read, or one an earlier
+    header named, gets its skipped_reason and no cached signal."""
     out = Path(cfg["out"])
     cache_dir = out / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
+    remove_manifest(out)  # with its tables: stale from here on, so a failed run leaves none
     labels = record_io.load_labels(cfg["labels"])
     rows, claimed = [], set()
     for path in record_io.discover_records(cfg["data_dir"]):
-        row = {"record": path.stem, "alarm_type": "", "label": "",
-               "n_samples": 0, "skipped_reason": ""}
         try:
             record = record_io.load_any(path, labels)
-            if record is None:
-                header = record_io.parse_header(path.read_text())
-                row["record"] = header.record_name
-                row["alarm_type"] = record_io.alarm_type_from_header(header) or ""
-                row["n_samples"] = header.n_samples
-                row["skipped_reason"] = "no_lead_II"
-            else:
-                samples = record.samples
-                if record.sampling_rate != TARGET_FS:
-                    row["skipped_reason"] = f"fs_{record.sampling_rate:g}"
-                else:
-                    samples = samples[: record_io.ANALYSIS_SAMPLES]
-                    if record.record_name not in claimed:
-                        np.save(cache_dir / f"{record.record_name}.npy", samples)
-                row["record"] = record.record_name
-                row["alarm_type"] = record.alarm_type
-                row["label"] = LABEL_TEXT[record.label]
-                row["n_samples"] = len(samples)
-        except (EcgAlarmError, OSError, ValueError) as exc:
-            row["skipped_reason"] = type(exc).__name__
-        if row["record"] in claimed:
-            row["skipped_reason"] = "duplicate_record"
-        claimed.add(row["record"])
-        rows.append(row)
+        except (EcgAlarmError, OSError, UnicodeDecodeError) as exc:
+            record = EcgRecord(path.stem, skipped_reason=type(exc).__name__)
+        reason = "duplicate_record" if record.record_name in claimed else record.skipped_reason
+        claimed.add(record.record_name)
+        if not reason:
+            np.save(cache_dir / f"{record.record_name}.npy", record.samples)
+        rows.append({"record": record.record_name, "alarm_type": record.alarm_type,
+                     "label": LABEL_TEXT.get(record.label, ""),
+                     "n_samples": record.n_samples, "skipped_reason": reason})
 
     usable = list(usable_records(rows).values())
     if not usable:

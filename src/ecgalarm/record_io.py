@@ -4,9 +4,10 @@ Handles the subset of the WFDB format the challenge training set actually
 uses: text headers (.hea) plus format-16 binary signals with an optional
 byte offset (the challenge's ``16+24`` .mat containers). Signals are
 converted to physical units (mV) and the ECG lead II channel is selected.
-A malformed header raises ParseError and nothing else. Records are never
-resampled: ingest skips a record whose rate is not TARGET_FS (250 Hz, the
-challenge's rate).
+A malformed header raises ParseError and nothing else. ``load_any`` owns the
+admission rule: a record is used only with lead II, a label, an alarm type
+and a rate of TARGET_FS (250 Hz, the challenge's rate), cut to its
+ANALYSIS_SAMPLES; records are never resampled.
 """
 
 from __future__ import annotations
@@ -69,11 +70,15 @@ class RecordHeader:
 
 @dataclass
 class EcgRecord:
+    """One header's manifest facts. A skipped record has a skipped_reason
+    (``no_lead_II``, ``fs_<rate>``) and no samples; without lead II it has
+    no label either."""
     record_name: str
-    samples: np.ndarray  # physical units, mV
-    sampling_rate: float
-    alarm_type: str
-    label: int  # TRUE_ALARM or FALSE_ALARM
+    alarm_type: str = ""
+    label: int | None = None  # TRUE_ALARM or FALSE_ALARM
+    n_samples: int = 0
+    skipped_reason: str = ""
+    samples: np.ndarray | None = None  # lead II in mV, cut to ANALYSIS_SAMPLES
 
 
 def parse_header(text: str) -> RecordHeader:
@@ -123,6 +128,8 @@ def _parse_signal_line(line: str, line_no: int) -> SignalSpec:
     if len(tokens) < 2:
         raise ParseError(line_no, f"signal line needs file name and format: {line!r}")
     file_name = tokens[0]
+    if "\0" in file_name:  # no file can have it; opening it would raise ValueError
+        raise ParseError(line_no, f"NUL byte in signal file name {file_name!r}")
 
     m = _FORMAT_RE.match(tokens[1])
     if m is None:
@@ -238,36 +245,29 @@ def load_labels(path: str | Path) -> dict[str, int]:
     return labels
 
 
-def load_any(path: str | Path, labels: dict[str, int]) -> EcgRecord | None:
-    """Load the ECG lead II channel of the record whose .hea header is at
-    `path`; None when the lead is absent."""
+def load_any(path: str | Path, labels: dict[str, int]) -> EcgRecord:
+    """The record whose .hea header is at `path`, checked in the order lead II,
+    label, alarm type, decoding, rate. A record without lead II or at another
+    rate is returned skipped; MissingLabel, ParseError (no alarm type) and the
+    decoding errors are raised."""
     path = Path(path)
     header = parse_header(path.read_text())
-
-    lead_index = None
-    for i, spec in enumerate(header.signals):
-        if spec.signal_name == "II":
-            lead_index = i
-            break
-    if lead_index is None:
-        return None
-
-    if header.record_name not in labels:
-        raise MissingLabel(header.record_name)
-
+    name = header.record_name
     alarm = alarm_type_from_header(header)
+    lead = next((i for i, spec in enumerate(header.signals) if spec.signal_name == "II"), None)
+    if lead is None:
+        return EcgRecord(name, alarm or "", None, header.n_samples, "no_lead_II")
+    if name not in labels:
+        raise MissingLabel(name)
     if alarm is None:
-        raise ValueError(f"{header.record_name}: cannot derive alarm type")
+        raise ParseError(1, f"cannot derive the alarm type of record {name!r}")
 
-    raw = (path.parent / header.signals[lead_index].file_name).read_bytes()
-    samples = read_signal(header, raw, lead_index)
-    return EcgRecord(
-        record_name=header.record_name,
-        samples=samples,
-        sampling_rate=header.sampling_rate,
-        alarm_type=alarm,
-        label=labels[header.record_name],
-    )
+    raw = (path.parent / header.signals[lead].file_name).read_bytes()
+    samples = read_signal(header, raw, lead)[:ANALYSIS_SAMPLES]
+    if header.sampling_rate != TARGET_FS:
+        return EcgRecord(name, alarm, labels[name], header.n_samples,
+                         f"fs_{header.sampling_rate:g}")
+    return EcgRecord(name, alarm, labels[name], len(samples), "", samples)
 
 
 def discover_records(data_dir: str | Path) -> list[Path]:

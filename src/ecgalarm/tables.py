@@ -37,6 +37,12 @@ def remove_feature_csvs(out: str | Path) -> None:
         (Path(out) / f"{bank}.csv").unlink(missing_ok=True)
 
 
+def remove_manifest(out: str | Path) -> None:
+    """Delete manifest.csv and the feature tables built from it."""
+    (Path(out) / "manifest.csv").unlink(missing_ok=True)
+    remove_feature_csvs(out)
+
+
 def write_feature_csv(out: str | Path, bank: str, records: list[str], labels: list[int],
                       matrix: np.ndarray) -> None:
     with open(Path(out) / f"{bank}.csv", "w", newline="") as fh:

@@ -107,17 +107,28 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]), fil
     assert done.stderr.strip() == "[]"
 
 
-def test_benchmark_tracer_finds_every_name(tmp_path, fresh_python):
+def test_benchmark_tracer_finds_every_name(fixture_dataset, tmp_path, fresh_python):
     # bench/tracing.py wraps package functions by name; a renamed one would
     # fail every traced benchmark run, so installing the tracer must work.
+    # A traced ingest times every header in `record_io.load_any`, the one
+    # without lead II included, so its ms_p50 covers them all.
+    data_dir, labels = fixture_dataset
     bench = Path(__file__).resolve().parents[1] / "bench"
+    spans = tmp_path / "spans.json"
     done = fresh_python("-c", f"""
 import sys
 sys.path.insert(0, {str(bench)!r})
 import tracing
-tracing.install({str(tmp_path / "spans")!r})
+from ecgalarm import cli
+tracer = tracing.install({str(spans)!r})
+assert cli.main(["ingest", "--data-dir", {str(data_dir)!r}, "--labels", {str(labels)!r},
+                 "--out", {str(tmp_path / "out")!r}]) == 0
+tracer.dump()
 """)
     assert done.returncode == 0, done.stderr
+    loads = [s for s in json.loads(spans.read_text()) if s[2] == "record_io.load_any"]
+    assert sorted(s[3] for s in loads) == sorted(p.stem for p in data_dir.glob("*.hea"))
+    assert len(loads) == 31 and not any(s[6] for s in loads)
 
 
 class TestIngest:
@@ -205,16 +216,23 @@ class TestIngest:
         assert run_cli("featurize", "--out", out) == 0
         assert read_feature_csv(out, "llf").records.count("a101l") == 1
 
-    def test_empty_dir_fails(self, tmp_path):
+    def test_empty_dir_fails(self, pipeline_out, tmp_path):
+        # Ingest deletes the manifest and tables of an earlier run before it
+        # reads anything, so when it fails featurize and evaluate find none.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
         empty = tmp_path / "empty"
         empty.mkdir()
         labels = tmp_path / "labels.csv"
         labels.write_text("record,label\n")
-        assert run_cli("ingest", "--data-dir", empty, "--labels", labels,
-                       "--out", tmp_path / "o") == 2
+        assert run_cli("ingest", "--data-dir", empty, "--labels", labels, "--out", out) == 2
+        assert list(out.glob("*.csv")) == []
+        assert run_cli("featurize", "--out", out) == 2
+        assert run_cli("evaluate", "--out", out, "--scenarios", "DWT") == 2
 
     def test_corrupt_record_skipped_not_fatal(self, tmp_path):
-        # One header points at a missing signal file; the rest still ingest.
+        # One header points at a missing signal file and one is not UTF-8;
+        # the rest still ingest.
         from ecgalarm.record_io import encode_signal
 
         data = tmp_path / "data"
@@ -227,6 +245,7 @@ class TestIngest:
         (data / "a701l.hea").write_text(
             "a701l 1 250 7500\na701l.mat 16+24 200(0) 16 0 0 0 0 II\n#Asystole\n"
         )
+        (data / "a702l.hea").write_bytes(b"a702l 1 250 7500\n#Asystole \xff\n")  # not UTF-8
         (tmp_path / "labels.csv").write_text("record,label\na700l,true\na701l,false\n")
         out = tmp_path / "out"
         assert run_cli("ingest", "--data-dir", data, "--labels",
@@ -234,6 +253,7 @@ class TestIngest:
         rows = {r["record"]: r for r in read_manifest(out)}
         assert rows["a700l"]["skipped_reason"] == ""
         assert rows["a701l"]["skipped_reason"] == "FileNotFoundError"
+        assert rows["a702l"]["skipped_reason"] == "UnicodeDecodeError"
 
     def test_other_rate_skipped(self, tmp_path):
         # Only 250 Hz records are usable; a record at another rate gets a
@@ -326,9 +346,83 @@ class TestIngest:
             "t103l,,,0,FileNotFoundError\n"
             "t103l,ETC,true,7500,duplicate_record\n"
             "v104l,VTA,true,75000,\n"
-            "x105l,,,0,ValueError\n"
+            "x105l,,,0,ParseError\n"
         )
         assert sorted(p.name for p in (out / "cache").iterdir()) == ["a100l.npy", "v104l.npy"]
+
+    def test_each_header_parsed_once(self, fixture_dataset, tmp_path, monkeypatch):
+        # The header without lead II is read and parsed once too.
+        from ecgalarm import record_io
+
+        data_dir, labels = fixture_dataset
+        real, parsed = record_io.parse_header, []
+
+        def spy(text):
+            parsed.append(text.split(None, 1)[0])
+            return real(text)
+
+        monkeypatch.setattr(record_io, "parse_header", spy)
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", labels,
+                       "--out", tmp_path / "out") == 0
+        assert sorted(parsed) == sorted(p.stem for p in data_dir.glob("*.hea"))
+        assert len(parsed) == 31
+
+    def test_defect_fails_the_run(self, fixture_dataset, tmp_path, monkeypatch):
+        # Only a package error, an OSError or an undecodable header skips a
+        # record. Anything else is a defect: ingest stops with the exception
+        # and leaves no manifest (an earlier run's included).
+        from ecgalarm import record_io
+
+        data_dir, labels = fixture_dataset
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out) == 0
+
+        def broken(*args):
+            raise ValueError("injected defect")
+
+        monkeypatch.setattr(record_io, "read_signal", broken)
+        with pytest.raises(ValueError, match="^injected defect$"):
+            run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out)
+        assert not (out / "manifest.csv").exists()
+
+    def test_failed_save_exits_2(self, fixture_dataset, tmp_path, monkeypatch, capsys):
+        # Writing the cache is not reading a record: its OSError fails the
+        # command instead of becoming a skipped row.
+        data_dir, labels = fixture_dataset
+
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "save", full)
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--data-dir", data_dir, "--labels", labels, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [Errno 28] No space left on device"]
+        assert not (out / "manifest.csv").exists()
+
+    def test_reingest_needs_featurize_again(self, fixture_dataset, pipeline_out, tmp_path,
+                                            capsys):
+        # A re-ingest over changed samples leaves no table built from the
+        # old ones: evaluate refuses to run until featurize has run again.
+        data_dir, labels = fixture_dataset
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        signal = (data / "b107l.mat").read_bytes()
+        (data / "b107l.mat").write_bytes(signal[:24] + bytes(len(signal) - 24))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        assert run_cli("ingest", "--data-dir", data, "--labels", labels, "--out", out) == 0
+        assert [p.name for p in out.glob("*.csv")] == ["manifest.csv"]
+        capsys.readouterr()
+        assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: feature CSV not found: {out / 'hlf_cityblock.csv'}"]
+        assert run_cli("featurize", "--out", out, "--seed", "11") == 0
+        old = read_feature_csv(pipeline_out, "hlf_cityblock")
+        new = read_feature_csv(out, "hlf_cityblock")
+        at = old.records.index("b107l")
+        assert new.records == old.records and not np.array_equal(new.X[at], old.X[at])
+        assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 0
 
 
 class TestFeaturize:
@@ -584,8 +678,9 @@ class TestEvaluate:
 
     def test_tables_of_records_outside_manifest_fail(self, fixture_dataset, pipeline_out,
                                                       tmp_path, capsys):
-        # Re-ingesting a 12-record subset into a featurized output leaves
-        # tables that name records the new manifest lacks.
+        # Ingest deletes the tables of an earlier run; tables copied in by
+        # hand after ingesting a 12-record subset name records the new
+        # manifest lacks.
         data_dir, labels = fixture_dataset
         subset = tmp_path / "subset"
         subset.mkdir()
@@ -593,11 +688,10 @@ class TestEvaluate:
             for ext in (".hea", ".mat"):
                 shutil.copy(header.with_suffix(ext), subset)
         out = tmp_path / "out"
-        out.mkdir()
-        for name in ("llf.csv", "hlf_cityblock.csv", "hlf_euclidean.csv", "dwt.csv"):
-            shutil.copy(pipeline_out / name, out / name)
         assert run_cli("ingest", "--data-dir", subset, "--labels", labels, "--out", out) == 0
         assert len(read_manifest(out)) == 12
+        for name in ("llf.csv", "hlf_cityblock.csv", "hlf_euclidean.csv", "dwt.csv"):
+            shutil.copy(pipeline_out / name, out / name)
         capsys.readouterr()
         assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
         err = capsys.readouterr().err.splitlines()
@@ -605,17 +699,16 @@ class TestEvaluate:
 
     def test_relabelled_record_refuses_stale_tables(self, fixture_dataset, pipeline_out,
                                                     tmp_path, capsys):
-        # Re-ingesting with a changed label leaves tables that carry the old
-        # one; evaluate must not train on it.
+        # Tables copied in by hand after ingesting with a changed label carry
+        # the old one; evaluate must not train on it.
         data_dir, labels = fixture_dataset
         relabelled = tmp_path / "labels.csv"
         relabelled.write_text(labels.read_text().replace("a101l,true", "a101l,false"))
         out = tmp_path / "out"
-        out.mkdir()
-        for name in ("llf.csv", "hlf_cityblock.csv", "hlf_euclidean.csv", "dwt.csv"):
-            shutil.copy(pipeline_out / name, out / name)
         assert run_cli("ingest", "--data-dir", data_dir, "--labels", relabelled,
                        "--out", out) == 0
+        for name in ("llf.csv", "hlf_cityblock.csv", "hlf_euclidean.csv", "dwt.csv"):
+            shutil.copy(pipeline_out / name, out / name)
         capsys.readouterr()
         assert run_cli("evaluate", "--out", out, "--scenarios", "HLF_cityblock") == 2
         err = capsys.readouterr().err.splitlines()

@@ -81,6 +81,11 @@ class TestParseHeader:
         with pytest.raises(ParseError):
             parse_header("r01 three 250\n")
 
+    def test_nul_in_file_name_raises(self):
+        # Opening such a path raises ValueError, which ingest does not skip.
+        with pytest.raises(ParseError, match="NUL byte"):
+            parse_header("x 1 250 100\nx\0.mat 16 200 16 0 0 0 0 II\n")
+
 
 def _parse_or_parse_error(text):
     """parse_header's whole contract: a header with a finite, positive rate,
@@ -212,8 +217,28 @@ class TestLoadRecord:
         np.testing.assert_allclose(record.samples, np.arange(100) / 200.0)
 
     def test_skip_without_lead_ii(self, tmp_path):
+        # No label needed: the record is skipped before the label is read.
         self._write(tmp_path, "a101l", ["V", "PLETH"])
-        assert load_any(tmp_path / "a101l.hea", {"a101l": FALSE_ALARM}) is None
+        record = load_any(tmp_path / "a101l.hea", {})
+        assert record.skipped_reason == "no_lead_II"
+        assert record.samples is None
+        assert (record.record_name, record.alarm_type, record.label, record.n_samples) == (
+            "a101l", "ASY", None, 100)
+
+    def test_other_rate_skipped_after_decoding(self, tmp_path):
+        self._write(tmp_path, "a103l", ["II"])
+        header = tmp_path / "a103l.hea"
+        header.write_text(header.read_text().replace(" 250 ", " 500 "))
+        record = load_any(header, {"a103l": TRUE_ALARM})
+        assert (record.skipped_reason, record.samples, record.n_samples) == ("fs_500", None, 100)
+        (tmp_path / "a103l.mat").unlink()
+        with pytest.raises(FileNotFoundError):  # the rate is checked last
+            load_any(header, {"a103l": TRUE_ALARM})
+
+    def test_no_alarm_type_raises_parse_error(self, tmp_path):
+        self._write(tmp_path, "x105l", ["II"], comment="#Unknown")
+        with pytest.raises(ParseError, match="'x105l'"):
+            load_any(tmp_path / "x105l.hea", {"x105l": TRUE_ALARM})
 
     def test_missing_label_raises(self, tmp_path):
         self._write(tmp_path, "a102l", ["II"])
@@ -226,8 +251,9 @@ class TestLoadRecord:
         paths = discover_records(data_dir)
         assert len(paths) == 31  # 30 usable + 1 without lead II
         loaded = [load_any(p, labels) for p in paths]
-        assert sum(1 for r in loaded if r is None) == 1
-        assert sum(1 for r in loaded if r is not None) == 30
+        skipped = [r for r in loaded if r.skipped_reason]
+        assert [(r.skipped_reason, r.samples) for r in skipped] == [("no_lead_II", None)]
+        assert sum(1 for r in loaded if r.samples is not None) == 30
 
     @pytest.mark.parametrize(
         "comment,alarm",
