@@ -3,19 +3,18 @@
 Flags are the only configuration, and each subcommand takes only the flags
 it reads (``all`` takes every one; see ``build_parser``); the boosting
 settings are the fixed ``ensemble.DEFAULT_*``. Only ingest creates the
-output directory. All intermediate products are flat CSVs under it, plus
-``cache/<record>.npy``, the decoded signals ingest hands to featurize.
-Ingest first deletes an earlier run's manifest and tables, then decodes
-every record; ``record_io.load_any`` decides which ones it admits, and only
-a package error, an OSError or an undecodable header skips one. A single
-seed drives fold shuffling, k-means init, and RUSBoost sampling, so
-identical flags produce byte-identical outputs.
+output directory, and ``tables`` names every file under it. Each command
+first deletes its own and every later command's files
+(``tables.remove_outputs``), so a failed run leaves nothing stale. Ingest
+then decodes every record; ``record_io.load_any`` decides which ones it
+admits, and only a package error, an OSError or an undecodable header skips
+one. A single seed drives fold shuffling, k-means init, and RUSBoost
+sampling, so identical flags produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -30,11 +29,12 @@ from .tables import (
     FEATURE_BANKS,
     read_feature_csv,
     read_manifest,
-    remove_feature_csvs,
-    remove_manifest,
+    remove_outputs,
+    signal_path,
     usable_records,
     write_feature_csv,
     write_manifest,
+    write_report,
 )
 
 
@@ -43,9 +43,7 @@ def cmd_ingest(cfg: dict) -> int:
     gets a manifest row: a record it skips or cannot read, or one an earlier
     header named, gets its skipped_reason and no cached signal."""
     out = Path(cfg["out"])
-    cache_dir = out / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    remove_manifest(out)  # with its tables: stale from here on, so a failed run leaves none
+    remove_outputs(out, "ingest")
     labels = record_io.load_labels(cfg["labels"])
     rows, claimed = [], set()
     for path in record_io.discover_records(cfg["data_dir"]):
@@ -56,7 +54,9 @@ def cmd_ingest(cfg: dict) -> int:
         reason = "duplicate_record" if record.record_name in claimed else record.skipped_reason
         claimed.add(record.record_name)
         if not reason:
-            np.save(cache_dir / f"{record.record_name}.npy", record.samples)
+            cached = signal_path(out, record.record_name)
+            cached.parent.mkdir(parents=True, exist_ok=True)
+            np.save(cached, record.samples)
         rows.append({"record": record.record_name, "alarm_type": record.alarm_type,
                      "label": LABEL_TEXT.get(record.label, ""),
                      "n_samples": record.n_samples, "skipped_reason": reason})
@@ -76,9 +76,9 @@ def cmd_featurize(cfg: dict) -> int:
     """Feature tables for every usable record. A record that fails is left
     out of every table; EmptyDataset when no record featurizes."""
     out = Path(cfg["out"])
-    remove_feature_csvs(out)  # the tables are stale until this run writes them
+    remove_outputs(out, "featurize")
     usable = usable_records(read_manifest(out))
-    tasks = [(name, str(out / "cache" / f"{name}.npy"), alarm_type, cfg["seed"])
+    tasks = [(name, str(signal_path(out, name)), alarm_type, cfg["seed"])
              for name, (alarm_type, _) in usable.items()]
 
     if cfg["workers"] > 1:
@@ -135,31 +135,15 @@ def _load_tables(out: Path, scenarios: list[str], manifest: dict) -> dict[str, F
     }
 
 
-def _safe_name(text: str) -> str:
-    return text.replace("+", "-")
-
-
 def cmd_evaluate(cfg: dict) -> int:
     out = Path(cfg["out"])
-    roc_dir = out / "roc"
-    # An earlier run's report is stale from here on, so a failed run leaves none.
-    for stale in [out / "report.json", out / "report.md", *roc_dir.glob("roc_*.csv")]:
-        stale.unlink(missing_ok=True)
+    remove_outputs(out, "evaluate")
     manifest = usable_records(read_manifest(out))
     tables = _load_tables(out, cfg["scenarios"], manifest)
     report = run_matrix(tables, manifest, cfg["folds"], cfg["seed"])
 
     markdown = render_markdown(report)
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
-    (out / "report.md").write_text(markdown)
-    roc_dir.mkdir(exist_ok=True)
-    for key, cell in report["cells"].items():
-        scenario, classifier = key.split("/")
-        path = roc_dir / f"roc_{_safe_name(scenario)}_{classifier}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("fpr,tpr,threshold\n")
-            for fpr, tpr, thr in cell["roc_points"]:
-                fh.write(f"{fpr!r},{tpr!r},{thr!r}\n")
+    write_report(out, report, markdown)
     print(markdown)
     return 0
 

@@ -45,6 +45,7 @@ ANALYSIS_SAMPLES = 75000
 _PREFIX_TO_ALARM = {"a": "ASY", "b": "EBR", "t": "ETC", "v": "VTA", "f": "VFB"}
 
 _FORMAT_RE = re.compile(r"^(\d{1,9})(?:\+(\d{1,9}))?$")
+_RECORD_NAME_RE = re.compile(r"[A-Za-z0-9_]+")  # WFDB's; it becomes a file name
 _GAIN_RE = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?:\((-?\d{1,9})\))?$")
 
 
@@ -85,7 +86,8 @@ def parse_header(text: str) -> RecordHeader:
     """Parse WFDB header text into a RecordHeader.
 
     Expects ``name n_signals fs n_samples`` on the first line, one line per
-    signal, then ``#``-prefixed comment lines (preserved verbatim).
+    signal, then ``#``-prefixed comment lines (preserved verbatim). The name
+    holds only letters, digits and underscores.
     """
     lines = [ln.rstrip("\r\n") for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -95,6 +97,8 @@ def parse_header(text: str) -> RecordHeader:
     if len(first) < 4:
         raise ParseError(1, f"expected 'name n_signals fs n_samples', got {lines[0]!r}")
     record_name = first[0]
+    if not _RECORD_NAME_RE.fullmatch(record_name):
+        raise ParseError(1, f"record name {record_name!r} is not letters, digits and underscores")
     try:
         n_signals = int(first[1])
         sampling_rate = float(first[2].split("/")[0])  # fs may carry a counter suffix

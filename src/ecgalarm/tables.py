@@ -1,13 +1,14 @@
-"""The pipeline's on-disk layouts: ``manifest.csv`` and one ``<bank>.csv`` per
-FEATURE_BANKS entry. Only this module builds their paths and lists columns.
-Each is a header-row CSV, so runs can be inspected and diffed; the HLF and DWT
-banks carry a layout line above the header. Floats are written with repr, so a
-re-read is bit-exact and repeated runs are byte-identical.
+"""The pipeline's on-disk layout, every file under ``--out`` (OUTPUTS): only
+this module builds their paths, lists columns and deletes them. The manifest
+and the tables are header-row CSVs, so runs can be inspected and diffed; the
+HLF and DWT banks carry a layout line above the header. Floats are written
+with repr, so a re-read is bit-exact and repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from itertools import dropwhile
 from pathlib import Path
 
@@ -32,15 +33,28 @@ _LAYOUTS = {"dwt": f"layout={DWT_LAYOUT_VERSION} stats={','.join(STAT_NAMES)}",
             **{b: f"layout={HLF_LAYOUT_VERSION} metric={m}" for b, m in HLF_METRICS.items()}}
 
 
-def remove_feature_csvs(out: str | Path) -> None:
-    for bank in FEATURE_BANKS:
-        (Path(out) / f"{bank}.csv").unlink(missing_ok=True)
+# Each command's files under --out, as glob patterns, in pipeline order: a
+# command reads only what the commands before it wrote.
+OUTPUTS = {
+    "ingest": ["manifest.csv", "cache/*.npy"],
+    "featurize": [f"{bank}.csv" for bank in FEATURE_BANKS],
+    "evaluate": ["report.json", "report.md", "roc/roc_*.csv"],
+}
 
 
-def remove_manifest(out: str | Path) -> None:
-    """Delete manifest.csv and the feature tables built from it."""
-    (Path(out) / "manifest.csv").unlink(missing_ok=True)
-    remove_feature_csvs(out)
+def remove_outputs(out: str | Path, command: str) -> None:
+    """Delete the files of `command` and of every later command: they are
+    stale once `command` starts, so a run that fails leaves none behind."""
+    commands = list(OUTPUTS)
+    for stale in commands[commands.index(command):]:
+        for pattern in OUTPUTS[stale]:
+            for path in Path(out).glob(pattern):
+                path.unlink()
+
+
+def signal_path(out: str | Path, record: str) -> Path:
+    """The decoded lead II that ingest hands to featurize."""
+    return Path(out) / "cache" / f"{record}.npy"
 
 
 def write_feature_csv(out: str | Path, bank: str, records: list[str], labels: list[int],
@@ -122,3 +136,18 @@ def usable_records(rows: list[dict]) -> dict[str, tuple[str, int]]:
     """Each usable record of the manifest `rows` -> (alarm type, label), in record order."""
     return {r["record"]: (r["alarm_type"], parse_label(r["label"], r["record"], "manifest.csv"))
             for r in sorted(rows, key=lambda r: r["record"]) if not r["skipped_reason"]}
+
+
+def write_report(out: str | Path, report: dict, markdown: str) -> None:
+    """report.json, report.md and a roc/roc_<scenario>_<classifier>.csv per cell."""
+    out = Path(out)
+    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    (out / "report.md").write_text(markdown)
+    (out / "roc").mkdir(exist_ok=True)
+    for key, cell in report["cells"].items():
+        scenario, classifier = key.split("/")
+        path = out / "roc" / f"roc_{scenario.replace('+', '-')}_{classifier}.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("fpr,tpr,threshold\n")
+            for fpr, tpr, thr in cell["roc_points"]:
+                fh.write(f"{fpr!r},{tpr!r},{thr!r}\n")

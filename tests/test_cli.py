@@ -131,6 +131,64 @@ tracer.dump()
     assert len(loads) == 31 and not any(s[6] for s in loads)
 
 
+def _files_by_command(out: Path) -> dict[str, dict[str, bytes]]:
+    """Every file under `out`, by the command that writes it, in pipeline
+    order; "other" for a file no command writes."""
+    found = {"ingest": {}, "featurize": {}, "evaluate": {}, "other": {}}
+    tables = {f"{bank}.csv" for bank in FEATURE_BANKS}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        name = path.relative_to(out).as_posix()
+        command = ("ingest" if name == "manifest.csv" or name.startswith("cache/")
+                   else "featurize" if name in tables
+                   else "evaluate" if name.startswith(("report.", "roc/roc_")) else "other")
+        found[command][name] = path.read_bytes()
+    return found
+
+
+@pytest.mark.parametrize("command", ["ingest", "featurize", "evaluate"])
+def test_command_deletes_its_outputs_and_later_ones(command, fixture_dataset, pipeline_out,
+                                                    tmp_path, capsys):
+    # A command first deletes the files of every command from it on in
+    # pipeline order, so a run that fails or covers fewer records leaves
+    # none of them stale; what earlier commands wrote stays byte for byte.
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    if command == "featurize":
+        shutil.rmtree(out / "cache")  # every record then fails to load
+    before = _files_by_command(out)
+    assert [len(files) for files in before.values()] == [
+        1 + 30 * (command != "featurize"), 4, 14, 0]
+    if command == "ingest":
+        data_dir, labels = fixture_dataset
+        data = tmp_path / "data"
+        data.mkdir()
+        for header in sorted(data_dir.glob("*.hea"))[:12]:
+            for part in data_dir.glob(f"{header.stem}.*"):
+                shutil.copy(part, data)
+        assert run_cli("ingest", "--data-dir", data, "--labels", labels, "--out", out) == 0
+    elif command == "featurize":
+        assert run_cli("featurize", "--out", out) == 2
+    else:
+        assert run_cli("evaluate", "--out", out, "--scenarios", "DWT", "--folds", "1000") == 2
+    after = _files_by_command(out)
+    order = ["ingest", "featurize", "evaluate"]
+    for earlier in order[:order.index(command)]:
+        assert after[earlier] == before[earlier]
+    for stale in order[order.index(command) + 1:] + ["other"]:
+        assert after[stale] == {}, stale
+    if command == "ingest":
+        usable = usable_records(read_manifest(out))
+        assert len(usable) == 11
+        assert sorted(after["ingest"]) == [f"cache/{name}.npy" for name in usable] + [
+            "manifest.csv"]
+    else:
+        assert after[command] == {}
+    if command != "evaluate":  # no table is left for evaluate to read
+        capsys.readouterr()
+        assert run_cli("evaluate", "--out", out, "--scenarios", "DWT") == 2
+        assert capsys.readouterr().err == f"error: feature CSV not found: {out / 'dwt.csv'}\n"
+
+
 class TestIngest:
     def test_manifest_counts(self, fixture_dataset, tmp_path):
         data_dir, labels = fixture_dataset
@@ -350,6 +408,29 @@ class TestIngest:
         )
         assert sorted(p.name for p in (out / "cache").iterdir()) == ["a100l.npy", "v104l.npy"]
 
+    def test_record_name_cannot_leave_out(self, tmp_path):
+        # A header's record name becomes the cache file's name; one that
+        # would name another directory is a ParseError row under its file
+        # stem, and ingest writes nothing outside --out.
+        from ecgalarm.record_io import encode_signal
+
+        data = tmp_path / "data"
+        data.mkdir()
+        adc = (np.arange(7500) % 400 - 200).astype(np.int16)
+        for stem, name in (("a700l", "a700l"), ("evil", "../../escaped")):
+            (data / f"{stem}.mat").write_bytes(encode_signal([adc], byte_offset=24))
+            (data / f"{stem}.hea").write_text(
+                f"{name} 1 250 7500\n{stem}.mat 16+24 200(0) 16 0 0 0 0 II\n#Asystole\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("record,label\na700l,true\n../../escaped,true\n")
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "out"  # cache/../../escaped.npy would be tmp_path/escaped.npy
+        assert run_cli("ingest", "--data-dir", data, "--labels", labels, "--out", out) == 0
+        rows = {r["record"]: r["skipped_reason"] for r in read_manifest(out)}
+        assert rows == {"a700l": "", "evil": "ParseError"}
+        assert [p for p in sorted(tmp_path.rglob("*")) if p not in before] == [
+            out, out / "cache", out / "cache" / "a700l.npy", out / "manifest.csv"]
+
     def test_each_header_parsed_once(self, fixture_dataset, tmp_path, monkeypatch):
         # The header without lead II is read and parsed once too.
         from ecgalarm import record_io
@@ -544,18 +625,6 @@ sys.exit(cli.main(["featurize", "--out", {str(out)!r}, "--workers", "{workers}"]
         for bank in FEATURE_BANKS:
             assert (out / f"{bank}.csv").read_bytes() == (pipeline_out / f"{bank}.csv").read_bytes()
 
-    def test_failed_featurize_leaves_no_stale_tables(self, pipeline_out, tmp_path):
-        # The tables of an earlier run go when featurize starts, so a run in
-        # which no record featurizes leaves nothing for evaluate to read.
-        out = tmp_path / "out"
-        out.mkdir()
-        for name in ("manifest.csv", "llf.csv", "hlf_cityblock.csv",
-                     "hlf_euclidean.csv", "dwt.csv"):
-            shutil.copy(pipeline_out / name, out / name)
-        assert run_cli("featurize", "--out", out) == 2  # no cache/*.npy: every record fails
-        assert [p.name for p in out.glob("*.csv")] == ["manifest.csv"]
-        assert run_cli("evaluate", "--out", out, "--scenarios", "DWT") == 2
-
     def test_zero_beat_record_gets_sentinel_rows(self, tmp_path):
         # A flatline record: no beats -> zero LLF row, padded HLF row.
         from ecgalarm.record_io import encode_signal
@@ -605,17 +674,6 @@ class TestEvaluate:
         assert set(report["cells"]) == {"DWT/BoostedTrees", "DWT/RUSBoostedTrees"}
         assert sorted(p.name for p in (out / "roc").iterdir()) == [
             "roc_DWT_BoostedTrees.csv", "roc_DWT_RUSBoostedTrees.csv"]
-
-    def test_failed_evaluate_leaves_no_report(self, pipeline_out, tmp_path):
-        # An earlier run's report goes when evaluate starts, so a run that
-        # fails (more folds than records) leaves no report to be misread.
-        out = tmp_path / "out"
-        shutil.copytree(pipeline_out, out, ignore=shutil.ignore_patterns("cache"))
-        assert (out / "report.json").exists() and len(list((out / "roc").iterdir())) == 12
-        assert run_cli("evaluate", "--out", out, "--scenarios", "DWT", "--folds", "1000") == 2
-        assert not (out / "report.json").exists()
-        assert not (out / "report.md").exists()
-        assert list((out / "roc").iterdir()) == []
 
     def test_missing_feature_csv_fails(self, pipeline_out, tmp_path):
         out = tmp_path / "missing"

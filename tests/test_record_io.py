@@ -86,6 +86,15 @@ class TestParseHeader:
         with pytest.raises(ParseError, match="NUL byte"):
             parse_header("x 1 250 100\nx\0.mat 16 200 16 0 0 0 0 II\n")
 
+    @pytest.mark.parametrize("name", ["../../escaped", "/tmp/x", "a.b", "a-1", "x\0", "é"],
+                             ids=["parent", "absolute", "dot", "dash", "nul", "non_ascii"])
+    def test_record_name_outside_wfdb_rule_raises(self, name):
+        # The name becomes a file name under --out/cache: only letters,
+        # digits and underscores, so it cannot name another directory.
+        with pytest.raises(ParseError, match="record name"):
+            parse_header(f"{name} 1 250 100\nx.mat 16 200 16 0 0 0 0 II\n")
+        assert parse_header("a0_Z9 1 250 100\nx.mat 16 200 16 0 0 0 0 II\n").record_name == "a0_Z9"
+
 
 def _parse_or_parse_error(text):
     """parse_header's whole contract: a header with a finite, positive rate,
