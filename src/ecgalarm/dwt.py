@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import EmptyBand, SignalTooShort
 
@@ -49,6 +50,11 @@ DEC_LO = np.array([
     -0.0003917403733769465, 0.0006754494064505688, -0.00011747678412476945,
 ])
 DEC_HI = DEC_LO[::-1] * (-1.0) ** np.arange(len(DEC_LO))
+# Both reversed, as contiguous copies: np.vecdot of a window with one sums
+# through the same dot kernel as np.convolve, while a negative-stride view
+# falls back to numpy's own loop, whose sums round otherwise.
+_DEC_LO_REV = DEC_LO[::-1].copy()
+_DEC_HI_REV = DEC_HI[::-1].copy()
 
 
 @dataclass
@@ -59,10 +65,12 @@ class DwtCoeffs:
 
 
 def _decompose_step(x: np.ndarray):
+    """The even outputs of np.convolve(ext, DEC_LO / DEC_HI, "valid"), and
+    only those: each is the dot of one window of the extended signal with the
+    reversed filter, the product np.convolve takes for it."""
     ext = np.pad(x, len(DEC_LO) - 1, mode="symmetric")
-    approx = np.convolve(ext, DEC_LO, mode="valid")[0::2]
-    detail = np.convolve(ext, DEC_HI, mode="valid")[0::2]
-    return approx, detail
+    windows = sliding_window_view(ext, len(DEC_LO))[0::2]
+    return np.vecdot(windows, _DEC_LO_REV), np.vecdot(windows, _DEC_HI_REV)
 
 
 def _reconstruct_step(approx: np.ndarray, detail: np.ndarray, out_len: int) -> np.ndarray:

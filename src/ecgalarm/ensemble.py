@@ -16,17 +16,42 @@ parent's order the same way. Node rows stay ascending, so a stable filter of
 a stable order is the node's own stable argsort: each node sums the same
 weights in the same sequence, and trees are bit-identical to resorting.
 
+The search's prefix sums run in one complex lane: each row's positive and
+negative weight are the real and imaginary part of one complex128, so one
+``take`` and one complex ``np.add.accumulate`` sum both classes along each
+feature. Complex addition is two IEEE additions, in the same row order as
+two float lanes, so every prefix sum keeps its bits; numpy's accumulate is
+bound by the latency of each step, and a complex step carries both lanes.
+One ``np.copyto`` from the transposed float view then lays the sums out as
+(class, feature, row) floats, and the complex buffer is the right sides'
+scratch after that. A node's class totals stay on the float stack, as
+``w.take(rows, axis=1).sum(axis=1)``: numpy sums a complex array in other
+pairwise blocks, which changes the bits.
+
 A split marks each entry of the node's (features, rows) order by its side;
 ``np.flatnonzero`` of the mask lists, feature by feature, the entries of one
 side in sorted order, and ``take`` copies them and their values into the
-child. The children of the split that uses up the budget keep only their
-rows. The next leaf to split comes off a heap of ``(-gain, leaf)``, so among
-equal gains the lowest leaf splits first. The split search runs its passes
-in place, in the fit's buffers: fresh temporaries the size of a large node
-are mapped from the system and page-faulted anew on every search. In place,
-each gain is still ``(parent - left) - right`` with each mass
-``2*p*n / (p+n)``: the same IEEE operations on the same numbers in the same
-order, so the bits hold.
+child. The search runs its passes in place, in the fit's buffers: fresh
+temporaries the size of a large node are mapped from the system and
+page-faulted anew on every search. In place, each gain is still
+``(parent - left) - right`` with each mass ``2*p*n / (p+n)``: the same IEEE
+operations on the same numbers in the same order, so the bits hold.
+
+The best-first search is lazy. Each new leaf sums its class totals once;
+these are its weights if it stays a leaf, and its Gini mass ``parent``
+bounds its best gain. It goes on a heap as ``(-parent, leaf)`` with its
+parent's order and values and its side mask, and is filtered and searched
+only when that entry comes off the heap; its real ``(-gain, leaf)`` then
+goes back on. The bound holds in floats: with left and right masses at
+least 0, ``(parent - left) - right`` never exceeds ``parent``. Under the
+heap's (key, leaf) order a bound comes off before an equal real gain only
+when its leaf is lower; its real gain, at most the bound, then goes back
+on, and if it equals the other gain, its lower leaf wins the tie, as it
+does when every leaf is searched. So the leaf split next is the one with
+the highest gain, the lowest among equals, as if every leaf were searched
+when it was made; leaves that never reach the top are never searched. The
+children of the split that uses up the budget, and leaves of weight 0 or
+of one row, are never queued.
 
 The grower also returns each training row's +-1 from the leaf it ends in,
 by the rule ``predict`` applies to that leaf; a row reaches that leaf
@@ -63,26 +88,32 @@ def _gini_mass(w_pos, w_neg, out, total):
     return np.divide(mass, total, out=mass)
 
 
-def _best_split(w, rows, order, vals, work):
-    """Best (gain, feature, threshold) over a node's rows; None if no split helps.
-    `w` stacks the positive and the negative class's weights, as (2, rows of
-    X). `rows` ascend; row f of `order` sorts them by feature f, and of `vals`
-    their values. `work` holds a float buffer of at least 5 * `order.size` and
-    a bool buffer of at least `order.size`."""
-    p, n = w.take(rows, axis=1).sum(axis=1).tolist()
-    parent = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
-    if parent <= 0 or len(rows) < 2:
-        return None
+def _prefix_sums(wz, order, z, cum):
+    """Both classes' prefix sums along each row of `order` into `cum`, as
+    (class, feature, row) floats. `wz` holds each row of X's (positive,
+    negative) weight as one complex; `z` is a complex buffer of `order`'s
+    shape, which the sums leave free."""
+    # Indices are valid, so mode="clip" only skips take's buffered copy.
+    np.add.accumulate(wz.take(order, out=z, mode="clip"), axis=1, out=z)
+    np.copyto(cum, z.view(np.float64).reshape(*order.shape, 2).transpose(2, 0, 1))
+    return cum
 
+
+def _best_split(wz, parent, order, vals, work):
+    """Best (gain, feature, threshold) of a node of at least 2 rows whose Gini
+    mass `parent` is positive; None if its values tie within every feature.
+    `wz` packs each row of X's class weights as one complex. Row f of `order`
+    sorts the node's ascending rows by feature f, and of `vals` their values.
+    `work` is `_presort`'s scratch: a complex buffer and a bool buffer of at
+    least `order.size`, and a float buffer of at least 3 * `order.size`."""
     # Column i splits after the i-th sorted row. The last column leaves the
     # right side empty and is masked below; keeping it keeps every pass
-    # contiguous. Indices are valid, so mode="clip" only skips take's copy.
-    # Both classes go through each take, cumsum and subtraction at once; the
-    # sums still run along each (class, feature) lane in row order.
-    floats, mask = work
-    bufs = floats[: 5 * order.size].reshape(5, *order.shape)
-    tmp, cum, gains = bufs[:2], bufs[2:4], bufs[4]
-    np.add.accumulate(w.take(order, axis=1, out=tmp, mode="clip"), axis=2, out=cum)
+    # contiguous.
+    lanes, floats, mask = work
+    z = lanes[: order.size].reshape(order.shape)
+    bufs = floats[: 3 * order.size].reshape(3, *order.shape)
+    cum, gains = _prefix_sums(wz, order, z, bufs[:2]), bufs[2]
+    tmp = z.view(np.float64).reshape(2, *order.shape)  # z's memory, as scratch
     _gini_mass(cum[0], cum[1], out=gains, total=tmp[0])
     np.subtract(parent, gains, out=gains)  # (parent - left) - right
     right = np.subtract(cum[:, :, -1:], cum, out=tmp)
@@ -134,7 +165,8 @@ def _presort(X):
     """Each column's stable order, as (features, rows), its sorted values, and
     the split search's scratch buffers for a node of every row."""
     order = np.argsort(X.T, axis=1, kind="stable")
-    work = np.empty(5 * order.size), np.empty(order.size, dtype=bool)
+    work = (np.empty(order.size, np.complex128), np.empty(3 * order.size),
+            np.empty(order.size, dtype=bool))
     return order, np.take_along_axis(X.T, order, axis=1), work
 
 
@@ -145,40 +177,51 @@ def _grow(X, y, w, rows, order, vals, work, max_splits):
     `work` holds `_best_split`'s buffers. Returns the tree and each row's +-1
     from its leaf, 0 for rows outside `rows`."""
     w = np.stack([np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0)])
+    wz = np.ascontiguousarray(w.T).view(np.complex128).ravel()
     feature = [-1]
     threshold = [0.0]
     left = [-1]
     right = [-1]
-    leaves = {0: rows}  # per leaf: its rows ascending
-    # Per splittable leaf: (-gain, leaf, feature, threshold, its order, its
-    # values). Leaves are distinct, so entries never compare past the leaf.
+    leaves = {}  # per leaf: its rows ascending and its class weights p, n
+    # Per leaf that may split, before its search: (-mass, leaf, None, its
+    # parent's order and values, its side of them; None for the root); after:
+    # (-gain, leaf, (feature, threshold), its order and values, None). A leaf
+    # has one entry at a time, so entries never compare past the leaf.
     heap = []
-
-    def search(leaf, order, vals):
-        cand = _best_split(w, leaves[leaf], order, vals, work)
-        if cand is not None:
-            heapq.heappush(heap, (-cand[0], leaf, cand[1], cand[2], order, vals))
-
-    search(0, order, vals)
     n_splits = 0
+
+    def add_leaf(leaf, rows, order, vals, side):
+        p, n = w.take(rows, axis=1).sum(axis=1).tolist()
+        leaves[leaf] = rows, p, n
+        mass = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
+        if mass > 0 and len(rows) > 1 and n_splits < max_splits:
+            heapq.heappush(heap, (-mass, leaf, None, order, vals, side))
+
+    add_leaf(0, rows, order, vals, None)
     while heap and n_splits < max_splits:
-        _, leaf, f, thr, order, vals = heapq.heappop(heap)
-        rows = leaves.pop(leaf)
+        key, leaf, split, order, vals, side = heapq.heappop(heap)
+        if split is None:  # the bound is on top: search the leaf
+            if side is not None:
+                at = np.flatnonzero(side)
+                shape = (len(order), len(at) // len(order))
+                order, vals = order.take(at).reshape(shape), vals.take(at).reshape(shape)
+            cand = _best_split(wz, -key, order, vals, work)
+            if cand is not None:
+                heapq.heappush(heap, (-cand[0], leaf, cand[1:], order, vals, None))
+            continue
+        f, thr = split
+        rows = leaves.pop(leaf)[0]
         n_splits += 1
-        side = X[:, f] <= thr
-        to_left = side.take(order)
-        in_left = side.take(rows)
-        for mask, sel in ((in_left, to_left), (~in_left, ~to_left)):
+        goes_left = X[:, f] <= thr
+        to_left = goes_left.take(order)
+        in_left = goes_left.take(rows)
+        for mask, side in ((in_left, to_left), (~in_left, ~to_left)):
             child = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            leaves[child] = rows[mask]
-            if n_splits < max_splits:  # the children of the last split stay leaves
-                at = np.flatnonzero(sel)
-                shape = (len(order), len(at) // len(order))
-                search(child, order.take(at).reshape(shape), vals.take(at).reshape(shape))
+            add_leaf(child, rows[mask], order, vals, side)
         feature[leaf] = f
         threshold[leaf] = thr
         left[leaf] = len(feature) - 2
@@ -188,9 +231,9 @@ def _grow(X, y, w, rows, order, vals, work, max_splits):
     leaf_w_pos = np.zeros(n_nodes)
     leaf_w_neg = np.zeros(n_nodes)
     pred = np.zeros(len(X), dtype=int)
-    for node, rows in leaves.items():
-        leaf_w_pos[node], leaf_w_neg[node] = w.take(rows, axis=1).sum(axis=1)
-        pred[rows] = 1 if leaf_w_pos[node] >= leaf_w_neg[node] else -1  # as `predict`
+    for node, (rows, p, n) in leaves.items():
+        leaf_w_pos[node], leaf_w_neg[node] = p, n
+        pred[rows] = 1 if p >= n else -1  # as `predict`
     tree = DecisionTree(
         feature=np.asarray(feature, dtype=int),
         threshold=np.asarray(threshold, dtype=np.float64),

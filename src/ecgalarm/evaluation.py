@@ -30,7 +30,7 @@ from .ensemble import (
     fit_adaboost,
     fit_rusboost,
 )
-from .exceptions import ConfigError, EmptyInput, UndefinedAuc
+from .exceptions import ConfigError, EmptyInput, NoWeakLearner, SingleClassError, UndefinedAuc
 from .record_io import TRUE_ALARM
 
 CLASSIFIERS = ("BoostedTrees", "RUSBoostedTrees")
@@ -182,7 +182,9 @@ def run_cell(
     table: FeatureTable, folds: np.ndarray, scenario: str, classifier: str, seed: int
 ) -> dict:
     """Cross-validated evaluation of one (scenario, classifier) cell, as its
-    report.json entry."""
+    report.json entry. A fold whose fit raises SingleClassError or
+    NoWeakLearner re-raises it with the cell, the fold and the fold's
+    training class counts in front of the message."""
     n = len(table.records)
     pooled_pred = np.zeros(n, dtype=int)
     pooled_score = np.zeros(n, dtype=np.float64)
@@ -192,13 +194,18 @@ def run_cell(
         test = np.flatnonzero(folds == fold)
         train = np.flatnonzero(folds != fold)
         X_train, y_train = table.X[train], table.y[train]
-        if classifier == "BoostedTrees":
-            model = fit_adaboost(X_train, y_train)
-        elif classifier == "RUSBoostedTrees":
-            model = fit_rusboost(X_train, y_train,
-                                 seed=_cell_seed(seed, scenario, classifier, fold))
-        else:
-            raise ConfigError(f"unknown classifier {classifier!r}")
+        try:
+            if classifier == "BoostedTrees":
+                model = fit_adaboost(X_train, y_train)
+            elif classifier == "RUSBoostedTrees":
+                model = fit_rusboost(X_train, y_train,
+                                     seed=_cell_seed(seed, scenario, classifier, fold))
+            else:
+                raise ConfigError(f"unknown classifier {classifier!r}")
+        except (SingleClassError, NoWeakLearner) as error:
+            n_true = int(np.sum(y_train == TRUE_ALARM))
+            raise type(error)(f"{scenario}/{classifier} fold {fold} ({n_true} true, "
+                              f"{len(train) - n_true} false in training): {error}") from error
         scores = model.score_batch(table.X[test])
         pooled_score[test] = scores
         pooled_pred[test] = np.where(scores >= 0, 1, -1)

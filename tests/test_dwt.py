@@ -15,6 +15,7 @@ from ecgalarm.dwt import (
     DWT_LENGTH,
     STAT_NAMES,
     _central_moments,
+    _decompose_step,
     _order_stats,
     _skew_kurtosis,
     band_stats,
@@ -105,6 +106,39 @@ class TestDwt:
         b = dwt(x)
         for band_a, band_b in zip(a.details, b.details):
             np.testing.assert_array_equal(band_a, band_b)
+
+
+def _convolve_step(x):
+    """`_decompose_step` as full convolutions that drop the odd outputs: the
+    bits the decimated step must keep."""
+    ext = np.pad(x, len(DEC_LO) - 1, mode="symmetric")
+    return (np.convolve(ext, DEC_LO, mode="valid")[0::2],
+            np.convolve(ext, DEC_HI, mode="valid")[0::2])
+
+
+class TestDecomposeStep:
+    def test_bits_equal_full_convolution(self):
+        # Seeded signals of 1-3000 samples at scales 1e-3 to 1e3, raw or
+        # quantized to ADC steps of 1/200 mV as records are.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=int(rng.integers(1, 3001))) * 10.0 ** int(rng.integers(-3, 4))
+            if seed % 2:
+                x = np.round(x * 200) / 200
+            got, want = _decompose_step(x), _convolve_step(x)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], seed
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="OpenBLAS core types name x86 kernels")
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_bits_equal_under_openblas_kernel(self, coretype, fresh_python):
+        # np.convolve and np.vecdot both sum through OpenBLAS ddot, whose
+        # kernel is picked by CPU; the two must agree under each kernel.
+        result = fresh_python(
+            "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"{__file__}::TestDecomposeStep::test_bits_equal_full_convolution",
+            OPENBLAS_CORETYPE=coretype)
+        assert result.returncode == 0, result.stdout[-2000:]
 
 
 class TestBandStats:

@@ -1,8 +1,9 @@
 import hashlib
+import heapq
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,9 +13,11 @@ from ecgalarm.ensemble import (
     DEFAULT_LEARNING_RATE,
     DEFAULT_ROUNDS,
     BoostedEnsemble,
+    DecisionTree,
     _best_split,
     _gini_mass,
     _grow,
+    _prefix_sums,
     _presort,
     fit_adaboost,
     fit_rusboost,
@@ -123,6 +126,128 @@ def _brute_split(X, w_pos, w_neg, rows):
     return best
 
 
+def _search(X, w_pos, w_neg, rows, order, vals):
+    """`_best_split` on a node as `_grow` calls it: only for a node of
+    positive Gini mass and at least 2 rows, with that mass as `parent`."""
+    w = np.stack([w_pos, w_neg])
+    p, n = w.take(rows, axis=1).sum(axis=1).tolist()
+    parent = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
+    if parent <= 0 or len(rows) < 2:
+        return None
+    wz = np.ascontiguousarray(w.T).view(np.complex128).ravel()
+    return _best_split(wz, parent, order, vals, _presort(X)[2])
+
+
+def _eager_split(w, rows, order, vals, work):
+    """The split search with a float lane per class, which sums its node's
+    class weights itself. `work` holds a float buffer of at least 5 *
+    `order.size` and a bool buffer of at least `order.size`."""
+    p, n = w.take(rows, axis=1).sum(axis=1).tolist()
+    parent = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
+    if parent <= 0 or len(rows) < 2:
+        return None
+    floats, mask = work
+    bufs = floats[: 5 * order.size].reshape(5, *order.shape)
+    tmp, cum, gains = bufs[:2], bufs[2:4], bufs[4]
+    np.add.accumulate(w.take(order, axis=1, out=tmp, mode="clip"), axis=2, out=cum)
+    _gini_mass(cum[0], cum[1], out=gains, total=tmp[0])
+    np.subtract(parent, gains, out=gains)
+    right = np.subtract(cum[:, :, -1:], cum, out=tmp)
+    gains -= _gini_mass(right[0], right[1], out=right[0], total=cum[0])
+    ties = mask[: order.size].reshape(order.shape)
+    np.equal(vals[:, :-1], vals[:, 1:], out=ties[:, :-1])
+    ties[:, -1] = True
+    np.putmask(gains, ties, -np.inf)
+    f, i = divmod(int(gains.argmax()), gains.shape[1])
+    if gains[f, i] == -np.inf:
+        return None
+    return float(gains[f, i]), f, float(0.5 * (vals[f, i] + vals[f, i + 1]))
+
+
+def _eager_grow(X, y, w, rows, order, vals, max_splits):
+    """The grower that searches every child as soon as it is made, with float
+    lanes: the trees and training signs `_grow` must reproduce."""
+    w = np.stack([np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0)])
+    work = np.empty(5 * order.size), np.empty(order.size, dtype=bool)
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    leaves = {0: rows}
+    heap = []
+
+    def search(leaf, order, vals):
+        cand = _eager_split(w, leaves[leaf], order, vals, work)
+        if cand is not None:
+            heapq.heappush(heap, (-cand[0], leaf, cand[1], cand[2], order, vals))
+
+    search(0, order, vals)
+    n_splits = 0
+    while heap and n_splits < max_splits:
+        _, leaf, f, thr, order, vals = heapq.heappop(heap)
+        rows = leaves.pop(leaf)
+        n_splits += 1
+        side = X[:, f] <= thr
+        to_left = side.take(order)
+        in_left = side.take(rows)
+        for mask, sel in ((in_left, to_left), (~in_left, ~to_left)):
+            child = len(feature)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            leaves[child] = rows[mask]
+            if n_splits < max_splits:
+                at = np.flatnonzero(sel)
+                shape = (len(order), len(at) // len(order))
+                search(child, order.take(at).reshape(shape), vals.take(at).reshape(shape))
+        feature[leaf] = f
+        threshold[leaf] = thr
+        left[leaf] = len(feature) - 2
+        right[leaf] = len(feature) - 1
+
+    leaf_w_pos = np.zeros(len(feature))
+    leaf_w_neg = np.zeros(len(feature))
+    pred = np.zeros(len(X), dtype=int)
+    for node, rows in leaves.items():
+        leaf_w_pos[node], leaf_w_neg[node] = w.take(rows, axis=1).sum(axis=1)
+        pred[rows] = 1 if leaf_w_pos[node] >= leaf_w_neg[node] else -1
+    tree = DecisionTree(np.asarray(feature, dtype=int), np.asarray(threshold, dtype=np.float64),
+                        np.asarray(left, dtype=int), np.asarray(right, dtype=int),
+                        leaf_w_neg, leaf_w_pos)
+    return tree, pred
+
+
+@st.composite
+def _grow_tables(draw):
+    """A table and the ascending rows of one round: tied values, some zero
+    weights, weights on a 1/64 grid (exact sums, so equal gains are common)
+    or in [0, 1) (rounded sums), and sometimes XOR labels on two binary
+    columns."""
+    n = draw(st.integers(1, 40))
+    f = draw(st.integers(1, 4))
+    X = draw(arrays(np.int64, (n, f), elements=st.integers(-3, 3))) / 2.0
+    y = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    if f >= 2 and draw(st.booleans()):
+        X[:, :2] = X[:, :2] > 0
+        y = np.where(X[:, 0] == X[:, 1], 1, -1)
+    if draw(st.booleans()):
+        w = draw(arrays(np.int64, n, elements=st.integers(0, 8))) / 64.0
+    else:
+        w = draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+    rows = np.arange(n) if draw(st.booleans()) else np.flatnonzero(draw(arrays(np.bool_, n)))
+    return X, y, w, rows
+
+
+@st.composite
+def _lanes(draw):
+    """Both classes' weights of each row of a table, many 0 or subnormal, and
+    a node's (features, rows) order: each feature a permutation of its rows."""
+    n, f = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    weight = st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 2.2e-308),
+                       st.floats(0.0, 1.0))
+    w = draw(arrays(np.float64, (2, n), elements=weight))
+    rows = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    return w, np.array([draw(st.permutations(rows)) for _ in range(f)])
+
+
 @st.composite
 def _weighted_nodes(draw):
     """A small table with many tied values, +-1 labels, weights that are
@@ -216,8 +341,7 @@ class TestSplitSearch:
         X, w_pos, w_neg, rows = node
         order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
         vals = np.take_along_axis(X.T, order, axis=1)
-        got = _best_split(np.stack([w_pos, w_neg]), rows, order, vals, _presort(X)[2])
-        assert got == _brute_split(X, w_pos, w_neg, rows)
+        assert _search(X, w_pos, w_neg, rows, order, vals) == _brute_split(X, w_pos, w_neg, rows)
 
     def test_best_split_bits_equal_plain_expressions(self):
         # Weights in [0, 1) round as they sum, so evaluating the gains in
@@ -233,8 +357,18 @@ class TestSplitSearch:
             rows = np.flatnonzero(rng.random(n) < 0.8)
             order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
             vals = np.take_along_axis(X.T, order, axis=1)
-            got = _best_split(np.stack([w_pos, w_neg]), rows, order, vals, _presort(X)[2])
+            got = _search(X, w_pos, w_neg, rows, order, vals)
             assert got == _plain_split(w_pos, w_neg, rows, order, vals), seed
+
+    @given(_lanes())
+    def test_prefix_sums_bits_equal_float_lanes(self, lanes):
+        # One complex lane per row sums both classes in the same row order
+        # as two float lanes, so each prefix sum keeps its bits.
+        w, order = lanes
+        wz = np.ascontiguousarray(w.T).view(np.complex128).ravel()
+        got = _prefix_sums(wz, order, np.empty(order.shape, np.complex128),
+                           np.empty((2, *order.shape)))
+        assert got.tobytes() == np.add.accumulate(w.take(order, axis=1), axis=2).tobytes()
 
     @given(_class_weights())
     def test_gini_mass_bits_equal_old_formula(self, weights):
@@ -273,7 +407,48 @@ def test_split_search_without_avx512(without_avx512):
     # The split search's bits hold whichever SIMD kernels numpy dispatches to.
     done = without_avx512(f"{__file__}::TestSplitSearch")
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "5 passed" in done.stdout
+    assert "6 passed" in done.stdout
+
+
+def _tree_digest(tree):
+    h = hashlib.sha256()
+    _hash_tree(h, tree)
+    return h.hexdigest()
+
+
+def _assert_grow_equals_eager(X, y, w, rows, max_splits):
+    order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
+    vals = np.take_along_axis(X.T, order, axis=1)
+    tree, pred = _grow(X, y, w, rows, order, vals, _presort(X)[2], max_splits)
+    want, want_pred = _eager_grow(X, y, w, rows, order, vals, max_splits)
+    assert _tree_digest(tree) == _tree_digest(want)
+    assert pred.tolist() == want_pred.tolist()
+
+
+class TestEagerReference:
+    # `_grow` searches a leaf only when its Gini mass, a bound on its gain,
+    # comes off the heap; it must split the same leaves, at the same
+    # thresholds, as the grower that searches every child at once.
+    @settings(max_examples=300)
+    @given(_grow_tables(), st.integers(0, 25))
+    def test_grow_equals_eager_reference(self, table, max_splits):
+        _assert_grow_equals_eager(*table, max_splits)
+
+    def test_seeded_tables_equal_eager_reference(self):
+        for seed in range(40):
+            X, y = _fit_tree_table(seed)
+            w = np.random.default_rng(seed).random(len(X))
+            _assert_grow_equals_eager(X, y, w, np.arange(len(X)), seed % 26)
+            X, y, w = _edge_table(seed)
+            _assert_grow_equals_eager(X, y, w, np.arange(len(X)), 25 - seed % 26)
+
+    def test_xor_equals_eager_reference(self):
+        # XOR on two binary columns, equally weighted: the root split gains
+        # exactly 0, and its two children have equal masses and equal gains.
+        X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * 3, dtype=float)
+        y = np.where(X[:, 0] == X[:, 1], 1, -1)
+        for max_splits in range(4):
+            _assert_grow_equals_eager(X, y, np.full(12, 1 / 12), np.arange(12), max_splits)
 
 
 def _boost_reference(X, y, rounds, learning_rate, max_splits, subset_fn):

@@ -21,6 +21,8 @@ from ecgalarm.evaluation import (
 from ecgalarm.exceptions import (
     ConfigError,
     EmptyInput,
+    NoWeakLearner,
+    SingleClassError,
     UndefinedAuc,
 )
 from ecgalarm.record_io import ALARM_TYPES, FALSE_ALARM, TRUE_ALARM
@@ -254,6 +256,32 @@ class TestRunCell:
         model2 = fit_adaboost(perturbed[train], table.y[train])
         np.testing.assert_array_equal(model.col_min, model2.col_min)
         np.testing.assert_array_equal(model.col_max, model2.col_max)
+
+    def test_single_class_fold_names_its_cell(self):
+        # The one true alarm sits in fold 0, so fold 0 trains on false alarms.
+        table = _toy_tables(seed=4)[0]["A"]
+        y = np.full(len(table.records), FALSE_ALARM)
+        y[0] = TRUE_ALARM
+        folds = np.arange(len(y)) % 4
+        with pytest.raises(SingleClassError) as info:
+            run_cell(FeatureTable(table.records, y, table.X), folds, "A", "BoostedTrees", 0)
+        assert str(info.value) == ("A/BoostedTrees fold 0 (0 true, 30 false in training): "
+                                   "training labels contain a single class")
+
+    def test_no_weak_learner_names_its_cell(self):
+        # Two true alarms, both in training: RUSBoost's first round fits its
+        # tree on them and two false alarms. A constant column cannot split
+        # those four rows, so the one leaf weighs both classes alike, calls
+        # every alarm true and misses the other 26 false alarms as well.
+        table = _toy_tables(seed=4)[0]["A"]
+        y = np.full(len(table.records), FALSE_ALARM)
+        y[[1, 2]] = TRUE_ALARM
+        X = np.ones((len(y), 1))
+        folds = np.arange(len(y)) % 4
+        with pytest.raises(NoWeakLearner) as info:
+            run_cell(FeatureTable(table.records, y, X), folds, "A", "RUSBoostedTrees", 0)
+        assert str(info.value) == ("A/RUSBoostedTrees fold 0 (2 true, 28 false in training): "
+                                   "boosting round 0 has weighted error 0.933 >= 0.5")
 
 
 class TestRunMatrix:
