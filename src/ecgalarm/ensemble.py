@@ -57,6 +57,10 @@ The grower also returns each training row's +-1 from the leaf it ends in,
 by the rule ``predict`` applies to that leaf; a row reaches that leaf
 through the same ``X[:, f] <= threshold`` tests that ``predict`` makes. So
 a round calls ``predict`` only on the rows it held back: none for AdaBoost.
+``score_batch`` routes all of an ensemble's trees at once (``_route``), so
+each tree level costs one set of numpy calls for every tree, and sums the
+trees' votes one tree at a time in fit order, as a loop over ``predict``
+does.
 """
 
 from __future__ import annotations
@@ -145,20 +149,36 @@ class DecisionTree:
     leaf_w_pos: np.ndarray
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=int)
-        while True:
-            internal = self.feature[node] >= 0
-            if not internal.any():
-                break
-            idx = np.flatnonzero(internal)
-            f = self.feature[node[idx]]
-            go_left = X[idx, f] <= self.threshold[node[idx]]
-            node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
-        return np.where(self.leaf_w_pos[node] >= self.leaf_w_neg[node], 1, -1)
+        return _route([self], X)[0]
 
     @property
     def n_splits(self) -> int:
         return int(np.sum(self.feature >= 0))
+
+
+def _route(trees, X):
+    """Each tree's +-1 for each row of X, as (trees, rows): the sign of the
+    leaf the row reaches, + where the leaf's positive weight is at least its
+    negative weight. The trees' node arrays are laid end to end, and every
+    (tree, row) pair steps down one level per pass by the test
+    ``X[row, f] <= threshold``."""
+    offsets = np.cumsum([0] + [len(tree.feature) for tree in trees[:-1]])
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left + k for tree, k in zip(trees, offsets)])
+    right = np.concatenate([tree.right + k for tree, k in zip(trees, offsets)])
+    sign = np.concatenate([np.where(tree.leaf_w_pos >= tree.leaf_w_neg, 1, -1)
+                           for tree in trees])
+    node = np.repeat(offsets, len(X))
+    row = np.tile(np.arange(len(X)), len(trees))
+    while True:
+        idx = np.flatnonzero(feature[node] >= 0)
+        if not len(idx):
+            break
+        at = node[idx]
+        go_left = X[row[idx], feature[at]] <= threshold[at]
+        node[idx] = np.where(go_left, left[at], right[at])
+    return sign[node].reshape(len(trees), len(X))
 
 
 def _presort(X):
@@ -275,10 +295,10 @@ class BoostedEnsemble:
             raise DimensionError(
                 f"expected {len(self.col_min)} features, got {X.shape[1]}"
             )
-        Xn = self._normalize(X)
         scores = np.zeros(len(X))
-        for tree, alpha in zip(self.trees, self.alphas):
-            scores += alpha * tree.predict(Xn)
+        if self.trees:
+            for alpha, pred in zip(self.alphas, _route(self.trees, self._normalize(X))):
+                scores += alpha * pred  # tree by tree, in fit order
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -743,7 +743,44 @@ class TestRusboost:
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
 
+def _level_predict(tree, X):
+    """`DecisionTree.predict` one tree at a time, level by level: the signs
+    that routing every tree at once must reproduce."""
+    node = np.zeros(len(X), dtype=int)
+    while True:
+        internal = tree.feature[node] >= 0
+        if not internal.any():
+            break
+        idx = np.flatnonzero(internal)
+        f = tree.feature[node[idx]]
+        go_left = X[idx, f] <= tree.threshold[node[idx]]
+        node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
+    return np.where(tree.leaf_w_pos[node] >= tree.leaf_w_neg[node], 1, -1)
+
+
 class TestScoring:
+    @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
+    def test_routing_all_trees_equals_one_at_a_time(self, fit):
+        # The training rows, and held-out rows on a coarse grid, scored by
+        # every tree at once and by each tree alone; a single-leaf tree
+        # (no split on a constant column) rides along in the last ensemble.
+        for seed in range(20):
+            X, y = _fit_tree_table(seed)
+            rng = np.random.default_rng(seed)
+            X_all = np.vstack([X, np.round(rng.normal(size=(50, X.shape[1])), 1)])
+            model = fit(X, y, rounds=10)
+            if seed == 19:
+                model.trees.append(fit_tree(np.ones((4, X.shape[1])), np.array([1, 1, -1, 1]),
+                                            np.full(4, 0.25)))
+                model.alphas.append(0.5)
+            Xn = model._normalize(X_all)
+            want = np.zeros(len(X_all))
+            for tree, alpha in zip(model.trees, model.alphas):
+                signs = _level_predict(tree, Xn)
+                assert tree.predict(Xn).tolist() == signs.tolist()
+                want += alpha * signs
+            assert model.score_batch(X_all).tobytes() == want.tobytes()
+
     def test_empty_ensemble_scores_zero(self):
         model = BoostedEnsemble(trees=[], alphas=[], col_min=np.zeros(3), col_max=np.ones(3))
         np.testing.assert_array_equal(model.score_batch(np.zeros((1, 3))), [0.0])
