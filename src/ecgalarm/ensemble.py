@@ -8,13 +8,15 @@ on their training data and apply it internally when scoring. Defaults follow
 the common "Boosted Trees" / "RUSBoosted Trees" presets: 30 rounds, learning
 rate 0.1, 20 splits, 1:1 resampling.
 
-Each fit does its per-fit work once: ``_boost`` argsorts every column
-stably, takes the sorted values, and allocates the split searches' scratch
-buffers. Each round filters that order and those values by one index of the
-entries of its rows (for AdaBoost, every entry). Each child node filters its
-parent's order the same way. Node rows stay ascending, so a stable filter of
-a stable order is the node's own stable argsort: each node sums the same
-weights in the same sequence, and trees are bit-identical to resorting.
+Each fit does its per-fit work once: ``_boost`` stores the normalised table
+column by column (Fortran order, so a split's test reads one contiguous
+column), argsorts every column stably, takes the sorted values, and
+allocates the split searches' scratch buffers. Each round filters that
+order and those values by one index of the entries of its rows (for
+AdaBoost, every entry). Each child node filters its parent's order the same
+way. Node rows stay ascending, so a stable filter of a stable order is the
+node's own stable argsort: each node sums the same weights in the same
+sequence, and trees are bit-identical to resorting.
 
 The search's prefix sums run in one complex lane: each row's positive and
 negative weight are the real and imaginary part of one complex128, so one
@@ -31,11 +33,15 @@ pairwise blocks, which changes the bits.
 A split marks each entry of the node's (features, rows) order by its side;
 ``np.flatnonzero`` of the mask lists, feature by feature, the entries of one
 side in sorted order, and ``take`` copies them and their values into the
-child. The search runs its passes in place, in the fit's buffers: fresh
-temporaries the size of a large node are mapped from the system and
-page-faulted anew on every search. In place, each gain is still
-``(parent - left) - right`` with each mass ``2*p*n / (p+n)``: the same IEEE
-operations on the same numbers in the same order, so the bits hold.
+child. The right child's mask, the left one's complement, is made only
+when that child is searched. The search runs its passes in place, in the
+fit's buffers: fresh temporaries the size of a large node are mapped from
+the system and page-faulted anew on every search. In place, each gain is
+still ``(parent - left) - right`` with each mass ``2*p*n / (p+n)``: the
+same IEEE operations on the same numbers in the same order, so the bits
+hold. The tie mask and the argmax run over the node's flat (features, rows)
+run, as one numpy loop each: most nodes have a few dozen rows, and a 2-D
+pass would run one short inner loop per feature.
 
 The best-first search is lazy. Each new leaf sums its class totals once;
 these are its weights if it stays a leaf, and its Gini mass ``parent``
@@ -53,10 +59,11 @@ when it was made; leaves that never reach the top are never searched. The
 children of the split that uses up the budget, and leaves of weight 0 or
 of one row, are never queued.
 
-The grower also returns each training row's +-1 from the leaf it ends in,
-by the rule ``predict`` applies to that leaf; a row reaches that leaf
-through the same ``X[:, f] <= threshold`` tests that ``predict`` makes. So
-a round calls ``predict`` only on the rows it held back: none for AdaBoost.
+The grower also returns each row's +-1 from the leaf it ends in, by the
+rule ``predict`` applies to that leaf: its training rows, and the rows a
+RUSBoost round held back, which it carries down each split with no weight.
+A row reaches that leaf through the same ``X[:, f] <= threshold`` tests
+that ``predict`` makes, so no round calls ``predict``.
 ``score_batch`` routes all of an ensemble's trees at once (``_route``), so
 each tree level costs one set of numpy calls for every tree, and sums the
 trees' votes one tree at a time in fit order, as a loop over ``predict``
@@ -70,13 +77,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NoWeakLearner, SingleClassError
+from .exceptions import DimensionError, NonFiniteSignal, NoWeakLearner, SingleClassError
 
 DEFAULT_ROUNDS = 30
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_MAX_SPLITS = 20
 DEFAULT_TARGET_RATIO = 1.0
 _EPS_PERFECT = 1e-10  # stand-in error when a round classifies perfectly
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def _gini_mass(w_pos, w_neg, out, total):
@@ -122,19 +130,23 @@ def _best_split(wz, parent, order, vals, work):
     np.subtract(parent, gains, out=gains)  # (parent - left) - right
     right = np.subtract(cum[:, :, -1:], cum, out=tmp)
     gains -= _gini_mass(right[0], right[1], out=right[0], total=cum[0])
-    ties = mask[: order.size].reshape(order.shape)  # ties can't split
-    np.equal(vals[:, :-1], vals[:, 1:], out=ties[:, :-1])
-    ties[:, -1] = True
+    # Ties can't split. One compare runs over the flat (features, rows) run;
+    # it also compares each feature's last value with the next feature's
+    # first, and those entries are each feature's last column, masked anyway.
+    gains, vals, m = gains.ravel(), vals.ravel(), order.shape[1]
+    ties = mask[: order.size]
+    np.equal(vals[:-1], vals[1:], out=ties[:-1])
+    ties[m - 1 :: m] = True
     np.putmask(gains, ties, -np.inf)
 
     # Gini gain is never negative, so any valid threshold is splittable;
     # zero-gain splits are allowed (an impure node may need two levels, as
     # with XOR patterns) and the budget bounds growth. The flat argmax takes
     # the first among equals: lowest feature, then lowest threshold.
-    f, i = divmod(int(gains.argmax()), gains.shape[1])
-    if gains[f, i] == -np.inf:
+    k = int(gains.argmax())
+    if gains[k] == -np.inf:
         return None
-    return float(gains[f, i]), f, float(0.5 * (vals[f, i] + vals[f, i + 1]))
+    return float(gains[k]), k // m, float(0.5 * (vals[k] + vals[k + 1]))
 
 
 @dataclass
@@ -181,6 +193,14 @@ def _route(trees, X):
     return sign[node].reshape(len(trees), len(X))
 
 
+def _check_finite(X):
+    """Raise NonFiniteSignal naming the row and column of X's first NaN or
+    infinite entry: the split search would carry it on silently."""
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise NonFiniteSignal(f"row {row}, column {col} is {X[row, col]}")
+
+
 def _presort(X):
     """Each column's stable order, as (features, rows), its sorted values, and
     the split search's scratch buffers for a node of every row."""
@@ -190,39 +210,42 @@ def _presort(X):
     return order, np.take_along_axis(X.T, order, axis=1), work
 
 
-def _grow(X, y, w, rows, order, vals, work, max_splits):
+def _grow(X, y, w, rows, order, vals, work, max_splits, held=_NO_ROWS):
     """Grow a tree best-first by weighted Gini decrease on X's `rows`
     (ascending), up to `max_splits`. Row f of `order` sorts the rows by
     feature f, as indices into X, and row f of `vals` holds their values;
-    `work` holds `_best_split`'s buffers. Returns the tree and each row's +-1
-    from its leaf, 0 for rows outside `rows`."""
+    `work` holds `_best_split`'s buffers. The `held` rows go down the same
+    tests as `rows` but count in no sum. Returns the tree and each row's +-1
+    from its leaf, 0 for rows in neither `rows` nor `held`."""
     w = np.stack([np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0)])
     wz = np.ascontiguousarray(w.T).view(np.complex128).ravel()
     feature = [-1]
     threshold = [0.0]
     left = [-1]
     right = [-1]
-    leaves = {}  # per leaf: its rows ascending and its class weights p, n
+    leaves = {}  # per leaf: its rows ascending, its held rows, its class weights p, n
     # Per leaf that may split, before its search: (-mass, leaf, None, its
-    # parent's order and values, its side of them; None for the root); after:
-    # (-gain, leaf, (feature, threshold), its order and values, None). A leaf
-    # has one entry at a time, so entries never compare past the leaf.
+    # parent's order and values, the parent's left-side mask and whether the
+    # leaf is that side; None for the root); after: (-gain, leaf, (feature,
+    # threshold), its order and values, None). A leaf has one entry at a
+    # time, so entries never compare past the leaf.
     heap = []
     n_splits = 0
 
-    def add_leaf(leaf, rows, order, vals, side):
+    def add_leaf(leaf, rows, held, order, vals, side):
         p, n = w.take(rows, axis=1).sum(axis=1).tolist()
-        leaves[leaf] = rows, p, n
+        leaves[leaf] = rows, held, p, n
         mass = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
         if mass > 0 and len(rows) > 1 and n_splits < max_splits:
             heapq.heappush(heap, (-mass, leaf, None, order, vals, side))
 
-    add_leaf(0, rows, order, vals, None)
+    add_leaf(0, rows, held, order, vals, None)
     while heap and n_splits < max_splits:
         key, leaf, split, order, vals, side = heapq.heappop(heap)
         if split is None:  # the bound is on top: search the leaf
             if side is not None:
-                at = np.flatnonzero(side)
+                to_left, is_left = side
+                at = np.flatnonzero(to_left if is_left else ~to_left)
                 shape = (len(order), len(at) // len(order))
                 order, vals = order.take(at).reshape(shape), vals.take(at).reshape(shape)
             cand = _best_split(wz, -key, order, vals, work)
@@ -230,18 +253,20 @@ def _grow(X, y, w, rows, order, vals, work, max_splits):
                 heapq.heappush(heap, (-cand[0], leaf, cand[1:], order, vals, None))
             continue
         f, thr = split
-        rows = leaves.pop(leaf)[0]
+        rows, held = leaves.pop(leaf)[:2]
         n_splits += 1
         goes_left = X[:, f] <= thr
         to_left = goes_left.take(order)
         in_left = goes_left.take(rows)
-        for mask, side in ((in_left, to_left), (~in_left, ~to_left)):
+        held_left = goes_left.take(held)
+        for is_left, mine, held_mine in ((True, in_left, held_left),
+                                         (False, ~in_left, ~held_left)):
             child = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            add_leaf(child, rows[mask], order, vals, side)
+            add_leaf(child, rows[mine], held[held_mine], order, vals, (to_left, is_left))
         feature[leaf] = f
         threshold[leaf] = thr
         left[leaf] = len(feature) - 2
@@ -251,9 +276,9 @@ def _grow(X, y, w, rows, order, vals, work, max_splits):
     leaf_w_pos = np.zeros(n_nodes)
     leaf_w_neg = np.zeros(n_nodes)
     pred = np.zeros(len(X), dtype=int)
-    for node, (rows, p, n) in leaves.items():
+    for node, (rows, held, p, n) in leaves.items():
         leaf_w_pos[node], leaf_w_neg[node] = p, n
-        pred[rows] = 1 if p >= n else -1  # as `predict`
+        pred[rows] = pred[held] = 1 if p >= n else -1  # as `predict`
     tree = DecisionTree(
         feature=np.asarray(feature, dtype=int),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -268,12 +293,15 @@ def _grow(X, y, w, rows, order, vals, work, max_splits):
 def fit_tree(
     X: np.ndarray, y: np.ndarray, w: np.ndarray, max_splits: int = DEFAULT_MAX_SPLITS,
 ) -> DecisionTree:
-    """Grow a tree best-first by weighted Gini decrease up to `max_splits`."""
+    """Grow a tree best-first by weighted Gini decrease up to `max_splits`.
+    A NaN or infinite entry of X raises NonFiniteSignal naming its row and
+    column; weights must be finite and nonnegative, with a positive sum."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     w = np.asarray(w, dtype=np.float64)
-    if not (w >= 0).all() or w.sum() <= 0:
-        raise ValueError("sample weights must be nonnegative and sum to a positive value")
+    _check_finite(X)
+    if not ((w >= 0).all() and 0 < w.sum() < np.inf):
+        raise ValueError("sample weights must be finite and nonnegative, with a positive sum")
     return _grow(X, y, w, np.arange(len(X)), *_presort(X), max_splits)[0]
 
 
@@ -290,11 +318,14 @@ class BoostedEnsemble:
         return (X - self.col_min) / scale
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
+        """Each row's alpha-weighted sum of the trees' +-1 votes. A NaN or
+        infinite entry raises NonFiniteSignal naming its row and column."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != len(self.col_min):
             raise DimensionError(
                 f"expected {len(self.col_min)} features, got {X.shape[1]}"
             )
+        _check_finite(X)
         scores = np.zeros(len(X))
         if self.trees:
             for alpha, pred in zip(self.alphas, _route(self.trees, self._normalize(X))):
@@ -315,11 +346,12 @@ def _boost(
 ) -> BoostedEnsemble:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=int)
+    _check_finite(X)
     if (y == y[:1]).all():  # also true for no labels at all
         raise SingleClassError("training labels contain a single class")
 
     model = BoostedEnsemble(trees=[], alphas=[], col_min=X.min(axis=0), col_max=X.max(axis=0))
-    Xn = model._normalize(X)
+    Xn = np.asfortranarray(model._normalize(X))  # each split reads one column
 
     n = len(X)
     w = np.full(n, 1.0 / n)
@@ -332,9 +364,8 @@ def _boost(
         at = np.flatnonzero(in_round.take(order))  # the round's entries of the presort
         shape = (len(order), len(rows))
         tree, pred = _grow(Xn, y, w / w[rows].sum(), rows, order.take(at).reshape(shape),
-                           vals.take(at).reshape(shape), work, max_splits)
-        held = np.flatnonzero(~in_round)
-        pred[held] = tree.predict(Xn[held])
+                           vals.take(at).reshape(shape), work, max_splits,
+                           np.flatnonzero(~in_round))
         miss = pred != y
         eps = float(w[miss].sum())
         if eps >= 0.5:
@@ -364,6 +395,8 @@ def fit_adaboost(
 
     Boosting stops at the first round whose weighted error is >= 0.5; if that
     is round 0 it raises NoWeakLearner instead of returning an empty ensemble.
+    A NaN or infinite entry of X raises NonFiniteSignal naming its row and
+    column.
     """
     all_rows = np.arange(len(X))
     return _boost(X, y, rounds, learning_rate, max_splits, subset_fn=lambda: all_rows)
@@ -379,8 +412,8 @@ def fit_rusboost(
 ) -> BoostedEnsemble:
     """RUSBoost: each round trains on all minority plus a random majority
     subsample (minority:majority = DEFAULT_TARGET_RATIO); errors and weight
-    updates stay on the full weighted set. Raises NoWeakLearner as
-    fit_adaboost does."""
+    updates stay on the full weighted set. Raises NoWeakLearner and
+    NonFiniteSignal as fit_adaboost does."""
     y = np.asarray(y, dtype=int)
     pos = np.flatnonzero(y > 0)
     neg = np.flatnonzero(y < 0)

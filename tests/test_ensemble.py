@@ -23,7 +23,12 @@ from ecgalarm.ensemble import (
     fit_rusboost,
     fit_tree,
 )
-from ecgalarm.exceptions import DimensionError, NoWeakLearner, SingleClassError
+from ecgalarm.exceptions import (
+    DimensionError,
+    NonFiniteSignal,
+    NoWeakLearner,
+    SingleClassError,
+)
 
 
 class TestFitTree:
@@ -68,6 +73,22 @@ class TestFitTree:
         X = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="nonnegative"):
             fit_tree(X, np.array([1, -1, 1]), np.array([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # An infinite weight used to give a single leaf, silently.
+        w = np.full(10, 0.1)
+        w[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_tree(np.arange(10.0)[:, None], np.array([1, -1] * 5), w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        # One NaN in this table used to grow 20 splits at NaN thresholds.
+        X = np.arange(10.0)[:, None]
+        X[3, 0] = bad
+        with pytest.raises(NonFiniteSignal, match=f"^row 3, column 0 is {bad}$"):
+            fit_tree(X, np.array([1, -1] * 5), np.full(10, 0.1))
 
     def test_equal_gains_split_the_lowest_leaf(self):
         # The root split leaves mirror-image children, (3+, 1-) and (1+, 3-),
@@ -410,6 +431,41 @@ def test_split_search_without_avx512(without_avx512):
     assert "6 passed" in done.stdout
 
 
+@st.composite
+def _boundary_nodes(draw):
+    """A node whose sorted feature rows run into each other: each feature's
+    largest value is the next feature's smallest, so the flat run of the
+    node's values repeats a value at every row boundary. Many nodes are one
+    feature wide or two rows long."""
+    n = draw(st.one_of(st.just(2), st.integers(2, 12)))
+    f = draw(st.one_of(st.just(1), st.integers(1, 4)))
+    X = draw(arrays(np.int64, (n, f), elements=st.integers(-3, 3))) / 2.0
+    rows = np.flatnonzero(draw(arrays(np.bool_, n)))
+    if len(rows) < 2:
+        rows = np.arange(n)
+    for j in range(1, f):
+        X[:, j] += X[rows, j - 1].max() - X[rows, j].min()
+    y = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    w = draw(arrays(np.int64, n, elements=st.integers(0, 8))) / 64.0
+    return X, np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0), rows
+
+
+class TestFlatTieMask:
+    # `_best_split` masks ties by one compare over the flat (features, rows)
+    # run of the node's values, which also compares each feature's last
+    # value with the next one's first; the last column of every feature
+    # must stay masked whether those two are equal or not.
+    @given(_boundary_nodes())
+    def test_row_boundaries(self, node):
+        X, w_pos, w_neg, rows = node
+        order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
+        vals = np.take_along_axis(X.T, order, axis=1)
+        assert (vals[:-1, -1] == vals[1:, 0]).all()
+        got = _search(X, w_pos, w_neg, rows, order, vals)
+        assert got == _plain_split(w_pos, w_neg, rows, order, vals)
+        assert got == _brute_split(X, w_pos, w_neg, rows)
+
+
 def _tree_digest(tree):
     h = hashlib.sha256()
     _hash_tree(h, tree)
@@ -539,9 +595,10 @@ class TestBoostReference:
 
     @given(st.data())
     def test_held_back_rows_get_predicts_answer(self, data):
-        # RUSBoost scores its held-back rows with `predict` and its training
-        # rows from their leaves; the reference predicts every row, so a
-        # held-back row scored otherwise would change that round's error.
+        # RUSBoost's grower carries its held-back rows down its splits with
+        # its training rows and scores both from their leaves; the reference
+        # predicts every row, so a held-back row scored otherwise would
+        # change that round's error.
         n = data.draw(st.integers(4, 30))
         f = data.draw(st.integers(1, 3))
         X = data.draw(arrays(np.int64, (n, f), elements=st.integers(-3, 3))) / 2.0
@@ -688,16 +745,54 @@ class TestRusboost:
         original = ens._grow
         rounds = []
 
-        def spy(Xn, y, w, rows, order, vals, work, max_splits):
+        def spy(Xn, y, w, rows, order, vals, work, max_splits, held):
             Xs = Xn[rows]
             fresh = np.argsort(Xs.T, axis=1, kind="stable")
             rounds.append(np.array_equal(order, rows[fresh]) and np.take_along_axis(
                 Xs.T, fresh, axis=1).tobytes() == vals.tobytes())
-            return original(Xn, y, w, rows, order, vals, work, max_splits)
+            return original(Xn, y, w, rows, order, vals, work, max_splits, held)
 
         monkeypatch.setattr(ens, "_grow", spy)
         fit(X, y, rounds=5)
         assert rounds and all(rounds)
+
+    @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
+    def test_fit_calls_no_predict(self, fit, monkeypatch):
+        # The grower scores every row of the round from its leaves, the
+        # rows RUSBoost held back included.
+        calls = []
+        original = DecisionTree.predict
+
+        def spy(tree, X):
+            calls.append(len(X))
+            return original(tree, X)
+
+        monkeypatch.setattr(DecisionTree, "predict", spy)
+        fit(*self._imbalanced())
+        assert calls == []
+
+    # Split searches per fit, counted when the lazy grower went in. A grower
+    # that searches each queued leaf as soon as it is made makes 68, 50, 797
+    # and 769: the separable `_imbalanced` table needs a split budget of 2
+    # before a leaf is left unsearched.
+    @pytest.mark.parametrize("fit, searches", [
+        (fit_adaboost, (60, 694)),
+        (lambda X, y, **kw: fit_rusboost(X, y, seed=1, **kw), (49, 664)),
+    ], ids=["adaboost", "rusboost"])
+    def test_search_counts_pinned(self, fit, searches, monkeypatch):
+        calls = []
+        original = ens._best_split
+
+        def spy(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(ens, "_best_split", spy)
+        fit(*self._imbalanced(), max_splits=2)
+        counts = [len(calls)]
+        fit(*_metamorphic_data(0)[:2])
+        counts.append(len(calls) - counts[0])
+        assert tuple(counts) == searches
 
     def test_balanced_input_matches_adaboost(self):
         rng = np.random.default_rng(6)
@@ -807,6 +902,23 @@ class TestScoring:
         model = fit_adaboost(X, np.array([-1, 1]), rounds=1)
         with pytest.raises(DimensionError):
             model.score_batch(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_training_entry_named(self, fit, bad):
+        # Either used to raise NoWeakLearner ("weighted error 0.500").
+        X = np.round(np.random.default_rng(8).normal(size=(20, 3)), 1)
+        X[7, 2] = bad
+        with pytest.raises(NonFiniteSignal, match=f"^row 7, column 2 is {bad}$"):
+            fit(X, np.array([1, -1] * 10))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_scoring_entry_named(self, bad):
+        model = fit_adaboost(np.array([[0.0], [1.0]]), np.array([-1, 1]), rounds=1)
+        X = np.zeros((3, 1))
+        X[2, 0] = bad
+        with pytest.raises(NonFiniteSignal, match=f"^row 2, column 0 is {bad}$"):
+            model.score_batch(X)
 
     def test_normalization_stats_are_train_minmax(self):
         rng = np.random.default_rng(8)

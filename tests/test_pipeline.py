@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ecgalarm.dwt import STAT_NAMES
 from ecgalarm.exceptions import NonFiniteSignal
 from ecgalarm.pipeline import featurize_record
 from ecgalarm.synthetic import synthetic_ecg
@@ -20,3 +21,16 @@ class TestNonFiniteSignal:
     def test_finite_record_unaffected(self):
         samples = synthetic_ecg(60, 75, snr_db=20, seed=1).samples
         assert featurize_record("r1", samples, "VTA").n_beats == 75
+
+
+class TestFlatline:
+    # A constant record's detail bands each hold one value: every
+    # coefficient is the same dot product of the filter with a constant
+    # window. So each band's std is 0, and band_stats gives skewness and
+    # kurtosis 0 where _skew_kurtosis would give NaN; the DWT row is finite.
+    @pytest.mark.parametrize("level", [0.0, 0.5, -1.37, 2047 / 200])
+    def test_dc_level_gives_finite_dwt_row(self, level):
+        dwt = featurize_record("r1", np.full(75000, level), "ASY").dwt
+        assert np.isfinite(dwt).all()
+        for stat in ("std", "skewness", "kurtosis"):
+            assert dwt[STAT_NAMES.index(stat)::len(STAT_NAMES)].tolist() == [0.0] * 6
