@@ -177,7 +177,7 @@ def kmeans(
     )
 
 
-def record_seed(global_seed: int, record_name: str) -> int:
-    """Per-record clustering seed: stable hash of the name XOR the global seed."""
-    return (global_seed ^ zlib.crc32(record_name.encode("utf-8"))) & 0xFFFFFFFF
+def record_seed(global_seed: int, tag: str) -> int:
+    """Seed of one tagged task: stable hash of the tag XOR the global seed."""
+    return (global_seed ^ zlib.crc32(tag.encode("utf-8"))) & 0xFFFFFFFF
 

@@ -1,12 +1,12 @@
 """Stratified cross-validation, classification metrics, and the experiment
 matrix over the six feature scenarios and two boosting algorithms.
 
-Folds are stratified on (alarm type x label). Metrics are pooled: every
-record is scored exactly once by the model of the fold that held it out,
-and accuracy / sensitivity / specificity / AUC are computed once over the
-pooled predictions (per-fold breakdowns are also reported). The positive
-class is the true alarm, so specificity reads as the fraction of false
-alarms correctly suppressed.
+Folds are stratified on (alarm type x label). `_fold_scores` fits one
+(scenario, classifier, fold) task on the other folds' rows and returns its
+held-out scores; `run_cell` pools them, so each record is scored once, and
+takes accuracy / sensitivity / specificity / AUC and the per-fold rows from
+the pool. The positive class is the true alarm, so specificity reads as the
+fraction of false alarms correctly suppressed.
 
 The ROC takes one step per run of equal scores in one stable descending
 sort: the run's first score is its threshold, so a zero keeps that score's
@@ -17,11 +17,11 @@ from Python 3.12 on), and must agree with the Mann-Whitney AUC to 1e-12.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import record_seed
 from .ensemble import (
     DEFAULT_LEARNING_RATE,
     DEFAULT_MAX_SPLITS,
@@ -167,62 +167,60 @@ class FeatureTable:
     X: np.ndarray
 
 
-def _cell_seed(seed: int, scenario: str, classifier: str, fold: int) -> int:
-    tag = f"{scenario}|{classifier}|{fold}"
-    return (seed ^ zlib.crc32(tag.encode())) & 0xFFFFFFFF
-
-
 def _defined(rate: float) -> float | None:
     """A rate over an empty class (a fold without positives) is undefined:
     None, written as JSON null, since strict JSON has no NaN."""
     return None if np.isnan(rate) else rate
 
 
+def _fold_scores(table: FeatureTable, folds: np.ndarray, scenario: str, classifier: str,
+                 fold: int, seed: int) -> np.ndarray:
+    """Held-out scores of one fold, by a model fitted on the other folds' rows.
+    A fit's SingleClassError or NoWeakLearner is re-raised with the cell, the
+    fold and the fold's training class counts in front of its message."""
+    train = folds != fold
+    X_train, y_train = table.X[train], table.y[train]
+    try:
+        if classifier == "BoostedTrees":
+            model = fit_adaboost(X_train, y_train)
+        elif classifier == "RUSBoostedTrees":
+            model = fit_rusboost(X_train, y_train,
+                                 seed=record_seed(seed, f"{scenario}|{classifier}|{fold}"))
+        else:
+            raise ConfigError(f"unknown classifier {classifier!r}")
+    except (SingleClassError, NoWeakLearner) as error:
+        n_true = int(np.sum(y_train == TRUE_ALARM))
+        raise type(error)(f"{scenario}/{classifier} fold {fold} ({n_true} true, "
+                          f"{len(y_train) - n_true} false in training): {error}") from error
+    return model.score_batch(table.X[~train])
+
+
 def run_cell(
     table: FeatureTable, folds: np.ndarray, scenario: str, classifier: str, seed: int
 ) -> dict:
     """Cross-validated evaluation of one (scenario, classifier) cell, as its
-    report.json entry. A fold whose fit raises SingleClassError or
-    NoWeakLearner re-raises it with the cell, the fold and the fold's
-    training class counts in front of the message."""
-    n = len(table.records)
-    pooled_pred = np.zeros(n, dtype=int)
-    pooled_score = np.zeros(n, dtype=np.float64)
+    report.json entry: every fold's held-out scores, pooled, then reduced."""
+    fold_ids = sorted(set(folds.tolist()))
+    scores = np.zeros(len(table.records))
+    for fold in fold_ids:
+        scores[folds == fold] = _fold_scores(table, folds, scenario, classifier, fold, seed)
+
+    pred = np.where(scores >= 0, 1, -1)
     per_fold = []
-
-    for fold in sorted(set(folds.tolist())):
-        test = np.flatnonzero(folds == fold)
-        train = np.flatnonzero(folds != fold)
-        X_train, y_train = table.X[train], table.y[train]
-        try:
-            if classifier == "BoostedTrees":
-                model = fit_adaboost(X_train, y_train)
-            elif classifier == "RUSBoostedTrees":
-                model = fit_rusboost(X_train, y_train,
-                                     seed=_cell_seed(seed, scenario, classifier, fold))
-            else:
-                raise ConfigError(f"unknown classifier {classifier!r}")
-        except (SingleClassError, NoWeakLearner) as error:
-            n_true = int(np.sum(y_train == TRUE_ALARM))
-            raise type(error)(f"{scenario}/{classifier} fold {fold} ({n_true} true, "
-                              f"{len(train) - n_true} false in training): {error}") from error
-        scores = model.score_batch(table.X[test])
-        pooled_score[test] = scores
-        pooled_pred[test] = np.where(scores >= 0, 1, -1)
-
-        fold_conf = confusion_metrics(table.y[test], pooled_pred[test])
+    for fold in fold_ids:
+        held = folds == fold
+        fold_conf = confusion_metrics(table.y[held], pred[held])
         per_fold.append(
             {
-                "fold": int(fold),
-                "n_test": int(len(test)),
+                "fold": fold,
+                "n_test": int(held.sum()),
                 "accuracy": fold_conf.accuracy,
                 "sensitivity": _defined(fold_conf.sensitivity),
                 "specificity": _defined(fold_conf.specificity),
             }
         )
-
-    confusion = confusion_metrics(table.y, pooled_pred)
-    auc, points = roc_auc(table.y, pooled_score)
+    confusion = confusion_metrics(table.y, pred)
+    auc, points = roc_auc(table.y, scores)
     return {
         "scenario": scenario,
         "classifier": classifier,

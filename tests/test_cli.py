@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import re
@@ -111,24 +112,62 @@ def test_benchmark_tracer_finds_every_name(fixture_dataset, tmp_path, fresh_pyth
     # bench/tracing.py wraps package functions by name; a renamed one would
     # fail every traced benchmark run, so installing the tracer must work.
     # A traced ingest times every header in `record_io.load_any`, the one
-    # without lead II included, so its ms_p50 covers them all.
+    # without lead II included, so its ms_p50 covers them all. A traced
+    # evaluate sees every fit through the names the tracer wraps, inside the
+    # span of its cell, so the benchmark's tree and split counts cover them.
     data_dir, labels = fixture_dataset
     bench = Path(__file__).resolve().parents[1] / "bench"
     spans = tmp_path / "spans.json"
+    out = tmp_path / "out"
     done = fresh_python("-c", f"""
-import sys
+import json, sys
 sys.path.insert(0, {str(bench)!r})
 import tracing
 from ecgalarm import cli
 tracer = tracing.install({str(spans)!r})
 assert cli.main(["ingest", "--data-dir", {str(data_dir)!r}, "--labels", {str(labels)!r},
-                 "--out", {str(tmp_path / "out")!r}]) == 0
+                 "--out", {str(out)!r}]) == 0
+assert cli.main(["featurize", "--out", {str(out)!r}]) == 0
+assert cli.main(["evaluate", "--out", {str(out)!r}, "--scenarios", "HLF_cityblock,DWT"]) == 0
 tracer.dump()
+with open({str(spans)!r}) as fh:
+    print(json.dumps(tracing.layer_metrics(json.load(fh))))
 """)
     assert done.returncode == 0, done.stderr
-    loads = [s for s in json.loads(spans.read_text()) if s[2] == "record_io.load_any"]
+    found = json.loads(spans.read_text())
+    loads = [s for s in found if s[2] == "record_io.load_any"]
     assert sorted(s[3] for s in loads) == sorted(p.stem for p in data_dir.glob("*.hea"))
     assert len(loads) == 31 and not any(s[6] for s in loads)
+
+    parent = {s[0]: s[2:4] for s in found}
+    fits = sorted((*parent.get(s[1], [None, None]), s[2]) for s in found
+                  if s[2].startswith("ensemble.fit_"))
+    booster = {"ensemble.fit_adaboost": "BoostedTrees",
+               "ensemble.fit_rusboost": "RUSBoostedTrees"}
+    assert fits == sorted(("evaluation.run_cell", f"{scenario}/{booster[name]}", name)
+                          for scenario in ("HLF_cityblock", "DWT") for name in booster
+                          for _ in range(5))
+    metrics = json.loads(done.stdout.splitlines()[-1])
+    assert metrics["ensemble.trees"]["value"] > 0 and metrics["ensemble.splits"]["value"] > 0
+
+
+def test_readme_degenerate_input_table_names_existing_tests():
+    # Each row of the README's degenerate-input table names the tests that
+    # pin its result, as `tests/<file>::<class>::<test>`; each must exist.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = re.search(r"^## Degenerate inputs\n(.*?)(?=^## |\Z)", readme, re.M | re.S).group(1)
+    rows = [line for line in section.splitlines() if line.startswith("| ")][1:]
+    assert len(rows) == 8
+    for row in rows:
+        named = re.findall(r"`(tests/[a-z_]+\.py)::([A-Za-z_0-9:]+)`", row.rsplit(" | ", 1)[1])
+        assert named, row
+        for path, qualname in named:
+            scope = ast.parse((root / path).read_text()).body
+            for name in qualname.split("::"):
+                found = [node for node in scope if getattr(node, "name", None) == name]
+                assert found, f"{path}::{qualname}"
+                scope = found[0].body
 
 
 def _files_by_command(out: Path) -> dict[str, dict[str, bytes]]:
@@ -773,6 +812,29 @@ class TestEvaluate:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "'a101l'" in err[0] and "featurize again" in err[0]
 
+    @pytest.mark.parametrize("trues, message", [
+        (["a101l"], "HLF_cityblock/BoostedTrees fold 0 (0 true, 24 false in training): "
+                    "training labels contain a single class"),
+        (["a101l", "a102l"], "HLF_cityblock/RUSBoostedTrees fold 4 (1 true, 23 false in "
+                             "training): boosting round 0 has weighted error 0.667 >= 0.5"),
+    ], ids=["single_class", "no_weak_learner"])
+    def test_too_few_true_alarms_exit_2(self, fixture_dataset, tmp_path, capsys, trues,
+                                        message):
+        # With one true alarm, fold 0 trains on false alarms only. With two,
+        # fold 4 trains on one of them: RUSBoost's first tree sees it and one
+        # false alarm, and its weighted error on the fold's training rows is
+        # no better than chance. Either stops the whole run, with the cell,
+        # the fold and its class counts in the message.
+        data_dir, labels = fixture_dataset
+        rows = [line.split(",")[0] for line in labels.read_text().splitlines()[1:]]
+        relabelled = tmp_path / "labels.csv"
+        relabelled.write_text("record,label\n" + "".join(
+            f"{name},{'true' if name in trues else 'false'}\n" for name in rows))
+        capsys.readouterr()
+        assert run_cli("all", "--data-dir", data_dir, "--labels", relabelled,
+                       "--out", tmp_path / "out", "--scenarios", "HLF_cityblock") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @staticmethod
     def _evaluate_edited(pipeline_out, out, bank, edit, scenarios):

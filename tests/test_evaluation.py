@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from ecgalarm.ensemble import DEFAULT_ROUNDS, fit_adaboost
+from ecgalarm.clustering import record_seed
+from ecgalarm.ensemble import DEFAULT_ROUNDS, fit_adaboost, fit_rusboost
 from ecgalarm.evaluation import (
+    CLASSIFIERS,
     FeatureTable,
+    _fold_scores,
     _midranks,
     confusion_metrics,
     render_markdown,
@@ -232,28 +235,37 @@ class TestRunCell:
         assert sum(cell["confusion"].values()) == len(table.records)
         assert len(cell["per_fold"]) == 4
 
-    def test_fold_scores_reproducible_from_train_only(self):
-        # No leakage: the fold-0 scores equal those of a model fitted on the
-        # training rows alone, and perturbing the held-out rows does not
-        # change that model's behaviour on other inputs.
+    @pytest.mark.parametrize("classifier", CLASSIFIERS)
+    def test_fold_scores_reproducible_from_train_only(self, classifier):
+        # No leakage: the fold-0 scores equal, bit for bit, those of a model
+        # fitted on the training rows alone, RUSBoost's seeded from the cell
+        # and fold by `record_seed`; perturbing the held-out rows does not
+        # change that model's normalization.
         tables, manifest = _toy_tables(seed=3)
         table = tables["A"]
         meta = [manifest[r] for r in table.records]
         folds = stratified_folds(meta, 4, seed=2)
-        cell = run_cell(table, folds, "A", "BoostedTrees", 2)
+
+        def fit(X, y):
+            if classifier == "BoostedTrees":
+                return fit_adaboost(X, y)
+            return fit_rusboost(X, y, seed=record_seed(2, "A|RUSBoostedTrees|0"))
 
         test = np.flatnonzero(folds == 0)
         train = np.flatnonzero(folds != 0)
-        model = fit_adaboost(table.X[train], table.y[train])
-        pred = np.where(model.score_batch(table.X[test]) >= 0, 1, -1)
+        model = fit(table.X[train], table.y[train])
+        scores = model.score_batch(table.X[test])
+        assert _fold_scores(table, folds, "A", classifier, 0, 2).tobytes() == scores.tobytes()
+        cell = run_cell(table, folds, "A", classifier, 2)
         fold0 = next(f for f in cell["per_fold"] if f["fold"] == 0)
+        pred = np.where(scores >= 0, 1, -1)
         assert fold0["accuracy"] == confusion_metrics(table.y[test], pred).accuracy
         # normalization comes from training rows only
         np.testing.assert_array_equal(model.col_min, table.X[train].min(axis=0))
         np.testing.assert_array_equal(model.col_max, table.X[train].max(axis=0))
         perturbed = table.X.copy()
         perturbed[test] *= 100.0
-        model2 = fit_adaboost(perturbed[train], table.y[train])
+        model2 = fit(perturbed[train], table.y[train])
         np.testing.assert_array_equal(model.col_min, model2.col_min)
         np.testing.assert_array_equal(model.col_max, model2.col_max)
 
