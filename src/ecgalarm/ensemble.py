@@ -3,9 +3,13 @@
 Trees grow best-first on weighted Gini decrease up to a split budget, with
 thresholds at midpoints of adjacent observed values (ties resolved toward
 the lowest feature index, then the lowest threshold, so fits are fully
-deterministic). The ensembles store per-column min-max normalization fitted
-on their training data and apply it internally when scoring. Defaults follow
-the common "Boosted Trees" / "RUSBoosted Trees" presets: 30 rounds, learning
+deterministic). For adjacent sorted values ``a < b`` the threshold is
+``a / 2 + b / 2``, or ``a`` when that rounds to ``b`` (scikit-learn's
+``BestSplitter`` rule): ``X[:, f] <= threshold`` then sends left exactly the
+rows the split scored, also when ``a`` and ``b`` are neighbouring doubles.
+The ensembles store per-column min-max normalization fitted on their
+training data and apply it internally when scoring. Defaults follow the
+common "Boosted Trees" / "RUSBoosted Trees" presets: 30 rounds, learning
 rate 0.1, 20 splits, 1:1 resampling.
 
 Each fit does its per-fit work once: ``_boost`` stores the normalised table
@@ -146,7 +150,9 @@ def _best_split(wz, parent, order, vals, work):
     k = int(gains.argmax())
     if gains[k] == -np.inf:
         return None
-    return float(gains[k]), k // m, float(0.5 * (vals[k] + vals[k + 1]))
+    a, b = float(vals[k]), float(vals[k + 1])
+    thr = a / 2 + b / 2
+    return float(gains[k]), k // m, a if thr == b else thr
 
 
 @dataclass

@@ -158,20 +158,3 @@ def run_python(*args, **env):
 def fresh_python():
     return run_python
 
-
-# numpy picks its SIMD kernels at run time; these are the AVX-512 levels.
-_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
-
-
-@pytest.fixture
-def without_avx512():
-    """Rerun the given tests in a fresh pytest with numpy's AVX-512 kernels off,
-    to check that pinned bytes hold at the lower (AVX2) dispatch level."""
-    if not np._core._multiarray_umath.__cpu_features__.get("X86_V4", False):
-        pytest.skip("the CPU has no AVX-512, so there is no lower dispatch level to compare")
-
-    def rerun(*tests):
-        return run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", *tests,
-                          NPY_DISABLE_CPU_FEATURES=_AVX512)
-
-    return rerun

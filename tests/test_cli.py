@@ -63,6 +63,7 @@ FIXTURE_DIGESTS = {
 }
 
 
+@pytest.mark.pins_numpy_simd
 def test_fixture_artifacts_byte_identical(pipeline_out):
     got = {
         name: hashlib.sha256((pipeline_out / name).read_bytes()).hexdigest()
@@ -72,13 +73,6 @@ def test_fixture_artifacts_byte_identical(pipeline_out):
     assert sorted(p.name for p in (pipeline_out / "roc").iterdir()) == sorted(
         name.split("/", 1)[1] for name in FIXTURE_DIGESTS if name.startswith("roc/")
     )
-
-
-def test_fixture_artifacts_byte_identical_without_avx512(without_avx512):
-    # The digests hold whichever SIMD kernels numpy dispatches to.
-    done = without_avx512(f"{__file__}::test_fixture_artifacts_byte_identical")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "1 passed" in done.stdout
 
 
 def test_import_loads_no_scipy(fresh_python):

@@ -276,6 +276,7 @@ def _points_and_labels(draw):
     return X, draw(arrays(np.int64, len(X), elements=st.integers(0, k - 1))), k
 
 
+@pytest.mark.pins_numpy_simd
 class TestMedians:
     @settings(max_examples=300)
     @given(_points_and_labels())
@@ -299,6 +300,7 @@ class TestMedians:
         assert result.centroids.tobytes() == centroids.tobytes()
 
 
+@pytest.mark.pins_numpy_simd
 class TestLloydTraceProperty:
     """Each Lloyd iteration's objective comes from the cost matrix that also
     drives the next assignment; it must still be the true cost of the

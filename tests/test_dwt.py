@@ -1,4 +1,3 @@
-import platform
 import warnings
 from math import comb
 
@@ -46,18 +45,10 @@ class TestFilters:
     def test_db8_is_16_taps(self):
         assert DEC_LO.shape == DEC_HI.shape == (16,)
 
+    @pytest.mark.pins_openblas
     def test_literals_match_reference(self):
         # Not bit for bit: np.roots runs LAPACK, whose kernels differ per CPU.
         np.testing.assert_allclose(DEC_LO, reference(8), rtol=0, atol=1e-14)
-
-    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                        reason="OpenBLAS core types name x86 kernels")
-    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-    def test_literals_match_reference_under_openblas_kernel(self, coretype, fresh_python):
-        result = fresh_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
-                              f"{__file__}::TestFilters::test_literals_match_reference",
-                              OPENBLAS_CORETYPE=coretype)
-        assert result.returncode == 0, result.stdout[-2000:]
 
     def test_orthonormality(self):
         # Oracle: sum h = sqrt(2), sum h^2 = 1, even shifts orthogonal.
@@ -117,9 +108,12 @@ def _convolve_step(x):
 
 
 class TestDecomposeStep:
+    @pytest.mark.pins_openblas
     def test_bits_equal_full_convolution(self):
         # Seeded signals of 1-3000 samples at scales 1e-3 to 1e3, raw or
-        # quantized to ADC steps of 1/200 mV as records are.
+        # quantized to ADC steps of 1/200 mV as records are. np.convolve and
+        # np.vecdot both sum through OpenBLAS ddot, whose kernel is picked by
+        # CPU; the two must agree under each kernel.
         for seed in range(300):
             rng = np.random.default_rng(seed)
             x = rng.normal(size=int(rng.integers(1, 3001))) * 10.0 ** int(rng.integers(-3, 4))
@@ -127,18 +121,6 @@ class TestDecomposeStep:
                 x = np.round(x * 200) / 200
             got, want = _decompose_step(x), _convolve_step(x)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], seed
-
-    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                        reason="OpenBLAS core types name x86 kernels")
-    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-    def test_bits_equal_under_openblas_kernel(self, coretype, fresh_python):
-        # np.convolve and np.vecdot both sum through OpenBLAS ddot, whose
-        # kernel is picked by CPU; the two must agree under each kernel.
-        result = fresh_python(
-            "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            f"{__file__}::TestDecomposeStep::test_bits_equal_full_convolution",
-            OPENBLAS_CORETYPE=coretype)
-        assert result.returncode == 0, result.stdout[-2000:]
 
 
 class TestBandStats:
@@ -234,6 +216,7 @@ _NUMPY_STATS = {
 _PERCENTILES = ("iqr", "p5", "p95", "p25", "p75")
 
 
+@pytest.mark.pins_numpy_simd
 class TestBandStatsNumpyBits:
     # band_stats takes the order statistics from one sort and the moments
     # from one set of deviations; each keeps the bits of numpy's own call.
@@ -257,12 +240,6 @@ class TestBandStatsNumpyBits:
             if name in _PERCENTILES and both_zeros and got[name] == want[name] == 0:
                 continue
             assert _bits(got[name]) == _bits(want[name]), name
-
-
-def test_numpy_bits_without_avx512(without_avx512):
-    done = without_avx512(f"{__file__}::TestBandStatsNumpyBits")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "1 passed" in done.stdout
 
 
 class TestFeatureVector:

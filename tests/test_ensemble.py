@@ -1,10 +1,9 @@
 import hashlib
 import heapq
-import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,6 +29,29 @@ from ecgalarm.exceptions import (
     NoWeakLearner,
     SingleClassError,
 )
+
+
+@st.composite
+def _neighbour_tables(draw):
+    """A fit_tree table whose values are 0-3 steps of `np.nextafter` above a
+    few bases, so adjacent sorted values are often neighbouring doubles,
+    whose `0.5 * (a + b)` rounds to b about half the time."""
+    n, f = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    bases = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3)))
+    X = bases[draw(arrays(np.int64, (n, f), elements=st.integers(0, len(bases) - 1)))]
+    steps = draw(arrays(np.int64, (n, f), elements=st.integers(0, 3)))
+    for step in range(1, 4):
+        X = np.where(steps >= step, np.nextafter(X, np.inf), X)
+    y = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    w = draw(arrays(np.int64, n, elements=st.integers(1, 8))) / 64.0
+    return X, y, w
+
+
+def _normal_halves():
+    """Doubles whose halves are normal and whose sum cannot overflow: 0, or
+    a magnitude in [2**-1021, 2**1023), of either sign."""
+    magnitude = st.one_of(st.just(0.0), st.floats(2.0**-1021, 2.0**1023, exclude_max=True))
+    return st.builds(lambda m, neg: -m if neg else m, magnitude, st.booleans())
 
 
 class TestFitTree:
@@ -108,6 +130,42 @@ class TestFitTree:
         tree = fit_tree(X, y, np.full(200, 1 / 200), max_splits=7)
         assert tree.n_splits <= 7
 
+    def test_neighbouring_doubles_split_apart(self):
+        # 0.5 * (a + b) rounds to b for these two: both rows would go left,
+        # and the right leaf would be empty.
+        X = np.array([[0.3], [0.30000000000000004]])
+        tree = fit_tree(X, np.array([1, -1]), np.full(2, 0.5), max_splits=1)
+        assert tree.n_splits == 1
+        np.testing.assert_array_equal(tree.predict(X), [1, -1])
+
+    @given(_neighbour_tables(), st.integers(1, 6))
+    def test_split_sends_left_the_rows_it_scored(self, table, max_splits):
+        # Every split found sends left, by `X[:, f] <= threshold`, exactly
+        # the node's rows up to the position whose gain it scored.
+        scored = []
+
+        def spy(wz, parent, order, vals, work):
+            cand = _best_split(wz, parent, order, vals, work)
+            if cand is not None:
+                # `_best_split` leaves its masked gains in the float buffer's
+                # third block; their argmax is the position it scored.
+                gains = work[1][2 * order.size : 3 * order.size]
+                scored.append((order[cand[1]], int(gains.argmax()) % order.shape[1], cand))
+            return cand
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ens, "_best_split", spy)
+            fit_tree(*table, max_splits=max_splits)
+        for rows, position, (_, f, thr) in scored:
+            assert np.count_nonzero(table[0][rows, f] <= thr) == position + 1
+
+    @given(_normal_halves(), _normal_halves())
+    def test_halves_sum_bits_equal_half_sum(self, a, b):
+        # Where a, b, their halves and their sum are normal, the two midpoints
+        # round the same exact value once, so the rule moves no other split.
+        assume(a + b == 0 or abs(a + b) >= 2.0**-1021)
+        assert (a / 2 + b / 2).hex() == (0.5 * (a + b)).hex()
+
     @given(st.data(), st.integers(0, 6))
     def test_training_signs_equal_predict(self, data, max_splits):
         # The grower's +-1 for each of its rows comes from the leaf the row
@@ -121,6 +179,13 @@ class TestFitTree:
         tree, pred = _grow(X, y, w_pos + w_neg, rows, order, vals, _presort(X)[2], max_splits)
         assert pred[rows].tolist() == tree.predict(X[rows]).tolist()
         assert not pred[np.setdiff1d(np.arange(len(X)), rows)].any()
+
+
+def _threshold(a, b):
+    """The threshold between adjacent sorted values a < b: a / 2 + b / 2, or a
+    when that rounds to b, so that `<= threshold` keeps b on the right."""
+    mid = float(a) / 2 + float(b) / 2
+    return float(a) if mid == b else mid
 
 
 def _brute_split(X, w_pos, w_neg, rows):
@@ -144,7 +209,7 @@ def _brute_split(X, w_pos, w_neg, rows):
             lp, ln = float(w_pos[left].sum()), float(w_neg[left].sum())
             gain = parent - mass(lp, ln) - mass(p - lp, n - ln)
             if best is None or gain > best[0]:
-                best = (gain, f, float(0.5 * (lo + hi)))
+                best = (gain, f, _threshold(lo, hi))
     return best
 
 
@@ -183,7 +248,7 @@ def _eager_split(w, rows, order, vals, work):
     f, i = divmod(int(gains.argmax()), gains.shape[1])
     if gains[f, i] == -np.inf:
         return None
-    return float(gains[f, i]), f, float(0.5 * (vals[f, i] + vals[f, i + 1]))
+    return float(gains[f, i]), f, _threshold(vals[f, i], vals[f, i + 1])
 
 
 def _eager_grow(X, y, w, rows, order, vals, max_splits):
@@ -334,7 +399,7 @@ def _plain_split(w_pos, w_neg, rows, order, vals):
     i = int(gains[f].argmax())
     if gains[f, i] == -np.inf:
         return None
-    return float(gains[f, i]), f, float(0.5 * (vals[f, i] + vals[f, i + 1]))
+    return float(gains[f, i]), f, _threshold(vals[f, i], vals[f, i + 1])
 
 
 @st.composite
@@ -351,12 +416,13 @@ def _class_weights(draw):
 # sha256 of the trees `fit_tree` grows on 40 seeded tables. Rounding to 0-2
 # decimals makes tied values common. Plain fits call no `np.exp`, whose last
 # bits depend on the SIMD level; the digest is the same with numpy's AVX-512
-# dispatch disabled (`test_split_search_without_avx512`).
+# dispatch disabled (`TestSplitSearch` is marked `pins_numpy_simd`).
 FIT_TREE_DIGEST = "f234f549a754fc4a8f6767fda8de508172559c671063bc9550636e1710c420f7"
 # The same over 40 `_edge_table`s.
 FIT_TREE_EDGE_DIGEST = "ee21e27edcdfd8ee3d88cca753eac2da22dbc46d0444cd903cbc7e9a7a796674"
 
 
+@pytest.mark.pins_numpy_simd
 class TestSplitSearch:
     @given(_weighted_nodes())
     def test_best_split_matches_brute_force(self, node):
@@ -425,17 +491,6 @@ class TestSplitSearch:
         assert h.hexdigest() == FIT_TREE_EDGE_DIGEST
 
 
-def test_split_search_without_avx512(without_avx512):
-    # The split search's bits hold whichever SIMD kernels numpy dispatches to.
-    # The summary is read for a pass count and no failure, so either class
-    # may gain tests.
-    done = without_avx512(f"{__file__}::TestSplitSearch", f"{__file__}::TestFlatTieMask")
-    assert done.returncode == 0, done.stdout + done.stderr
-    summary = done.stdout.strip().splitlines()[-1]
-    assert re.search(r"\b[1-9]\d* passed\b", summary), summary
-    assert not re.search(r"\b(failed|errors?)\b", summary), summary
-
-
 @st.composite
 def _boundary_nodes(draw):
     """A node whose sorted feature rows run into each other: each feature's
@@ -455,6 +510,7 @@ def _boundary_nodes(draw):
     return X, np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0), rows
 
 
+@pytest.mark.pins_numpy_simd
 class TestFlatTieMask:
     # `_best_split` masks ties by one compare over the flat (features, rows)
     # run of the node's values, which also compares each feature's last

@@ -10,11 +10,13 @@ where the detector's search-back runs.
 sees them: 16-bit ADC values at 200 units per mV. Their input digest is
 pinned on its own, so a change in the generator's float bits shows up as an
 input change; the outputs were recorded before delineation and k-means
-worked on whole arrays.
+worked on whole arrays. The quantized cases are marked `pins_numpy_simd`:
+their bits hold with numpy's AVX-512 kernels off. The float cases are not,
+because `synthetic_ecg`'s `np.exp` changes their input at that level
+(ROADMAP item 1).
 """
 
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,29 +147,17 @@ def test_featurize_bytes_unchanged(name):
     assert _output_digests(name, ecg.samples) == DIGESTS[name]
 
 
+@pytest.mark.pins_numpy_simd
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_quantized_input_bytes_unchanged(name):
     samples = _as_ingested(synthetic_ecg(300, **RECORDS[name]).samples)
     assert _digest(samples) == QUANTIZED_DIGESTS[name]["input"]
 
 
+@pytest.mark.pins_numpy_simd
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_quantized_featurize_bytes_unchanged(name):
     samples = _as_ingested(synthetic_ecg(300, **RECORDS[name]).samples)
     want = {k: v for k, v in QUANTIZED_DIGESTS[name].items() if k != "input"}
     assert _output_digests(name, samples) == want
 
-
-def test_quantized_delineate_and_lloyd_without_avx512(without_avx512):
-    # The quantized cases, delineation, the detector's scan, the cluster
-    # medians and Lloyd hold their bits whichever SIMD kernels numpy
-    # dispatches to.
-    tests = Path(__file__).parent
-    done = without_avx512(f"{__file__}::test_quantized_input_bytes_unchanged",
-                          f"{__file__}::test_quantized_featurize_bytes_unchanged",
-                          f"{tests / 'test_segmentation.py'}::TestDelineate",
-                          f"{tests / 'test_segmentation.py'}::TestDetectorEqualsLoop",
-                          f"{tests / 'test_clustering.py'}::TestMedians",
-                          f"{tests / 'test_clustering.py'}::TestLloydTraceProperty")
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "22 passed" in done.stdout

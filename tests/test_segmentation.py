@@ -343,6 +343,7 @@ def _detector_inputs(draw):
     return _as_ingested(ecg.samples) if draw(st.booleans()) else ecg.samples
 
 
+@pytest.mark.pins_numpy_simd
 class TestDetectorEqualsLoop:
     @settings(max_examples=150)
     @given(_detector_inputs())
@@ -412,6 +413,7 @@ def _waves_x(marks):
     return marks[:, :5, 0].astype(int)
 
 
+@pytest.mark.pins_numpy_simd
 class TestDelineate:
     def test_landmark_accuracy_on_synthetic(self):
         ecg = synthetic_ecg(300, 60, snr_db=20, seed=4)
