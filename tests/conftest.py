@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import ctypes
 import os
+import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -157,4 +159,112 @@ def run_python(*args, **env):
 @pytest.fixture
 def fresh_python():
     return run_python
+
+
+# numpy picks its SIMD kernels, and OpenBLAS its core, by CPU at run time, so
+# the same code can compute other last bits on another machine. A test marked
+# `pins_numpy_simd` pins bytes that numpy's SIMD kernels compute, and one
+# marked `pins_openblas` results that pass through OpenBLAS. Each environment
+# below reruns the marked tests of the session in one fresh pytest.
+
+# numpy's AVX-512 dispatch targets.
+_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+_NO_AVX512 = (not np._core._multiarray_umath.__cpu_features__.get("X86_V4", False)
+              and "the CPU has no AVX-512, so there is no lower dispatch level to compare")
+_NOT_X86 = (platform.machine() not in ("x86_64", "AMD64")
+            and "OpenBLAS core types name x86 kernels")
+
+# Per environment: the marker it reruns, its variables, the SIMD targets the
+# child's header must list as not found, the OpenBLAS core the header must
+# name, and why this machine cannot run it (or False).
+KERNEL_ENVIRONMENTS = {
+    "avx512-off": ("pins_numpy_simd", {"NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)},
+                   set(_AVX512), None, _NO_AVX512),
+    "openblas-Haswell": ("pins_openblas", {"OPENBLAS_CORETYPE": "Haswell"},
+                         set(), "Haswell", _NOT_X86),
+    # numpy 2.4.6's bundled OpenBLAS runs its Katmai kernel for this name.
+    "openblas-Prescott": ("pins_openblas", {"OPENBLAS_CORETYPE": "Prescott"},
+                          set(), "Katmai", _NOT_X86),
+}
+
+
+def pytest_generate_tests(metafunc):
+    if "kernel_environment" in metafunc.fixturenames:
+        metafunc.parametrize("kernel_environment", list(KERNEL_ENVIRONMENTS))
+
+
+def _in_scope(nodeid, scope):
+    return nodeid == scope or nodeid.startswith((f"{scope}::", f"{scope}["))
+
+
+class KernelRerun:
+    """One fresh pytest of the session's tests marked for one environment."""
+
+    def __init__(self, session, name):
+        marker, self.env, self.not_found, self.core, _ = KERNEL_ENVIRONMENTS[name]
+        self.marker, config = marker, session.config
+        self.session_ids = [item.nodeid for item in session.items]
+        self.selected = [item.nodeid for item in session.items if item.get_closest_marker(marker)]
+        if not self.selected:
+            return
+        # -rA lists each passed test as "PASSED <node id>", the node id
+        # relative to the directory pytest was started in.
+        self.done = run_python(
+            "-m", "pytest", "-p", "no:cacheprovider", "-rA", f"--rootdir={config.rootpath}",
+            *(str(config.rootpath / nodeid) for nodeid in self.selected), **self.env)
+        self.output = (self.done.stdout + self.done.stderr)[-4000:]
+        lines = self.done.stdout.splitlines()
+        passed = {line[len("PASSED "):] for line in lines if line.startswith("PASSED ")}
+        self.passed = {n for n in self.selected if config.cwd_relative_nodeid(n) in passed}
+        self.outcomes = {word: int(n) for n, word in
+                         re.findall(r"(\d+) (\w+)", lines[-1] if lines else "")}
+
+    def assert_took_effect(self):
+        """The child's session header (`_kernel_lines`) shows the environment:
+        OpenBLAS runs its default core, silently, for a core name it does not
+        know."""
+        simd = re.search(r"^numpy \S+ SIMD: .*; not found (.*)$", self.done.stdout, re.M)
+        core = re.search(r"^OpenBLAS core: (\S+)$", self.done.stdout, re.M)
+        assert simd and core, self.output
+        missing = self.not_found - set(simd.group(1).split())
+        assert not missing, f"numpy still dispatches to {missing}"
+        assert self.core in (None, core.group(1)), \
+            f"OpenBLAS ran its {core.group(1)} core, not {self.core}"
+
+    def assert_all_passed(self):
+        """The child passed exactly the tests it selected, and nothing failed."""
+        if not self.selected:
+            pytest.skip(f"this session collected no test marked {self.marker}")
+        self.assert_took_effect()
+        assert self.done.returncode == 0 and self.outcomes == {"passed": len(self.selected)}, \
+            self.output
+
+    def assert_passed(self, *scopes):
+        """Each scope (a node id or its prefix) holds marked tests of this
+        session, and the child passed every one of them."""
+        for scope in scopes:
+            if not any(_in_scope(n, scope) for n in self.session_ids):
+                pytest.skip(f"this session did not collect {scope}")
+            marked = [n for n in self.selected if _in_scope(n, scope)]
+            assert marked, f"no test in {scope} is marked {self.marker}"
+            assert set(marked) <= self.passed, self.output
+        self.assert_took_effect()
+
+
+@pytest.fixture(scope="session")
+def kernel_rerun(request):
+    """`kernel_rerun(name)` reruns this session's marked tests in the named
+    environment once per session and returns the `KernelRerun`; it skips when
+    the machine cannot run the environment."""
+    runs = {}
+
+    def rerun(name):
+        why_not = KERNEL_ENVIRONMENTS[name][-1]
+        if why_not:
+            pytest.skip(why_not)
+        if name not in runs:
+            runs[name] = KernelRerun(request.session, name)
+        return runs[name]
+
+    return rerun
 

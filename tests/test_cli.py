@@ -75,6 +75,11 @@ def test_fixture_artifacts_byte_identical(pipeline_out):
     )
 
 
+def test_fixture_artifacts_byte_identical_without_avx512(kernel_rerun):
+    # The digests hold whichever SIMD kernels numpy dispatches to.
+    kernel_rerun("avx512-off").assert_passed("tests/test_cli.py::test_fixture_artifacts_byte_identical")
+
+
 def test_import_loads_no_scipy(fresh_python):
     done = fresh_python("-c", "import sys, ecgalarm, ecgalarm.cli; "
                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

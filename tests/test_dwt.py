@@ -50,6 +50,11 @@ class TestFilters:
         # Not bit for bit: np.roots runs LAPACK, whose kernels differ per CPU.
         np.testing.assert_allclose(DEC_LO, reference(8), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_literals_match_reference_under_openblas_kernel(self, coretype, kernel_rerun):
+        kernel_rerun(f"openblas-{coretype}").assert_passed(
+            "tests/test_dwt.py::TestFilters::test_literals_match_reference")
+
     def test_orthonormality(self):
         # Oracle: sum h = sqrt(2), sum h^2 = 1, even shifts orthogonal.
         for h in (DEC_LO, reference(8)):
@@ -121,6 +126,11 @@ class TestDecomposeStep:
                 x = np.round(x * 200) / 200
             got, want = _decompose_step(x), _convolve_step(x)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], seed
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_bits_equal_under_openblas_kernel(self, coretype, kernel_rerun):
+        kernel_rerun(f"openblas-{coretype}").assert_passed(
+            "tests/test_dwt.py::TestDecomposeStep::test_bits_equal_full_convolution")
 
 
 class TestBandStats:
@@ -240,6 +250,10 @@ class TestBandStatsNumpyBits:
             if name in _PERCENTILES and both_zeros and got[name] == want[name] == 0:
                 continue
             assert _bits(got[name]) == _bits(want[name]), name
+
+
+def test_numpy_bits_without_avx512(kernel_rerun):
+    kernel_rerun("avx512-off").assert_passed("tests/test_dwt.py::TestBandStatsNumpyBits")
 
 
 class TestFeatureVector:

@@ -491,6 +491,12 @@ class TestSplitSearch:
         assert h.hexdigest() == FIT_TREE_EDGE_DIGEST
 
 
+def test_split_search_without_avx512(kernel_rerun):
+    # The split search's bits hold whichever SIMD kernels numpy dispatches to.
+    kernel_rerun("avx512-off").assert_passed("tests/test_ensemble.py::TestSplitSearch",
+                                             "tests/test_ensemble.py::TestFlatTieMask")
+
+
 @st.composite
 def _boundary_nodes(draw):
     """A node whose sorted feature rows run into each other: each feature's

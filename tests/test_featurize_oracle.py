@@ -161,3 +161,15 @@ def test_quantized_featurize_bytes_unchanged(name):
     want = {k: v for k, v in QUANTIZED_DIGESTS[name].items() if k != "input"}
     assert _output_digests(name, samples) == want
 
+
+def test_quantized_delineate_and_lloyd_without_avx512(kernel_rerun):
+    # The quantized cases, delineation, the detector's scan, the cluster
+    # medians and Lloyd hold their bits whichever SIMD kernels numpy
+    # dispatches to.
+    kernel_rerun("avx512-off").assert_passed(
+        "tests/test_featurize_oracle.py::test_quantized_input_bytes_unchanged",
+        "tests/test_featurize_oracle.py::test_quantized_featurize_bytes_unchanged",
+        "tests/test_segmentation.py::TestDelineate",
+        "tests/test_segmentation.py::TestDetectorEqualsLoop",
+        "tests/test_clustering.py::TestMedians",
+        "tests/test_clustering.py::TestLloydTraceProperty")

@@ -1,64 +1,12 @@
 """Rerun the tests that pin kernel-dependent bytes under other CPU kernels.
 
-numpy picks its SIMD kernels, and OpenBLAS its core, by CPU at run time, so
-the same code can compute other last bits on another machine. A test marked
-``pins_numpy_simd`` pins bytes that numpy's SIMD kernels compute, and one
-marked ``pins_openblas`` results that pass through OpenBLAS. Each case below
-takes the marked tests of the running session and reruns them in one fresh
-pytest under one environment, so the child collects only their files. The
-child must pass every test it selected, and its session header must show that
-the environment took effect: OpenBLAS runs its default core, silently, for a
-core name it does not know.
+Each case takes the tests of the running session marked for one environment
+(`conftest.KERNEL_ENVIRONMENTS`) and reruns them in one fresh pytest, so the
+child collects only their files. The child must pass every test it selected,
+and its session header must show that the environment took effect. The
+modules that own marked tests check their own share of the same runs.
 """
 
-import platform
-import re
 
-import numpy as np
-import pytest
-
-# numpy's AVX-512 dispatch targets.
-_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-
-_HAS_AVX512 = pytest.mark.skipif(
-    not np._core._multiarray_umath.__cpu_features__.get("X86_V4", False),
-    reason="the CPU has no AVX-512, so there is no lower dispatch level to compare")
-_X86 = pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                          reason="OpenBLAS core types name x86 kernels")
-
-# Per environment: the marker it reruns, its variables, the SIMD targets its
-# header must list as not found, and the OpenBLAS core its header must name.
-ENVIRONMENTS = [
-    pytest.param("pins_numpy_simd", {"NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)},
-                 set(_AVX512), None, id="avx512-off", marks=_HAS_AVX512),
-    pytest.param("pins_openblas", {"OPENBLAS_CORETYPE": "Haswell"},
-                 set(), "Haswell", id="openblas-Haswell", marks=_X86),
-    # numpy 2.4.6's bundled OpenBLAS runs its Katmai kernel for this name.
-    pytest.param("pins_openblas", {"OPENBLAS_CORETYPE": "Prescott"},
-                 set(), "Katmai", id="openblas-Prescott", marks=_X86),
-]
-
-
-def _header(stdout):
-    """The SIMD targets and the OpenBLAS core that a pytest session header
-    names (`conftest._kernel_lines`)."""
-    simd = re.search(r"^numpy \S+ SIMD: .*; not found (.*)$", stdout, re.M)
-    core = re.search(r"^OpenBLAS core: (\S+)$", stdout, re.M)
-    assert simd and core, stdout[:2000]
-    return set(simd.group(1).split()), core.group(1)
-
-
-@pytest.mark.parametrize("marker, env, not_found, core", ENVIRONMENTS)
-def test_marked_tests_pass_under(marker, env, not_found, core, request, fresh_python):
-    tests = [f"{item.path}::{item.nodeid.split('::', 1)[1]}"
-             for item in request.session.items if item.get_closest_marker(marker)]
-    if not tests:
-        pytest.skip(f"this session collected no test marked {marker}")
-    done = fresh_python("-m", "pytest", "-p", "no:cacheprovider", *tests, **env)
-    got_not_found, got_core = _header(done.stdout)
-    assert not_found <= got_not_found, f"numpy still dispatches to {not_found - got_not_found}"
-    assert core in (None, got_core), f"OpenBLAS ran its {got_core} core, not {core}"
-    summary = done.stdout.strip().splitlines()[-1]
-    outcomes = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
-    assert done.returncode == 0 and outcomes == {"passed": len(tests)}, \
-        (done.stdout + done.stderr)[-4000:]
+def test_marked_tests_pass_under(kernel_environment, kernel_rerun):
+    kernel_rerun(kernel_environment).assert_all_passed()
