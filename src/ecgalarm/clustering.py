@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import EmptyInput, NonFiniteSignal
+from .exceptions import EmptyInput, check_finite
 
 METRICS = ("cityblock", "sqeuclidean")
 MAX_ITER = 300
@@ -153,9 +153,7 @@ def kmeans(
         raise ValueError("k must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if not np.isfinite(X).all():
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        raise NonFiniteSignal(f"row {row}, column {col} is {X[row, col]}")
+    check_finite(X)
     k_eff = min(k, len(X))
     order = np.argsort(X.T, axis=1) if metric == "cityblock" else None  # restarts share it
 

@@ -15,12 +15,16 @@ rate 0.1, 20 splits, 1:1 resampling.
 Each fit does its per-fit work once: ``_boost`` stores the normalised table
 column by column (Fortran order, so a split's test reads one contiguous
 column), argsorts every column stably, takes the sorted values, and
-allocates the split searches' scratch buffers. Each round filters that
-order and those values by one index of the entries of its rows (for
-AdaBoost, every entry). Each child node filters its parent's order the same
-way. Node rows stay ascending, so a stable filter of a stable order is the
-node's own stable argsort: each node sums the same weights in the same
-sequence, and trees are bit-identical to resorting.
+allocates the split searches' scratch buffers. A round picks its rows as
+one boolean mask over the table: every row for AdaBoost, the minority rows
+and a draw of the majority for RUSBoost. Each node is filtered the same
+way when it is searched: its row mask (the round's for the root, its side
+of the split for a child), taken over its parent's (features, rows) order
+or the presort, marks the entries of its rows; ``np.flatnonzero`` lists
+them, feature by feature, in sorted order, and ``take`` copies them and
+their values into the node. Node rows stay ascending, so a stable filter
+of a stable order is the node's own stable argsort: each node sums the same
+weights in the same sequence, and trees are bit-identical to resorting.
 
 The search's prefix sums run in one complex lane: each row's positive and
 negative weight are the real and imaginary part of one complex128, so one
@@ -34,23 +38,19 @@ scratch after that. A node's class totals stay on the float stack, as
 ``w.take(rows, axis=1).sum(axis=1)``: numpy sums a complex array in other
 pairwise blocks, which changes the bits.
 
-A split marks each entry of the node's (features, rows) order by its side;
-``np.flatnonzero`` of the mask lists, feature by feature, the entries of one
-side in sorted order, and ``take`` copies them and their values into the
-child. The right child's mask, the left one's complement, is made only
-when that child is searched. The search runs its passes in place, in the
-fit's buffers: fresh temporaries the size of a large node are mapped from
-the system and page-faulted anew on every search. In place, each gain is
-still ``(parent - left) - right`` with each mass ``2*p*n / (p+n)``: the
-same IEEE operations on the same numbers in the same order, so the bits
-hold. The tie mask and the argmax run over the node's flat (features, rows)
+The search runs its passes in place, in the fit's buffers: fresh
+temporaries the size of a large node are mapped from the system and
+page-faulted anew on every search. In place, each gain is still
+``(parent - left) - right`` with each mass ``2*p*n / (p+n)``: the same
+IEEE operations on the same numbers in the same order, so the bits hold.
+The tie mask and the argmax run over the node's flat (features, rows)
 run, as one numpy loop each: most nodes have a few dozen rows, and a 2-D
 pass would run one short inner loop per feature.
 
 The best-first search is lazy. Each new leaf sums its class totals once;
 these are its weights if it stays a leaf, and its Gini mass ``parent``
 bounds its best gain. It goes on a heap as ``(-parent, leaf)`` with its
-parent's order and values and its side mask, and is filtered and searched
+parent's order and values and its row mask, and is filtered and searched
 only when that entry comes off the heap; its real ``(-gain, leaf)`` then
 goes back on. The bound holds in floats: with left and right masses at
 least 0, ``(parent - left) - right`` never exceeds ``parent``. Under the
@@ -63,11 +63,11 @@ when it was made; leaves that never reach the top are never searched. The
 children of the split that uses up the budget, and leaves of weight 0 or
 of one row, are never queued.
 
-The grower also returns each row's +-1 from the leaf it ends in, by the
-rule ``predict`` applies to that leaf: its training rows, and the rows a
-RUSBoost round held back, which it carries down each split with no weight.
-A row reaches that leaf through the same ``X[:, f] <= threshold`` tests
-that ``predict`` makes, so no round calls ``predict``.
+Each leaf keeps one ascending array, the rows that reach it, and sums the
+weights of those the round fitted. Every row of the table goes down the
+same ``X[:, f] <= threshold`` tests that ``predict`` makes, so the grower
+returns each row's +-1 from its leaf, by the rule ``predict`` applies there,
+and no round calls ``predict``.
 ``score_batch`` routes all of an ensemble's trees at once (``_route``), so
 each tree level costs one set of numpy calls for every tree, and sums the
 trees' votes one tree at a time in fit order, as a loop over ``predict``
@@ -81,14 +81,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NonFiniteSignal, NoWeakLearner, SingleClassError
+from .exceptions import DimensionError, NoWeakLearner, SingleClassError, check_finite
 
 DEFAULT_ROUNDS = 30
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_MAX_SPLITS = 20
 DEFAULT_TARGET_RATIO = 1.0
 _EPS_PERFECT = 1e-10  # stand-in error when a round classifies perfectly
-_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def _gini_mass(w_pos, w_neg, out, total):
@@ -199,14 +198,6 @@ def _route(trees, X):
     return sign[node].reshape(len(trees), len(X))
 
 
-def _check_finite(X):
-    """Raise NonFiniteSignal naming the row and column of X's first NaN or
-    infinite entry: the split search would carry it on silently."""
-    if not np.isfinite(X).all():
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        raise NonFiniteSignal(f"row {row}, column {col} is {X[row, col]}")
-
-
 def _presort(X):
     """Each column's stable order, as (features, rows), its sorted values, and
     the split search's scratch buffers for a node of every row."""
@@ -216,75 +207,70 @@ def _presort(X):
     return order, np.take_along_axis(X.T, order, axis=1), work
 
 
-def _grow(X, y, w, rows, order, vals, work, max_splits, held=_NO_ROWS):
-    """Grow a tree best-first by weighted Gini decrease on X's `rows`
-    (ascending), up to `max_splits`. Row f of `order` sorts the rows by
-    feature f, as indices into X, and row f of `vals` holds their values;
-    `work` holds `_best_split`'s buffers. The `held` rows go down the same
-    tests as `rows` but count in no sum. Returns the tree and each row's +-1
-    from its leaf, 0 for rows in neither `rows` nor `held`."""
+def _grow(X, y, w, fitted, order, vals, work, max_splits):
+    """Grow a tree best-first by weighted Gini decrease on the rows of X where
+    `fitted` is True, up to `max_splits`. Row f of `order` sorts every row of X
+    by feature f, as `_presort` gives it, and row f of `vals` holds their
+    values; `work` holds `_best_split`'s buffers. Every row goes down the
+    splits; only fitted rows count in a sum. Returns the tree and each row's
+    +-1 from the leaf it reaches."""
     w = np.stack([np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0)])
     wz = np.ascontiguousarray(w.T).view(np.complex128).ravel()
     feature = [-1]
     threshold = [0.0]
     left = [-1]
     right = [-1]
-    leaves = {}  # per leaf: its rows ascending, its held rows, its class weights p, n
+    leaves = {}  # per leaf: the rows that reach it, ascending, and its class weights p, n
     # Per leaf that may split, before its search: (-mass, leaf, None, its
-    # parent's order and values, the parent's left-side mask and whether the
-    # leaf is that side; None for the root); after: (-gain, leaf, (feature,
+    # parent's order and values, its row mask: `fitted` for the root, its
+    # side of the split for a child); after: (-gain, leaf, (feature,
     # threshold), its order and values, None). A leaf has one entry at a
     # time, so entries never compare past the leaf.
     heap = []
     n_splits = 0
 
-    def add_leaf(leaf, rows, held, order, vals, side):
+    def add_leaf(leaf, reach, order, vals, side):
+        rows = reach[fitted.take(reach)]
         p, n = w.take(rows, axis=1).sum(axis=1).tolist()
-        leaves[leaf] = rows, held, p, n
+        leaves[leaf] = reach, p, n
         mass = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
         if mass > 0 and len(rows) > 1 and n_splits < max_splits:
             heapq.heappush(heap, (-mass, leaf, None, order, vals, side))
 
-    add_leaf(0, rows, held, order, vals, None)
+    add_leaf(0, np.arange(len(X)), order, vals, fitted)
     while heap and n_splits < max_splits:
         key, leaf, split, order, vals, side = heapq.heappop(heap)
-        if split is None:  # the bound is on top: search the leaf
-            if side is not None:
-                to_left, is_left = side
-                at = np.flatnonzero(to_left if is_left else ~to_left)
-                shape = (len(order), len(at) // len(order))
-                order, vals = order.take(at).reshape(shape), vals.take(at).reshape(shape)
+        if split is None:  # the bound is on top: filter and search the leaf
+            at = np.flatnonzero(side.take(order))
+            shape = (len(order), len(at) // len(order))
+            order, vals = order.take(at).reshape(shape), vals.take(at).reshape(shape)
             cand = _best_split(wz, -key, order, vals, work)
             if cand is not None:
                 heapq.heappush(heap, (-cand[0], leaf, cand[1:], order, vals, None))
             continue
         f, thr = split
-        rows, held = leaves.pop(leaf)[:2]
+        reach = leaves.pop(leaf)[0]
         n_splits += 1
         goes_left = X[:, f] <= thr
-        to_left = goes_left.take(order)
-        in_left = goes_left.take(rows)
-        held_left = goes_left.take(held)
-        for is_left, mine, held_mine in ((True, in_left, held_left),
-                                         (False, ~in_left, ~held_left)):
+        in_left = goes_left.take(reach)
+        for side, mine in ((goes_left, in_left), (~goes_left, ~in_left)):
             child = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            add_leaf(child, rows[mine], held[held_mine], order, vals, (to_left, is_left))
+            add_leaf(child, reach[mine], order, vals, side)
         feature[leaf] = f
         threshold[leaf] = thr
         left[leaf] = len(feature) - 2
         right[leaf] = len(feature) - 1
 
-    n_nodes = len(feature)
-    leaf_w_pos = np.zeros(n_nodes)
-    leaf_w_neg = np.zeros(n_nodes)
-    pred = np.zeros(len(X), dtype=int)
-    for node, (rows, held, p, n) in leaves.items():
+    leaf_w_pos = np.zeros(len(feature))
+    leaf_w_neg = np.zeros(len(feature))
+    pred = np.empty(len(X), dtype=int)
+    for node, (reach, p, n) in leaves.items():
         leaf_w_pos[node], leaf_w_neg[node] = p, n
-        pred[rows] = pred[held] = 1 if p >= n else -1  # as `predict`
+        pred[reach] = 1 if p >= n else -1  # as `predict`
     tree = DecisionTree(
         feature=np.asarray(feature, dtype=int),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -305,10 +291,10 @@ def fit_tree(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     w = np.asarray(w, dtype=np.float64)
-    _check_finite(X)
+    check_finite(X)
     if not ((w >= 0).all() and 0 < w.sum() < np.inf):
         raise ValueError("sample weights must be finite and nonnegative, with a positive sum")
-    return _grow(X, y, w, np.arange(len(X)), *_presort(X), max_splits)[0]
+    return _grow(X, y, w, np.ones(len(X), dtype=bool), *_presort(X), max_splits)[0]
 
 
 @dataclass
@@ -331,7 +317,7 @@ class BoostedEnsemble:
             raise DimensionError(
                 f"expected {len(self.col_min)} features, got {X.shape[1]}"
             )
-        _check_finite(X)
+        check_finite(X)
         scores = np.zeros(len(X))
         if self.trees:
             for alpha, pred in zip(self.alphas, _route(self.trees, self._normalize(X))):
@@ -352,26 +338,19 @@ def _boost(
 ) -> BoostedEnsemble:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=int)
-    _check_finite(X)
+    check_finite(X)
     if (y == y[:1]).all():  # also true for no labels at all
         raise SingleClassError("training labels contain a single class")
 
     model = BoostedEnsemble(trees=[], alphas=[], col_min=X.min(axis=0), col_max=X.max(axis=0))
     Xn = np.asfortranarray(model._normalize(X))  # each split reads one column
 
-    n = len(X)
-    w = np.full(n, 1.0 / n)
+    w = np.full(len(X), 1.0 / len(X))
     order, vals, work = _presort(Xn)  # once per fit
 
     for _ in range(rounds):
-        rows = subset_fn()
-        in_round = np.zeros(n, dtype=bool)
-        in_round[rows] = True
-        at = np.flatnonzero(in_round.take(order))  # the round's entries of the presort
-        shape = (len(order), len(rows))
-        tree, pred = _grow(Xn, y, w / w[rows].sum(), rows, order.take(at).reshape(shape),
-                           vals.take(at).reshape(shape), work, max_splits,
-                           np.flatnonzero(~in_round))
+        fitted = subset_fn()  # the round's rows, as a mask
+        tree, pred = _grow(Xn, y, w / w[fitted].sum(), fitted, order, vals, work, max_splits)
         miss = pred != y
         eps = float(w[miss].sum())
         if eps >= 0.5:
@@ -404,7 +383,7 @@ def fit_adaboost(
     A NaN or infinite entry of X raises NonFiniteSignal naming its row and
     column.
     """
-    all_rows = np.arange(len(X))
+    all_rows = np.ones(len(X), dtype=bool)
     return _boost(X, y, rounds, learning_rate, max_splits, subset_fn=lambda: all_rows)
 
 
@@ -428,7 +407,9 @@ def fit_rusboost(
     rng = np.random.default_rng(seed)
 
     def subset() -> np.ndarray:
-        sampled = rng.choice(majority, size=n_keep, replace=False)
-        return np.sort(np.concatenate([minority, sampled]))
+        fitted = np.zeros(len(y), dtype=bool)
+        fitted[minority] = True
+        fitted[rng.choice(majority, size=n_keep, replace=False)] = True
+        return fitted
 
     return _boost(X, y, rounds, learning_rate, max_splits, subset_fn=subset)

@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+import numpy as np
+
 
 class EcgAlarmError(Exception):
     """Base class for all package errors."""
@@ -37,6 +39,15 @@ class EmptySignal(EcgAlarmError):
 class NonFiniteSignal(EcgAlarmError):
     """A signal holds a NaN or infinite sample, or a feature matrix a NaN or
     infinite entry."""
+
+
+def check_finite(X):
+    """Raise NonFiniteSignal naming the row and column of the 2-D X's first
+    NaN or infinite entry: a split search or a Lloyd pass would carry it on
+    silently."""
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise NonFiniteSignal(f"row {row}, column {col} is {X[row, col]}")
 
 
 class EmptyInput(EcgAlarmError):

@@ -1,15 +1,15 @@
 """The pipeline's on-disk layout, every file under ``--out`` (OUTPUTS): only
 this module builds their paths, lists columns and deletes them. The manifest
 and the tables are header-row CSVs, so runs can be inspected and diffed; the
-HLF and DWT banks carry a layout line above the header. Floats are written
-with repr, so a re-read is bit-exact and repeated runs are byte-identical.
+HLF and DWT banks carry a layout line above the header, and a table is read
+only with its own bank's line. Floats are written with repr, so a re-read is
+bit-exact and repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from itertools import dropwhile
 from pathlib import Path
 
 import numpy as np
@@ -68,11 +68,14 @@ def write_feature_csv(out: str | Path, bank: str, records: list[str], labels: li
             writer.writerow([name, LABEL_TEXT[label]] + [repr(float(v)) for v in row])
 
 
-def _rows(path: Path, header: list[str], expected: str, fix: str = ""):
-    """The nonblank rows below the header (after any `#` lines) of the CSV at `path`;
-    MissingInput unless the header is `header` and every row is as wide."""
+def _rows(path: Path, header: list[str], expected: str, fix: str = "", layout: str = ""):
+    """The nonblank rows below the header of the CSV at `path`; MissingInput
+    unless the file starts with the line `# <layout>` when a layout is
+    given, then the header `header`, and every row is as wide."""
     with open(path, newline="") as fh:
-        reader = csv.reader(dropwhile(lambda ln: ln.startswith("#"), fh))
+        if layout and next(fh, "").rstrip("\r\n") != f"# {layout}":
+            raise MissingInput(f"{path.name}: first line is not '# {layout}'; featurize again")
+        reader = csv.reader(fh)
         if next(reader, None) != header:
             raise MissingInput(f"{path.name}: header is not {expected}")
         for n, row in enumerate(filter(None, reader), 1):
@@ -83,8 +86,9 @@ def _rows(path: Path, header: list[str], expected: str, fix: str = ""):
 
 
 def read_feature_csv(out: str | Path, bank: str) -> FeatureTable:
-    """`bank`'s table under `out`, whose header must be record, label and the
-    bank's columns in that order; MissingInput names the file and the
+    """`bank`'s table under `out`, whose first line must be the bank's layout
+    line (for a bank with one) and whose header must be record, label and
+    the bank's columns in that order; MissingInput names the file, and the
     record of any row that does not fit it or repeats a record."""
     path = Path(out) / f"{bank}.csv"
     columns = FEATURE_BANKS[bank]
@@ -93,7 +97,8 @@ def read_feature_csv(out: str | Path, bank: str) -> FeatureTable:
     labels: dict[str, int] = {}
     values: list[list[float]] = []
     expected = f"record,label and the {len(columns)} feature columns in order; featurize again"
-    for name, label, *row in _rows(path, ["record", "label", *columns], expected):
+    for name, label, *row in _rows(path, ["record", "label", *columns], expected,
+                                   layout=_LAYOUTS.get(bank, "")):
         if name in labels:
             raise MissingInput(f"{path.name}: record {name!r} is listed twice; featurize again")
         labels[name] = parse_label(label, name, path.name)

@@ -886,6 +886,28 @@ class TestEvaluate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bank}.csv: header is not ")
 
+    @pytest.mark.parametrize(
+        "bank, edit, scenarios",
+        [("hlf_cityblock", lambda lines: ["# layout=hlf-v1 metric=sqeuclidean"] + lines[1:],
+          "HLF_cityblock"),
+         ("dwt", lambda lines: [lines[0].replace("=dwt-stats-v1 ", "=dwt-stats-v0 ")] + lines[1:],
+          "DWT"),
+         ("hlf_euclidean", lambda lines: lines[1:], "DWT+HLF_euclidean"),
+         ("llf", lambda lines: ["# layout=hlf-v1 metric=cityblock"] + lines, "LLF")],
+        ids=["other_metric", "older_layout", "missing", "on_llf"],
+    )
+    def test_layout_line_off_bank_exits_2(self, pipeline_out, tmp_path, capsys, bank, edit,
+                                          scenarios):
+        # Both HLF banks have the same header, so a table copied over the
+        # other one differs only in its layout line, as does a table from a
+        # featurize with another layout. llf.csv has no layout line.
+        first = (pipeline_out / f"{bank}.csv").read_text().splitlines()[0]
+        assert self._evaluate_edited(pipeline_out, tmp_path / "out", bank, edit, scenarios) == 2
+        want = (f"first line is not '{first}'" if bank != "llf" else
+                f"header is not record,label and the {LLF_LENGTH} feature columns in order")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bank}.csv: {want}; featurize again"]
+
     def test_repeated_record_exits_2(self, pipeline_out, tmp_path, capsys):
         # Two copies of one record would be dealt to folds separately, so one
         # could train the model that scores the other.

@@ -168,17 +168,21 @@ class TestFitTree:
 
     @given(st.data(), st.integers(0, 6))
     def test_training_signs_equal_predict(self, data, max_splits):
-        # The grower's +-1 for each of its rows comes from the leaf the row
-        # ends in; `predict` routes the same row to the same leaf and answers
-        # by the same rule. Rows outside the node get 0.
+        # The grower's +-1 for each row comes from the leaf the row ends in;
+        # `predict` routes the same row to the same leaf and answers by the
+        # same rule. Rows the fit leaves out are routed too.
         X, w_pos, w_neg, rows = data.draw(_weighted_nodes())
         y = np.where(w_pos > 0, 1, np.where(w_neg > 0, -1, data.draw(
             arrays(np.int64, len(X), elements=st.sampled_from([-1, 1])))))
-        order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
-        vals = np.take_along_axis(X.T, order, axis=1)
-        tree, pred = _grow(X, y, w_pos + w_neg, rows, order, vals, _presort(X)[2], max_splits)
-        assert pred[rows].tolist() == tree.predict(X[rows]).tolist()
-        assert not pred[np.setdiff1d(np.arange(len(X)), rows)].any()
+        tree, pred = _grow(X, y, w_pos + w_neg, _mask(len(X), rows), *_presort(X), max_splits)
+        assert pred.tolist() == tree.predict(X).tolist()
+
+
+def _mask(n, rows):
+    """The boolean mask of `rows` among n rows."""
+    fitted = np.zeros(n, dtype=bool)
+    fitted[rows] = True
+    return fitted
 
 
 def _threshold(a, b):
@@ -540,12 +544,15 @@ def _tree_digest(tree):
 
 
 def _assert_grow_equals_eager(X, y, w, rows, max_splits):
+    # `_grow` filters the whole table's presort by the mask of `rows`; the
+    # reference starts from the rows' own stable argsort.
     order = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
     vals = np.take_along_axis(X.T, order, axis=1)
-    tree, pred = _grow(X, y, w, rows, order, vals, _presort(X)[2], max_splits)
+    tree, pred = _grow(X, y, w, _mask(len(X), rows), *_presort(X), max_splits)
     want, want_pred = _eager_grow(X, y, w, rows, order, vals, max_splits)
     assert _tree_digest(tree) == _tree_digest(want)
-    assert pred.tolist() == want_pred.tolist()
+    assert pred[rows].tolist() == want_pred[rows].tolist()
+    assert pred.tolist() == want.predict(X).tolist()
 
 
 class TestEagerReference:
@@ -804,24 +811,36 @@ class TestRusboost:
 
     @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
     def test_round_order_is_stable_argsort(self, fit, monkeypatch):
-        # The order and values each round takes from the fit-wide presort
-        # must be the stable argsort of that round's table and its sorted
-        # values, so its tree equals a fit that sorts afresh.
-        X, y = self._imbalanced(seed=4)
-        X = np.round(X, 1)  # tied values
-        original = ens._grow
-        rounds = []
+        # The order and values every searched node filters out of the
+        # fit-wide presort must be the stable argsort of that node's rows
+        # and their sorted values, so each tree equals a fit that sorts
+        # afresh. A round searches its root first, whose rows are the
+        # round's; every later node's rows are fitted in that round. On the
+        # separable table only each round's root is searched; the pinned
+        # random-label table searches a hundred nodes and more.
+        grow, search = ens._grow, ens._best_split
+        rounds, nodes = [], []
 
-        def spy(Xn, y, w, rows, order, vals, work, max_splits, held):
-            Xs = Xn[rows]
-            fresh = np.argsort(Xs.T, axis=1, kind="stable")
-            rounds.append(np.array_equal(order, rows[fresh]) and np.take_along_axis(
-                Xs.T, fresh, axis=1).tobytes() == vals.tobytes())
-            return original(Xn, y, w, rows, order, vals, work, max_splits, held)
+        def spy_grow(Xn, y, w, fitted, *args):
+            rounds.append([Xn, fitted, 0])
+            return grow(Xn, y, w, fitted, *args)
 
-        monkeypatch.setattr(ens, "_grow", spy)
-        fit(X, y, rounds=5)
-        assert rounds and all(rounds)
+        def spy_search(wz, parent, order, vals, work):
+            Xn, fitted, searched = rounds[-1]
+            rounds[-1][2] += 1
+            rows = np.sort(order[0])
+            fresh = rows[np.argsort(Xn[rows].T, axis=1, kind="stable")]
+            mine = fitted[rows].all() if searched else np.array_equal(rows, np.flatnonzero(fitted))
+            nodes.append(mine and np.array_equal(order, fresh)
+                         and np.take_along_axis(Xn.T, fresh, axis=1).tobytes() == vals.tobytes())
+            return search(wz, parent, order, vals, work)
+
+        monkeypatch.setattr(ens, "_grow", spy_grow)
+        monkeypatch.setattr(ens, "_best_split", spy_search)
+        for X, y in (self._imbalanced(seed=4), _fit_tree_table(4)):
+            fit(np.round(X, 1), y, rounds=5)  # tied values
+        assert all(searched for _, _, searched in rounds)
+        assert len(nodes) > 100 + len(rounds) and all(nodes)
 
     @pytest.mark.parametrize("fit", [fit_adaboost, fit_rusboost])
     def test_fit_calls_no_predict(self, fit, monkeypatch):
