@@ -1,13 +1,14 @@
 """Per-patient k-means over segment features, cityblock or squared-Euclidean.
 
-Lloyd iteration with k-means++ seeding. The update step matches the metric:
-per-dimension mean for squared Euclidean, per-dimension median for cityblock
-(the median minimizes within-cluster L1 cost): `kmeans` sorts each dimension
-once, and an iteration takes all medians from one stable argsort of the
-sorted points' labels. Only clusters whose members changed get a new centroid
-and cost column. Empty clusters are repaired by splitting off the point
-currently farthest from its centroid, which keeps k constant and never
-increases the objective.
+Lloyd iteration with k-means++ seeding. The seeding computes each seed's cost
+column once, into the (n, k) matrix that Lloyd's first assignment reads. The
+update step matches the metric: per-dimension mean for squared Euclidean,
+per-dimension median for cityblock (the median minimizes within-cluster L1
+cost): `kmeans` sorts each dimension once, and an iteration takes all medians
+from one stable argsort of the sorted points' labels. Only clusters whose
+members changed get a new centroid and cost column. Empty clusters are
+repaired by splitting off the point currently farthest from its centroid,
+which keeps k constant and never increases the objective.
 """
 
 from __future__ import annotations
@@ -53,22 +54,26 @@ def _costs_to_centroids(X: np.ndarray, centroids: np.ndarray, metric: str,
     return out
 
 
-def _plusplus_init(X: np.ndarray, k: int, metric: str, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding; selection weights follow the metric's point cost."""
+def _plusplus_init(X: np.ndarray, k: int, metric: str,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding; selection weights follow the metric's point cost.
+    Returns the (k, d) seeds and their (n, k) cost matrix, a column per seed."""
     n = len(X)
     chosen = [int(rng.integers(n))]
-    cost = _costs_to_centroids(X, X[chosen[-1:]], metric)[:, 0]
-    while len(chosen) < k:
-        total = cost.sum()
-        if total <= 0:
-            remaining = np.ones(n, dtype=bool)
-            remaining[chosen] = False
-            chosen.append(int(rng.choice(np.flatnonzero(remaining))))
-        else:
-            chosen.append(int(rng.choice(n, p=cost / total)))
-        new_cost = _costs_to_centroids(X, X[chosen[-1:]], metric)[:, 0]
-        cost = np.minimum(cost, new_cost)
-    return X[np.array(chosen)].copy()
+    seeds, costs = np.empty((k, X.shape[1])), np.empty((n, k))
+    for j in range(k):
+        if j:
+            cost = costs[:, :j].min(axis=1)  # to the nearest seed so far
+            total = cost.sum()
+            if total <= 0:
+                remaining = np.ones(n, dtype=bool)
+                remaining[chosen] = False
+                chosen.append(int(rng.choice(np.flatnonzero(remaining))))
+            else:
+                chosen.append(int(rng.choice(n, p=cost / total)))
+        seeds[j] = X[chosen[j]]
+        _costs_to_centroids(X, seeds, metric, out=costs, columns=(j,))
+    return seeds, costs
 
 
 def _medians(X: np.ndarray, order: np.ndarray, assign: np.ndarray, clusters: np.ndarray,
@@ -90,8 +95,7 @@ def _medians(X: np.ndarray, order: np.ndarray, assign: np.ndarray, clusters: np.
 
 
 def _lloyd(X: np.ndarray, k: int, metric: str, rng: np.random.Generator, order):
-    centroids = _plusplus_init(X, k, metric, rng)
-    costs = _costs_to_centroids(X, centroids, metric)
+    centroids, costs = _plusplus_init(X, k, metric, rng)
     prev_assign = np.full(len(X), k)  # no cluster yet, so all move at first
     trace: list[float] = []
     for _ in range(MAX_ITER):

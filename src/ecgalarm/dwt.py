@@ -201,7 +201,7 @@ def band_stats(band: np.ndarray, total_energy: float | None = None) -> np.ndarra
             kurt,
             float(np.min(c)),
             float(np.max(c)),
-            float(np.sqrt(np.mean(sq))),
+            float(np.sqrt(energy / c.size)),
             float(np.mean(np.abs(d))),
             float(p75 - p25), float(p5), float(p95),  # iqr, p5, p95
             energy,

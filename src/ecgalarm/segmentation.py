@@ -25,7 +25,6 @@ morphology features stay physical.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import EmptySignal
 
@@ -87,10 +86,15 @@ def _integrate(squared: np.ndarray) -> np.ndarray:
 
 def _trailing_max(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Max of x over the integration window ending at each index i, [i - 37, i],
-    with x[0] repeated before the start. The detector passes absolute values;
-    given both -0.0 and 0.0 in one window, either zero may come back."""
-    padded = np.concatenate((np.full(INTEGRATION_WINDOW - 1, x[0]), x))
-    return sliding_window_view(padded, INTEGRATION_WINDOW)[idx].max(axis=1)
+    with x[0] repeated before the start, read at the indices idx. By doubling:
+    after the maxima with the signal shifted by 1, 2, 4, 8 and 16 samples,
+    entry j covers 32 samples from j, and one more 6 samples on covers 38. The
+    detector passes absolute values; given both -0.0 and 0.0 in one window,
+    either zero may come back."""
+    m = np.concatenate((np.full(INTEGRATION_WINDOW - 1, x[0]), x))
+    for shift in (1, 2, 4, 8, 16, INTEGRATION_WINDOW - 32):
+        m = np.maximum(m[:-shift], m[shift:])
+    return m[idx]
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -145,7 +149,7 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
         while cross > 0 and integ[cross - 1] >= level:
             cross -= 1
         lo = max(0, cross - 10)
-        r = lo + int(np.argmax(abs_f[lo:min(n, cross + 11)]))
+        r = lo + int(abs_f[lo:min(n, cross + 11)].argmax())
         if r_peaks and r - r_peaks[-1] < REFRACTORY_SAMPLES:
             return
         if qrs_integ_idx:
@@ -169,15 +173,17 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
                                        fpeaks, slopes):
         t_wave = False
         if qrs_integ_idx:
+            gap = idx - qrs_integ_idx[-1]  # the noise path below reads it too
             # Search-back: a long gap since the last QRS means one was missed;
             # revisit the strongest rejected candidate at half threshold.
-            if (idx - qrs_integ_idx[-1] > searchback_gap and best_noise is not None
+            if (gap > searchback_gap and best_noise is not None
                     and best_noise[1] > 0.5 * (npk_i + 0.25 * (spk_i - npk_i))):
                 accept_qrs(*best_noise, searchback=True)
-            if idx - qrs_integ_idx[-1] < REFRACTORY_SAMPLES:
+                gap = idx - qrs_integ_idx[-1]
+            if gap < REFRACTORY_SAMPLES:
                 continue
             # T-wave rejection: close to the last QRS with a much weaker slope.
-            t_wave = idx - qrs_integ_idx[-1] < T_WAVE_GAP and slope < 0.5 * qrs_slopes[-1]
+            t_wave = gap < T_WAVE_GAP and slope < 0.5 * qrs_slopes[-1]
 
         if (not t_wave and peak > npk_i + 0.25 * (spk_i - npk_i)
                 and fpeak > npk_f + 0.25 * (spk_f - npk_f)):
@@ -185,7 +191,7 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
             continue
         npk_i = 0.125 * peak + 0.875 * npk_i
         npk_f = 0.125 * fpeak + 0.875 * npk_f
-        if not qrs_integ_idx or idx > qrs_integ_idx[-1] + REFRACTORY_SAMPLES:
+        if not qrs_integ_idx or gap > REFRACTORY_SAMPLES:
             if best_noise is None or peak > best_noise[1]:
                 best_noise = (idx, peak, fpeak, slope)
 

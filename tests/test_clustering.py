@@ -139,7 +139,7 @@ class TestPlusPlusInit:
         chosen = [int(rng.integers(n))]
         while len(chosen) < k:
             chosen.append(int(rng.choice(np.setdiff1d(np.arange(n), chosen))))
-        got = _plusplus_init(X, k, "sqeuclidean", np.random.default_rng(seed))
+        got, _ = _plusplus_init(X, k, "sqeuclidean", np.random.default_rng(seed))
         np.testing.assert_array_equal(got, X[chosen])
 
 
@@ -223,7 +223,7 @@ def reference_lloyd(X, k, metric, seed):
     another for every objective, the same seeding and repair rule, costs
     from `reference_costs` and medians over the members' rows."""
     rng = np.random.default_rng([seed & 0xFFFFFFFF, 0])
-    centroids = _plusplus_init(X, k, metric, rng)
+    centroids, _ = _plusplus_init(X, k, metric, rng)
     rows = np.arange(len(X))
     prev, trace = None, []
     for _ in range(MAX_ITER):
@@ -260,6 +260,16 @@ class TestCostsToCentroids:
         assert _costs_to_centroids(X, centroids, metric, out=out) is out
         assert out.tobytes() == want.tobytes()
 
+    @given(X=point_sets, k=st.integers(1, 6), metric=st.sampled_from(METRICS),
+           seed=st.integers(0, 2**32 - 1))
+    @example(X=np.full((7, 3), 2.5), k=6, metric="cityblock", seed=1)
+    @example(X=np.full((7, 3), 2.5), k=6, metric="sqeuclidean", seed=2)
+    def test_seeding_cost_matrix_equals_costs_to_seeds(self, X, k, metric, seed):
+        # Lloyd starts from this matrix, column j for seed j, and does not
+        # compute it again. All-identical points take the zero-cost fallback.
+        seeds, costs = _plusplus_init(X, min(k, len(X)), metric, np.random.default_rng(seed))
+        assert costs.tobytes() == _costs_to_centroids(X, seeds, metric).tobytes()
+
 
 # Coordinates on a coarse grid: ties, both zeros, subnormals and values whose
 # sum is far from overflow but whose bits differ from any small number's.
@@ -267,24 +277,32 @@ GRID = [0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 2.5, 3.0, 5e-324, -5e-324, 7e300, -7e
 
 
 @st.composite
-def _points_and_labels(draw):
-    """Points on GRID and a label per point below k <= 130, so the labels
-    cross the int8 range and many of the k clusters are empty or singletons."""
+def _points_labels_clusters(draw):
+    """Points on GRID, a label per point below k <= 130, so the labels cross
+    the int8 range and many of the k clusters are empty or singletons, and a
+    nonempty subset of the nonempty clusters, as Lloyd passes only the moved
+    ones."""
     X = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
                     elements=st.sampled_from(GRID)))
     k = draw(st.integers(1, 130))
-    return X, draw(arrays(np.int64, len(X), elements=st.integers(0, k - 1))), k
+    assign = draw(arrays(np.int64, len(X), elements=st.integers(0, k - 1)))
+    nonempty = np.flatnonzero(np.bincount(assign, minlength=k))
+    keep = draw(arrays(np.bool_, len(nonempty)).filter(np.any))
+    return X, assign, k, nonempty[keep]
 
 
 @pytest.mark.pins_numpy_simd
 class TestMedians:
     @settings(max_examples=300)
-    @given(_points_and_labels())
-    @example((np.array([[7e300], [7e300], [-0.0], [-0.0]]), np.array([0, 0, 1, 1]), 2))
-    @example((np.array(GRID * 3).reshape(-1, 2), np.arange(18) % 3 * 64, 130))
+    @given(_points_labels_clusters())
+    @example((np.array([[7e300], [7e300], [-0.0], [-0.0]]), np.array([0, 0, 1, 1]), 2,
+              np.array([0, 1])))
+    @example((np.array(GRID * 3).reshape(-1, 2), np.arange(18) % 3 * 64, 130, np.array([64])))
+    # Sizes 3, 1, 0 and 2: a singleton and an even-sized cluster, after one
+    # left out and an empty one.
+    @example((np.array(GRID).reshape(-1, 2), np.array([0, 3, 0, 1, 3, 0]), 4, np.array([1, 3])))
     def test_equal_np_median_per_cluster(self, case):
-        X, assign, k = case
-        clusters = np.flatnonzero(np.bincount(assign, minlength=k))
+        X, assign, k, clusters = case
         got = _medians(X, np.argsort(X.T, axis=1), assign, clusters, k)
         want = np.array([np.median(X[assign == c], axis=0) for c in clusters])
         assert got.tobytes() == want.tobytes()
