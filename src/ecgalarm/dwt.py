@@ -7,6 +7,13 @@ half-band polynomial. Decomposition uses symmetric boundary extension
 (expansive: each band keeps ceil((n + taps - 1) / 2) coefficients) and
 reconstructs exactly.
 
+Each step runs `_fir`, featurize's one valid-mode FIR path (the detector
+filters with it too). It keeps np.convolve's two rules: up to 11 taps,
+numpy's own loop, which adds the products in tap order from +0.0, no BLAS;
+beyond, np.vecdot of each window with a contiguous reversed copy of the
+taps, which sums through OpenBLAS `ddot` (a negative-stride view would sum
+in numpy's loop instead, rounding otherwise). `ddot` picks its kernel by CPU.
+
 `band_stats` sorts each band once: the median and the four percentiles
 come from that sort, in the float steps of np.median and numpy's `linear`
 np.percentile, so no call partitions the band again (nor imports
@@ -50,11 +57,6 @@ DEC_LO = np.array([
     -0.0003917403733769465, 0.0006754494064505688, -0.00011747678412476945,
 ])
 DEC_HI = DEC_LO[::-1] * (-1.0) ** np.arange(len(DEC_LO))
-# Both reversed, as contiguous copies: np.vecdot of a window with one sums
-# through the same dot kernel as np.convolve, while a negative-stride view
-# falls back to numpy's own loop, whose sums round otherwise.
-_DEC_LO_REV = DEC_LO[::-1].copy()
-_DEC_HI_REV = DEC_HI[::-1].copy()
 
 
 @dataclass
@@ -64,24 +66,26 @@ class DwtCoeffs:
     lengths: list[int]  # input length at each level (for reconstruction)
 
 
+def _fir(x: np.ndarray, kernel: np.ndarray, step: int = 1) -> np.ndarray:
+    """np.convolve(x, kernel, "valid")[::step] bit for bit, computing only those
+    outputs, by np.convolve's two rules (see the module docstring)."""
+    windows = sliding_window_view(x, len(kernel))[::step]
+    if len(kernel) > 11:  # np.convolve sums up to 11 taps in its own loop
+        return np.vecdot(windows, kernel[::-1].copy())
+    return sum(windows[:, j] * tap for j, tap in enumerate(kernel[::-1].tolist()))
+
+
 def _decompose_step(x: np.ndarray):
-    """The even outputs of np.convolve(ext, DEC_LO / DEC_HI, "valid"), and
-    only those: each is the dot of one window of the extended signal with the
-    reversed filter, the product np.convolve takes for it."""
+    """The even outputs of np.convolve(ext, DEC_LO / DEC_HI, "valid")."""
     ext = np.pad(x, len(DEC_LO) - 1, mode="symmetric")
-    windows = sliding_window_view(ext, len(DEC_LO))[0::2]
-    return np.vecdot(windows, _DEC_LO_REV), np.vecdot(windows, _DEC_HI_REV)
+    return _fir(ext, DEC_LO, 2), _fir(ext, DEC_HI, 2)
 
 
 def _reconstruct_step(approx: np.ndarray, detail: np.ndarray, out_len: int) -> np.ndarray:
-    taps = len(DEC_LO)
-    up_a = np.zeros(2 * len(approx))
-    up_a[0::2] = approx
-    up_d = np.zeros(2 * len(detail))
-    up_d[0::2] = detail
-    y = (np.convolve(up_a, DEC_LO[::-1], mode="full")
-         + np.convolve(up_d, DEC_HI[::-1], mode="full"))
-    return y[taps - 1 : taps - 1 + out_len]
+    up = np.zeros((2, 2 * len(approx)))
+    up[:, 0::2] = approx, detail
+    y = np.convolve(up[0], DEC_LO[::-1]) + np.convolve(up[1], DEC_HI[::-1])
+    return y[len(DEC_LO) - 1 :][:out_len]
 
 
 def dwt(signal: np.ndarray) -> DwtCoeffs:

@@ -9,9 +9,11 @@ squaring, 150 ms moving-window integration, adaptive signal/noise thresholds
 on both the integrated and the filtered streams, a 200 ms refractory, T-wave
 slope rejection, and 1.66xRR search-back. Filter recursions are the original
 integer ones with delays rescaled from 200 Hz to 250 Hz; all group delays
-are compensated so detected indices line up with the raw signal. The
-candidate scan keeps its four signal and noise levels as plain floats, so
-the noise path, taken by most local maxima, calls no function.
+are compensated so detected indices line up with the raw signal. OpenBLAS
+`ddot` sums the 54-tap bandpass (`dwt._fir`), `_integrate` and the taps'
+construction (np.convolve); the 5-tap derivative (`_fir`) adds in tap order.
+The candidate scan keeps its four signal and noise levels as plain floats,
+so the noise path, taken by most local maxima, calls no function.
 
 Delineation places Q/S at the signal minima and P/T at the maxima inside
 fixed windows around each R, clipped to record bounds and to midpoints
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dwt import _fir
 from .exceptions import EmptySignal
 
 REFRACTORY_SAMPLES = 50  # 200 ms at 250 Hz
@@ -44,22 +47,18 @@ T_MAX = 100  # 400 ms
 LANDMARKS = ("P", "Q", "R", "S", "T", "OnQRS", "OffQRS")
 
 
-def _bandpass_kernel() -> tuple[np.ndarray, int]:
-    """FIR bandpass kernel (~5-15 Hz at 250 Hz) and its group delay."""
-    # Low-pass: (moving sum of 8)^2 -> triangular FIR, delay 7, gain 64.
-    lp = np.convolve(np.ones(8), np.ones(8)) / 64.0
-    # High-pass: 20-sample delay minus 40-wide moving average, delay ~20.
-    hp = np.full(40, -1.0 / 40.0)
-    hp[20] += 1.0
-    return np.convolve(lp, hp), 27
+# Bandpass (~5-15 Hz, delay 27): a triangular low-pass, (moving sum of 8)^2 / 64
+# (delay 7), times a 20-sample delay minus a 40-wide moving average (delay ~20).
+_BANDPASS_TAPS = np.convolve(np.convolve(np.ones(8), np.ones(8)) / 64.0,
+                             np.where(np.arange(40) == 20, 1.0 - 1.0 / 40.0, -1.0 / 40.0))
+_DERIVATIVE_TAPS = np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0  # five-point, delay 2
 
 
 def _filter_aligned(samples: np.ndarray, kernel: np.ndarray, delay: int) -> np.ndarray:
-    """Convolve with edge padding and shift out the group delay."""
-    pad = len(kernel)
-    padded = np.pad(samples, pad, mode="edge")
-    full = np.convolve(padded, kernel, mode="valid")  # length n + pad + 1
-    return full[delay : delay + len(samples)]
+    """Same-length filter output with the group delay shifted out: output i
+    sums kernel[k] * samples[i + delay - 1 - k], edge samples past the ends."""
+    padded = np.pad(samples, (len(kernel) - delay, delay - 1), mode="edge")
+    return _fir(padded, kernel)
 
 
 def bandpass(samples: np.ndarray) -> np.ndarray:
@@ -67,14 +66,11 @@ def bandpass(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise EmptySignal("bandpass needs a non-empty signal")
-    kernel, delay = _bandpass_kernel()
-    return _filter_aligned(samples, kernel, delay)
+    return _filter_aligned(samples, _BANDPASS_TAPS, 27)
 
 
 def _derivative(samples: np.ndarray) -> np.ndarray:
-    # Five-point derivative, delay 2, compensated.
-    kernel = np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0
-    return _filter_aligned(samples, kernel, 2)
+    return _filter_aligned(samples, _DERIVATIVE_TAPS, 2)
 
 
 def _integrate(squared: np.ndarray) -> np.ndarray:
@@ -98,8 +94,6 @@ def _trailing_max(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
-    if x.size < 3:
-        return np.empty(0, dtype=int)
     interior = (x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:])
     return np.flatnonzero(interior) + 1
 

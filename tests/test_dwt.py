@@ -15,6 +15,7 @@ from ecgalarm.dwt import (
     STAT_NAMES,
     _central_moments,
     _decompose_step,
+    _fir,
     _order_stats,
     _skew_kurtosis,
     band_stats,
@@ -23,6 +24,7 @@ from ecgalarm.dwt import (
     idwt,
 )
 from ecgalarm.exceptions import EmptyBand, SignalTooShort
+from ecgalarm.segmentation import _BANDPASS_TAPS, _DERIVATIVE_TAPS, INTEGRATION_WINDOW
 
 
 def reference(p):
@@ -131,6 +133,44 @@ class TestDecomposeStep:
     def test_bits_equal_under_openblas_kernel(self, coretype, kernel_rerun):
         kernel_rerun(f"openblas-{coretype}").assert_passed(
             "tests/test_dwt.py::TestDecomposeStep::test_bits_equal_full_convolution")
+
+
+# Every tap set of featurize, the integrator's in valid mode.
+_FIR_TAPS = {
+    "bandpass": _BANDPASS_TAPS,
+    "derivative": _DERIVATIVE_TAPS,
+    "integrator": np.ones(INTEGRATION_WINDOW) / INTEGRATION_WINDOW,
+    "db8 low": DEC_LO,
+    "db8 high": DEC_HI,
+}
+
+
+class TestFir:
+    @pytest.mark.pins_openblas
+    def test_bits_equal_convolve_valid(self):
+        # Seeded signals of len(kernel) to 3000 samples (seeds 0 and 1 exactly
+        # len(kernel)) at scales 1e-3 to 1e3, raw or quantized to ADC steps of
+        # 1/200 mV. np.convolve sums up to 11 taps in numpy's own loop and
+        # more through OpenBLAS ddot, whose kernel is picked by CPU; `_fir`
+        # must agree with it under each kernel, at the DWT's step 2 as well.
+        # Random taps, 1 to 23 of them, cross the 11-tap rule on any CPU.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            scale = 10.0 ** int(rng.integers(-3, 4))
+            random_taps = rng.normal(size=int(rng.integers(1, 24)))
+            for name, kernel in [*_FIR_TAPS.items(), ("random", random_taps)]:
+                n = len(kernel) if seed < 2 else int(rng.integers(len(kernel), 3001))
+                x = rng.normal(size=n) * scale
+                if seed % 2:
+                    x = np.round(x * 200) / 200
+                for step in (1, 2):
+                    want = np.convolve(x, kernel, "valid")[::step]
+                    assert _fir(x, kernel, step).tobytes() == want.tobytes(), (seed, name, step)
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_bits_equal_under_openblas_kernel(self, coretype, kernel_rerun):
+        kernel_rerun(f"openblas-{coretype}").assert_passed(
+            "tests/test_dwt.py::TestFir::test_bits_equal_convolve_valid")
 
 
 class TestBandStats:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -338,3 +339,59 @@ class TestRunMatrix:
         text = render_markdown(report)
         assert "## BoostedTrees" in text
         assert "| Accuracy |" in text
+
+
+def _oracle_table(n=200, seed=0):
+    """Seeded rows of every kind of column the split search must keep apart:
+    three label-shifted normals, a whole-number column and its duplicate, a
+    constant, and a label-correlated column of neighbouring doubles
+    (`np.nextafter` steps above 0.3) that also holds 0.0 and 1.0, so the
+    ensembles' min-max normalization leaves its bits as they are."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.35, TRUE_ALARM, FALSE_ALARM)
+    pos = y == TRUE_ALARM
+    shifted = rng.normal(size=(n, 3)) + 0.5 * y[:, None]
+    whole = rng.integers(0, 6, n) + pos
+    ladder = [0.3]
+    for _ in range(9):
+        ladder.append(np.nextafter(ladder[-1], 1.0))
+    near = np.array(ladder)[rng.integers(0, 6, n) + 4 * pos]
+    near[rng.choice(n, 12, replace=False)] = [0.0] * 6 + [1.0] * 6
+    X = np.column_stack([shifted, whole, whole, np.full(n, 2.5), near])
+    return X, y, [(ALARM_TYPES[i % 5], int(label)) for i, label in enumerate(y)]
+
+
+@pytest.mark.pins_numpy_simd
+class TestRoundZeroOracle:
+    # One boosting round of each booster per fold, as `_fold_scores` seeds
+    # them. Round 0 weighs every row alike, so its tree and the ensemble's
+    # predictions (the sign of alpha times the tree's vote) pass through no
+    # np.log or np.exp; nothing here pins an alpha, a score or a later round.
+    DIGEST = "550ba56eb4ea7983b59708ef20e0c37afa8759c843514bbd0fb69ae70e0d9902"
+
+    def test_trees_and_predictions_pinned(self):
+        X, y, meta = _oracle_table()
+        seed = 7
+        folds = stratified_folds(meta, 5, seed)
+        digest = hashlib.sha256()
+        boosters_differ = False
+        for fold in range(5):
+            train = folds != fold
+            rus_seed = record_seed(seed, f"HLF_cityblock|RUSBoostedTrees|{fold}")
+            trees = []
+            for model in (fit_adaboost(X[train], y[train], rounds=1),
+                          fit_rusboost(X[train], y[train], rounds=1, seed=rus_seed)):
+                assert (model.col_min[-1], model.col_max[-1]) == (0.0, 1.0)
+                tree = model.trees[0]
+                arrays = (tree.feature, tree.threshold, tree.left, tree.right,
+                          tree.leaf_w_pos, tree.leaf_w_neg)
+                trees.append(b"".join(a.tobytes() for a in arrays))
+                digest.update(trees[-1])
+                digest.update(model.predict(X[~train]).tobytes())
+            boosters_differ |= trees[0] != trees[1]
+        assert boosters_differ
+        assert digest.hexdigest() == self.DIGEST
+
+
+def test_round_zero_oracle_without_avx512(kernel_rerun):
+    kernel_rerun("avx512-off").assert_passed("tests/test_evaluation.py::TestRoundZeroOracle")
