@@ -1,12 +1,15 @@
 """Stratified cross-validation, classification metrics, and the experiment
 matrix over the six feature scenarios and two boosting algorithms.
 
-Folds are stratified on (alarm type x label). `_fold_scores` fits one
-(scenario, classifier, fold) task on the other folds' rows and returns its
-held-out scores; `run_cell` pools them, so each record is scored once, and
-takes accuracy / sensitivity / specificity / AUC and the per-fold rows from
-the pool. The positive class is the true alarm, so specificity reads as the
-fraction of false alarms correctly suppressed.
+Folds are stratified on (alarm type x label). `CLASSIFIERS` maps each
+booster's name to its fit; `_fold_scores` fits one (scenario, classifier,
+fold) task through it on the other folds' rows and returns its held-out
+scores; `run_cell` pools them, so each record is scored once, and takes
+accuracy / sensitivity / specificity / AUC and the per-fold rows from the
+pool. The positive class is the true alarm, so specificity reads as the
+fraction of false alarms correctly suppressed. A rate over an empty class (a
+fold without positives) is undefined: None, written as JSON null, since
+strict JSON has no NaN.
 
 The ROC takes one step per run of equal scores in one stable descending
 sort: the run's first score is its threshold, so a zero keeps that score's
@@ -17,7 +20,7 @@ from Python 3.12 on), and must agree with the Mann-Whitney AUC to 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +36,11 @@ from .ensemble import (
 from .exceptions import ConfigError, EmptyInput, NoWeakLearner, SingleClassError, UndefinedAuc
 from .record_io import TRUE_ALARM
 
-CLASSIFIERS = ("BoostedTrees", "RUSBoostedTrees")
+# Booster name -> its fit on a fold's training rows, looked up here at each call.
+CLASSIFIERS = {
+    "BoostedTrees": lambda X, y, seed: fit_adaboost(X, y),
+    "RUSBoostedTrees": lambda X, y, seed: fit_rusboost(X, y, seed=seed),
+}
 # Scenario -> the feature banks whose columns it concatenates, in order.
 SCENARIOS = {
     "LLF": ("llf",),
@@ -88,14 +95,14 @@ class ConfusionMetrics:
         return (self.tp + self.tn) / (self.tp + self.tn + self.fp + self.fn)
 
     @property
-    def sensitivity(self) -> float:
+    def sensitivity(self) -> float | None:
         denom = self.tp + self.fn
-        return self.tp / denom if denom else float("nan")
+        return self.tp / denom if denom else None
 
     @property
-    def specificity(self) -> float:
+    def specificity(self) -> float | None:
         denom = self.tn + self.fp
-        return self.tn / denom if denom else float("nan")
+        return self.tn / denom if denom else None
 
 
 def confusion_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMetrics:
@@ -167,12 +174,6 @@ class FeatureTable:
     X: np.ndarray
 
 
-def _defined(rate: float) -> float | None:
-    """A rate over an empty class (a fold without positives) is undefined:
-    None, written as JSON null, since strict JSON has no NaN."""
-    return None if np.isnan(rate) else rate
-
-
 def _fold_scores(table: FeatureTable, folds: np.ndarray, scenario: str, classifier: str,
                  fold: int, seed: int) -> np.ndarray:
     """Held-out scores of one fold, by a model fitted on the other folds' rows.
@@ -181,13 +182,8 @@ def _fold_scores(table: FeatureTable, folds: np.ndarray, scenario: str, classifi
     train = folds != fold
     X_train, y_train = table.X[train], table.y[train]
     try:
-        if classifier == "BoostedTrees":
-            model = fit_adaboost(X_train, y_train)
-        elif classifier == "RUSBoostedTrees":
-            model = fit_rusboost(X_train, y_train,
-                                 seed=record_seed(seed, f"{scenario}|{classifier}|{fold}"))
-        else:
-            raise ConfigError(f"unknown classifier {classifier!r}")
+        model = CLASSIFIERS[classifier](X_train, y_train,
+                                        record_seed(seed, f"{scenario}|{classifier}|{fold}"))
     except (SingleClassError, NoWeakLearner) as error:
         n_true = int(np.sum(y_train == TRUE_ALARM))
         raise type(error)(f"{scenario}/{classifier} fold {fold} ({n_true} true, "
@@ -215,8 +211,8 @@ def run_cell(
                 "fold": fold,
                 "n_test": int(held.sum()),
                 "accuracy": fold_conf.accuracy,
-                "sensitivity": _defined(fold_conf.sensitivity),
-                "specificity": _defined(fold_conf.specificity),
+                "sensitivity": fold_conf.sensitivity,
+                "specificity": fold_conf.specificity,
             }
         )
     confusion = confusion_metrics(table.y, pred)
@@ -228,8 +224,7 @@ def run_cell(
         "sensitivity": confusion.sensitivity,
         "specificity": confusion.specificity,
         "auc": auc,
-        "confusion": {"tp": confusion.tp, "fn": confusion.fn,
-                      "tn": confusion.tn, "fp": confusion.fp},
+        "confusion": asdict(confusion),
         "per_fold": per_fold,
         "roc_points": [list(pt) for pt in points],
     }

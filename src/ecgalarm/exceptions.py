@@ -11,8 +11,6 @@ class ParseError(EcgAlarmError):
     """Malformed WFDB header text."""
 
     def __init__(self, line_no, reason):
-        self.line_no = line_no
-        self.reason = reason
         super().__init__(f"header line {line_no}: {reason}")
 
 

@@ -134,6 +134,8 @@ def _parse_signal_line(line: str, line_no: int) -> SignalSpec:
     file_name = tokens[0]
     if "\0" in file_name:  # no file can have it; opening it would raise ValueError
         raise ParseError(line_no, f"NUL byte in signal file name {file_name!r}")
+    if "/" in file_name or file_name in (".", ".."):  # it must stay beside its header
+        raise ParseError(line_no, f"signal file name {file_name!r} has a directory part")
 
     m = _FORMAT_RE.match(tokens[1])
     if m is None:

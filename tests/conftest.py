@@ -94,21 +94,19 @@ def write_wfdb_record(
     directory: Path,
     name: str,
     samples_mv: np.ndarray,
-    fs: float = 250.0,
     comment: str = "#Asystole",
     extra_leads: tuple[str, ...] = ("V",),
     include_ii: bool = True,
-    gain: float = 200.0,
-    baseline: int = 0,
 ) -> None:
-    """Write one .hea/.mat pair in the challenge's 16+24 layout."""
-    adc = np.clip(np.round(samples_mv * gain) + baseline, -32768, 32767).astype(np.int16)
+    """Write one .hea/.mat pair in the challenge's 16+24 layout: 250 Hz, gain
+    200 adu/mV, baseline 0."""
+    adc = np.clip(np.round(samples_mv * 200.0), -32768, 32767).astype(np.int16)
     leads = (["II"] if include_ii else []) + list(extra_leads)
     channels = [adc] + [np.zeros_like(adc)] * (len(leads) - 1)
     (directory / f"{name}.mat").write_bytes(encode_signal(channels, byte_offset=24))
-    lines = [f"{name} {len(leads)} {fs:g} {len(adc)}"]
+    lines = [f"{name} {len(leads)} 250 {len(adc)}"]
     for lead in leads:
-        lines.append(f"{name}.mat 16+24 {gain:g}({baseline}) 16 0 0 0 0 {lead}")
+        lines.append(f"{name}.mat 16+24 200(0) 16 0 0 0 0 {lead}")
     lines.append(comment)
     (directory / f"{name}.hea").write_text("\n".join(lines) + "\n")
 

@@ -351,6 +351,28 @@ class TestIngest:
         assert rows["a701l"]["skipped_reason"] == "FileNotFoundError"
         assert rows["a702l"]["skipped_reason"] == "UnicodeDecodeError"
 
+    def test_signal_file_cannot_leave_data_dir(self, tmp_path):
+        # a701l's header names a valid signal file outside --data-dir: the
+        # header is a ParseError, and nothing of that file reaches cache/.
+        from ecgalarm.record_io import encode_signal
+
+        data, outside = tmp_path / "data", tmp_path / "outside"
+        data.mkdir()
+        outside.mkdir()
+        signal = encode_signal([np.arange(7500, dtype=np.int16)], byte_offset=24)
+        (data / "a700l.mat").write_bytes(signal)
+        (outside / "secret.mat").write_bytes(signal)
+        for name, file_name in [("a700l", "a700l.mat"), ("a701l", "../outside/secret.mat")]:
+            (data / f"{name}.hea").write_text(
+                f"{name} 1 250 7500\n{file_name} 16+24 200(0) 16 0 0 0 0 II\n#Asystole\n")
+        (tmp_path / "labels.csv").write_text("record,label\na700l,true\na701l,false\n")
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--data-dir", data, "--labels",
+                       tmp_path / "labels.csv", "--out", out) == 0
+        rows = {r["record"]: r["skipped_reason"] for r in read_manifest(out)}
+        assert rows == {"a700l": "", "a701l": "ParseError"}
+        assert [p.name for p in (out / "cache").iterdir()] == ["a700l.npy"]
+
     def test_other_rate_skipped(self, tmp_path):
         # Only 250 Hz records are usable; a record at another rate gets a
         # manifest row naming its rate and no cached signal.

@@ -682,6 +682,13 @@ class TestBoostReference:
             lambda X, y: fit_rusboost(X, y, rounds=10, seed=seed), X, y)
 
 
+def _tree_votes(model, X):
+    """Each tree's +-1 votes on the rows of X, routed as the model routes
+    them: through its min-max normalization."""
+    Xn = model._normalize(X)
+    return [tree.predict(Xn) for tree in model.trees]
+
+
 class TestAdaboost:
     def test_separable_blobs_zero_error_fast(self):
         rng = np.random.default_rng(2)
@@ -747,11 +754,8 @@ class TestAdaboost:
         y = np.where(X[:, 0] + 0.5 * rng.normal(size=80) > 0, 1, -1)
         model = fit_adaboost(X, y, rounds=15, learning_rate=1.0, max_splits=2)
         # replay boosting to observe the per-round weighted errors
-        scale = np.where(model.col_max - model.col_min > 0, model.col_max - model.col_min, 1.0)
-        Xn = (X - model.col_min) / scale
         w = np.full(len(X), 1.0 / len(X))
-        for tree, alpha in zip(model.trees, model.alphas):
-            pred = tree.predict(Xn)
+        for pred, alpha in zip(_tree_votes(model, X), model.alphas):
             eps = w[pred != y].sum()
             assert eps < 0.5
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -764,12 +768,10 @@ class TestAdaboost:
         X = rng.normal(size=(60, 3))
         y = np.where(X[:, 0] - X[:, 1] > 0, 1, -1)
         model = fit_adaboost(X, y, rounds=10, learning_rate=1.0, max_splits=1)
-        scale = np.where(model.col_max - model.col_min > 0, model.col_max - model.col_min, 1.0)
-        Xn = (X - model.col_min) / scale
         score = np.zeros(len(X))
         losses = [float(np.sum(np.exp(-y * score)))]
-        for tree, alpha in zip(model.trees, model.alphas):
-            score = score + alpha * tree.predict(Xn)
+        for votes, alpha in zip(_tree_votes(model, X), model.alphas):
+            score = score + alpha * votes
             losses.append(float(np.sum(np.exp(-y * score))))
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 

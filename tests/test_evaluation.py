@@ -103,6 +103,13 @@ class TestConfusionMetrics:
         with pytest.raises(EmptyInput):
             confusion_metrics(np.array([]), np.array([]))
 
+    def test_rate_over_empty_class_is_none(self):
+        # No positives: sensitivity is undefined; no negatives: specificity.
+        only_false = confusion_metrics(np.full(3, -1), np.array([1, -1, -1]))
+        assert only_false.sensitivity is None and only_false.specificity == 2 / 3
+        only_true = confusion_metrics(np.ones(3, dtype=int), np.array([1, 1, -1]))
+        assert only_true.specificity is None and only_true.sensitivity == 2 / 3
+
 
 def _roc_loop(y_true, scores):
     """The ROC scan roc_auc ran before it took its steps from cumulative

@@ -86,6 +86,16 @@ class TestParseHeader:
         with pytest.raises(ParseError, match="NUL byte"):
             parse_header("x 1 250 100\nx\0.mat 16 200 16 0 0 0 0 II\n")
 
+    @pytest.mark.parametrize("file_name", ["../out/x.mat", "/tmp/x.mat", "sub/x.mat", ".", ".."],
+                             ids=["parent", "absolute", "subdir", "dot", "dotdot"])
+    def test_signal_file_name_with_directory_part_raises(self, file_name):
+        # load_any reads the signal file beside the header: a directory part
+        # could make ingest read any file on the machine.
+        with pytest.raises(ParseError, match="directory part"):
+            parse_header(f"x 1 250 100\n{file_name} 16 200 16 0 0 0 0 II\n")
+        header = parse_header("x 1 250 100\n..x.mat 16 200 16 0 0 0 0 II\n")
+        assert header.signals[0].file_name == "..x.mat"
+
     @pytest.mark.parametrize("name", ["../../escaped", "/tmp/x", "a.b", "a-1", "x\0", "é"],
                              ids=["parent", "absolute", "dot", "dash", "nul", "non_ascii"])
     def test_record_name_outside_wfdb_rule_raises(self, name):
