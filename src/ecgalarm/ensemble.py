@@ -156,7 +156,8 @@ def _best_split(wz, parent, order, vals, work):
 
 @dataclass
 class DecisionTree:
-    """Flat-array binary CART tree; feature -1 marks a leaf."""
+    """Flat-array binary CART tree; feature -1 marks a leaf. Children are made
+    in pairs, so a split's right child is ``left + 1``."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -216,29 +217,29 @@ def _grow(X, y, w, fitted, order, vals, work, max_splits):
     +-1 from the leaf it reaches."""
     w = np.stack([np.where(y > 0, w, 0.0), np.where(y < 0, w, 0.0)])
     wz = np.ascontiguousarray(w.T).view(np.complex128).ravel()
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    leaves = {}  # per leaf: the rows that reach it, ascending, and its class weights p, n
+    # Per node: feature, threshold, left child, and its class weights p, n
+    # while it is a leaf. A split makes its two children together, so the
+    # right child is left + 1 and the tree has len(nodes) // 2 splits.
+    nodes = [[-1, 0.0, -1, 0.0, 0.0]]
+    leaves = {}  # per leaf: the rows that reach it, ascending
     # Per leaf that may split, before its search: (-mass, leaf, None, its
     # parent's order and values, its row mask: `fitted` for the root, its
     # side of the split for a child); after: (-gain, leaf, (feature,
     # threshold), its order and values, None). A leaf has one entry at a
     # time, so entries never compare past the leaf.
     heap = []
-    n_splits = 0
 
     def add_leaf(leaf, reach, order, vals, side):
         rows = reach[fitted.take(reach)]
         p, n = w.take(rows, axis=1).sum(axis=1).tolist()
-        leaves[leaf] = reach, p, n
+        nodes[leaf][3:] = p, n
+        leaves[leaf] = reach
         mass = 2.0 * p * n / (p + n) if p + n > 0 else 0.0
-        if mass > 0 and len(rows) > 1 and n_splits < max_splits:
+        if mass > 0 and len(rows) > 1 and len(nodes) // 2 < max_splits:
             heapq.heappush(heap, (-mass, leaf, None, order, vals, side))
 
     add_leaf(0, np.arange(len(X)), order, vals, fitted)
-    while heap and n_splits < max_splits:
+    while heap and len(nodes) // 2 < max_splits:
         key, leaf, split, order, vals, side = heapq.heappop(heap)
         if split is None:  # the bound is on top: filter and search the leaf
             at = np.flatnonzero(side.take(order))
@@ -249,36 +250,22 @@ def _grow(X, y, w, fitted, order, vals, work, max_splits):
                 heapq.heappush(heap, (-cand[0], leaf, cand[1:], order, vals, None))
             continue
         f, thr = split
-        reach = leaves.pop(leaf)[0]
-        n_splits += 1
+        reach, child = leaves.pop(leaf), len(nodes)
+        nodes[leaf] = [f, thr, child, 0.0, 0.0]
+        nodes += [[-1, 0.0, -1, 0.0, 0.0], [-1, 0.0, -1, 0.0, 0.0]]
         goes_left = X[:, f] <= thr
         in_left = goes_left.take(reach)
-        for side, mine in ((goes_left, in_left), (~goes_left, ~in_left)):
-            child = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            add_leaf(child, reach[mine], order, vals, side)
-        feature[leaf] = f
-        threshold[leaf] = thr
-        left[leaf] = len(feature) - 2
-        right[leaf] = len(feature) - 1
+        add_leaf(child, reach[in_left], order, vals, goes_left)
+        add_leaf(child + 1, reach[~in_left], order, vals, ~goes_left)
 
-    leaf_w_pos = np.zeros(len(feature))
-    leaf_w_neg = np.zeros(len(feature))
+    # Python ints and floats: int64 feature and left, float64 otherwise.
+    feature, threshold, left, leaf_w_pos, leaf_w_neg = map(np.array, zip(*nodes))
     pred = np.empty(len(X), dtype=int)
-    for node, (reach, p, n) in leaves.items():
-        leaf_w_pos[node], leaf_w_neg[node] = p, n
-        pred[reach] = 1 if p >= n else -1  # as `predict`
-    tree = DecisionTree(
-        feature=np.asarray(feature, dtype=int),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=int),
-        right=np.asarray(right, dtype=int),
-        leaf_w_neg=leaf_w_neg,
-        leaf_w_pos=leaf_w_pos,
-    )
+    for leaf, reach in leaves.items():
+        pred[reach] = 1 if leaf_w_pos[leaf] >= leaf_w_neg[leaf] else -1  # as `predict`
+    tree = DecisionTree(feature=feature, threshold=threshold, left=left,
+                        right=np.where(left >= 0, left + 1, -1),
+                        leaf_w_neg=leaf_w_neg, leaf_w_pos=leaf_w_pos)
     return tree, pred
 
 

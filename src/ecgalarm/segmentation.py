@@ -121,8 +121,9 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
     spk_f, npk_f = float(np.max(abs_f[init])), float(np.mean(abs_f[init]))
 
     r_peaks: list[int] = []
-    qrs_integ_idx: list[int] = []  # integrator candidate index per accepted QRS
-    qrs_slopes: list[float] = []
+    # The last accepted QRS: its integrator candidate index (-1 before the
+    # first; candidates start at 1) and its slope.
+    last_qrs, last_slope = -1, 0.0
     rr_recent: list[float] = []
     rr_selected: list[float] = []
     # Strongest noise candidate since the last QRS: (integ idx, peak, fpeak, slope)
@@ -136,7 +137,7 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
 
     def accept_qrs(idx: int, peak: float, fpeak: float, slope: float,
                    searchback: bool = False) -> None:
-        nonlocal best_noise, searchback_gap, spk_i, spk_f
+        nonlocal best_noise, searchback_gap, spk_i, spk_f, last_qrs, last_slope
         # R: the largest |filtered| near where integ last rose through the level.
         level = min((0.5 if searchback else 1.0) * (npk_i + 0.25 * (spk_i - npk_i)), peak)
         cross = idx
@@ -146,16 +147,15 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
         r = lo + int(abs_f[lo:min(n, cross + 11)].argmax())
         if r_peaks and r - r_peaks[-1] < REFRACTORY_SAMPLES:
             return
-        if qrs_integ_idx:
-            rr = float(idx - qrs_integ_idx[-1])
+        if last_qrs >= 0:
+            rr = float(idx - last_qrs)
             rr_recent.append(rr)
             avg = rr_average()
             if 0.92 * avg <= rr <= 1.16 * avg:
                 rr_selected.append(rr)
             searchback_gap = SEARCHBACK_FACTOR * rr_average()
         r_peaks.append(r)
-        qrs_integ_idx.append(idx)
-        qrs_slopes.append(slope)
+        last_qrs, last_slope = idx, slope
         frac = 0.25 if searchback else 0.125
         spk_i = frac * peak + (1.0 - frac) * spk_i
         spk_f = frac * fpeak + (1.0 - frac) * spk_f
@@ -166,18 +166,18 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
     for idx, peak, fpeak, slope in zip(candidates.tolist(), integ[candidates].tolist(),
                                        fpeaks, slopes):
         t_wave = False
-        if qrs_integ_idx:
-            gap = idx - qrs_integ_idx[-1]  # the noise path below reads it too
+        if last_qrs >= 0:
+            gap = idx - last_qrs  # the noise path below reads it too
             # Search-back: a long gap since the last QRS means one was missed;
             # revisit the strongest rejected candidate at half threshold.
             if (gap > searchback_gap and best_noise is not None
                     and best_noise[1] > 0.5 * (npk_i + 0.25 * (spk_i - npk_i))):
                 accept_qrs(*best_noise, searchback=True)
-                gap = idx - qrs_integ_idx[-1]
+                gap = idx - last_qrs
             if gap < REFRACTORY_SAMPLES:
                 continue
             # T-wave rejection: close to the last QRS with a much weaker slope.
-            t_wave = gap < T_WAVE_GAP and slope < 0.5 * qrs_slopes[-1]
+            t_wave = gap < T_WAVE_GAP and slope < 0.5 * last_slope
 
         if (not t_wave and peak > npk_i + 0.25 * (spk_i - npk_i)
                 and fpeak > npk_f + 0.25 * (spk_f - npk_f)):
@@ -185,7 +185,7 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
             continue
         npk_i = 0.125 * peak + 0.875 * npk_i
         npk_f = 0.125 * fpeak + 0.875 * npk_f
-        if not qrs_integ_idx or gap > REFRACTORY_SAMPLES:
+        if last_qrs < 0 or gap > REFRACTORY_SAMPLES:
             if best_noise is None or peak > best_noise[1]:
                 best_noise = (idx, peak, fpeak, slope)
 

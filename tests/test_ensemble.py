@@ -176,6 +176,19 @@ class TestFitTree:
             arrays(np.int64, len(X), elements=st.sampled_from([-1, 1])))))
         tree, pred = _grow(X, y, w_pos + w_neg, _mask(len(X), rows), *_presort(X), max_splits)
         assert pred.tolist() == tree.predict(X).tolist()
+        # The node layout: children come in pairs after their parent, leaves
+        # are -1 throughout, and only leaves hold weights.
+        assert [a.dtype for a in (tree.feature, tree.left, tree.right)] == [np.int64] * 3
+        assert tree.threshold.dtype == tree.leaf_w_pos.dtype == tree.leaf_w_neg.dtype == np.float64
+        split = tree.feature >= 0
+        nodes = np.arange(len(tree.feature))
+        assert (tree.right[split] == tree.left[split] + 1).all()
+        assert (tree.left[split] > nodes[split]).all()
+        assert (tree.left[~split] == -1).all() and (tree.right[~split] == -1).all()
+        assert (tree.leaf_w_pos[split] == 0).all() and (tree.leaf_w_neg[split] == 0).all()
+        children = np.concatenate([tree.left[split], tree.right[split]])
+        assert sorted(children.tolist()) == nodes[1:].tolist()
+        assert tree.n_splits == (len(tree.feature) - 1) // 2
 
 
 def _mask(n, rows):
