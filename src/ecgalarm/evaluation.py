@@ -4,12 +4,15 @@ matrix over the six feature scenarios and two boosting algorithms.
 Folds are stratified on (alarm type x label). `CLASSIFIERS` maps each
 booster's name to its fit; `_fold_scores` fits one (scenario, classifier,
 fold) task through it on the other folds' rows and returns its held-out
-scores; `run_cell` pools them, so each record is scored once, and takes
-accuracy / sensitivity / specificity / AUC and the per-fold rows from the
-pool. The positive class is the true alarm, so specificity reads as the
-fraction of false alarms correctly suppressed. A rate over an empty class (a
-fold without positives) is undefined: None, written as JSON null, since
-strict JSON has no NaN.
+scores. `run_cell` makes one pass over the folds: it writes each fold's
+scores into the cell's pooled score vector, so each record is scored once,
+and takes that fold's `per_fold` entry from them. It then reduces the pool
+into the cell's accuracy / sensitivity / specificity, confusion counts and
+AUC. `confusion_metrics` returns those entries as they appear in
+report.json. The positive class is the true alarm, so specificity reads as
+the fraction of false alarms correctly suppressed. A rate over an empty
+class (a fold without positives) is undefined: None, written as JSON null,
+since strict JSON has no NaN.
 
 The ROC takes one step per run of equal scores in one stable descending
 sort: the run's first score is its threshold, so a zero keeps that score's
@@ -20,7 +23,7 @@ from Python 3.12 on), and must agree with the Mann-Whitney AUC to 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,30 +86,9 @@ def stratified_folds(
     return folds
 
 
-@dataclass
-class ConfusionMetrics:
-    tp: int
-    fn: int
-    tn: int
-    fp: int
-
-    @property
-    def accuracy(self) -> float:
-        return (self.tp + self.tn) / (self.tp + self.tn + self.fp + self.fn)
-
-    @property
-    def sensitivity(self) -> float | None:
-        denom = self.tp + self.fn
-        return self.tp / denom if denom else None
-
-    @property
-    def specificity(self) -> float | None:
-        denom = self.tn + self.fp
-        return self.tn / denom if denom else None
-
-
-def confusion_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMetrics:
-    """Confusion counts and derived rates; positive class = true alarm."""
+def confusion_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
+    """A report.json entry's accuracy, sensitivity, specificity (None over an
+    empty class) and confusion counts; positive class = true alarm."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.size == 0:
@@ -115,12 +97,14 @@ def confusion_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMetric
         raise ValueError("y_true and y_pred must have the same length")
     pos = y_true == TRUE_ALARM
     pred_pos = y_pred == TRUE_ALARM
-    return ConfusionMetrics(
-        tp=int(np.sum(pos & pred_pos)),
-        fn=int(np.sum(pos & ~pred_pos)),
-        tn=int(np.sum(~pos & ~pred_pos)),
-        fp=int(np.sum(~pos & pred_pos)),
-    )
+    tp, fn = int(np.sum(pos & pred_pos)), int(np.sum(pos & ~pred_pos))
+    tn, fp = int(np.sum(~pos & ~pred_pos)), int(np.sum(~pos & pred_pos))
+    return {
+        "accuracy": (tp + tn) / (tp + tn + fp + fn),
+        "sensitivity": tp / (tp + fn) if tp + fn else None,
+        "specificity": tn / (tn + fp) if tn + fp else None,
+        "confusion": {"tp": tp, "fn": fn, "tn": tn, "fp": fp},
+    }
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -195,36 +179,24 @@ def run_cell(
     table: FeatureTable, folds: np.ndarray, scenario: str, classifier: str, seed: int
 ) -> dict:
     """Cross-validated evaluation of one (scenario, classifier) cell, as its
-    report.json entry: every fold's held-out scores, pooled, then reduced."""
-    fold_ids = sorted(set(folds.tolist()))
+    report.json entry: one pass scores each fold and reads its rates, then
+    the pooled scores are reduced."""
     scores = np.zeros(len(table.records))
-    for fold in fold_ids:
-        scores[folds == fold] = _fold_scores(table, folds, scenario, classifier, fold, seed)
-
-    pred = np.where(scores >= 0, 1, -1)
+    pred = np.zeros(len(table.records), dtype=int)
     per_fold = []
-    for fold in fold_ids:
+    for fold in sorted(set(folds.tolist())):
         held = folds == fold
-        fold_conf = confusion_metrics(table.y[held], pred[held])
-        per_fold.append(
-            {
-                "fold": fold,
-                "n_test": int(held.sum()),
-                "accuracy": fold_conf.accuracy,
-                "sensitivity": fold_conf.sensitivity,
-                "specificity": fold_conf.specificity,
-            }
-        )
-    confusion = confusion_metrics(table.y, pred)
+        scores[held] = _fold_scores(table, folds, scenario, classifier, fold, seed)
+        pred[held] = np.where(scores[held] >= 0, 1, -1)
+        rates = confusion_metrics(table.y[held], pred[held])
+        del rates["confusion"]  # the cell's counts are the pooled ones
+        per_fold.append({"fold": fold, "n_test": int(held.sum()), **rates})
     auc, points = roc_auc(table.y, scores)
     return {
         "scenario": scenario,
         "classifier": classifier,
-        "accuracy": confusion.accuracy,
-        "sensitivity": confusion.sensitivity,
-        "specificity": confusion.specificity,
+        **confusion_metrics(table.y, pred),
         "auc": auc,
-        "confusion": asdict(confusion),
         "per_fold": per_fold,
         "roc_points": [list(pt) for pt in points],
     }

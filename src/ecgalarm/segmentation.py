@@ -26,6 +26,8 @@ morphology features stay physical.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .dwt import _fir
@@ -124,16 +126,17 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
     # The last accepted QRS: its integrator candidate index (-1 before the
     # first; candidates start at 1) and its slope.
     last_qrs, last_slope = -1, 0.0
-    rr_recent: list[float] = []
-    rr_selected: list[float] = []
+    # The last 8 RR intervals, and the last 8 of them within the regular range.
+    rr_recent: deque[float] = deque(maxlen=8)
+    rr_selected: deque[float] = deque(maxlen=8)
     # Strongest noise candidate since the last QRS: (integ idx, peak, fpeak, slope)
     best_noise: tuple[int, float, float, float] | None = None
 
     def rr_average() -> float:
-        rr = (rr_selected or rr_recent)[-8:]  # integer-valued, so the sum is exact
+        rr = rr_selected or rr_recent  # integer-valued, so the sum is exact
         return sum(rr) / len(rr) if rr else RR_PRIOR
 
-    searchback_gap = SEARCHBACK_FACTOR * rr_average()  # moves only with the RR lists
+    searchback_gap = SEARCHBACK_FACTOR * rr_average()  # moves only with the RR histories
 
     def accept_qrs(idx: int, peak: float, fpeak: float, slope: float,
                    searchback: bool = False) -> None:
@@ -159,8 +162,7 @@ def detect_r_peaks(samples: np.ndarray) -> np.ndarray:
         frac = 0.25 if searchback else 0.125
         spk_i = frac * peak + (1.0 - frac) * spk_i
         spk_f = frac * fpeak + (1.0 - frac) * spk_f
-        if best_noise is not None and best_noise[0] <= idx:
-            best_noise = None
+        best_noise = None  # it is this QRS (search-back) or lies before it
 
     fpeaks, slopes = (_trailing_max(s, candidates).tolist() for s in (abs_f, np.abs(deriv)))
     for idx, peak, fpeak, slope in zip(candidates.tolist(), integ[candidates].tolist(),

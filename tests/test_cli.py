@@ -1,6 +1,8 @@
 import ast
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 import shutil
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecgalarm.cli import _load_tables, build_parser, main
+import ecgalarm
+from ecgalarm.cli import COMMANDS, _load_tables, build_parser, main
 from ecgalarm.feature_synthesis import HLF_LENGTH
 from ecgalarm.segment_features import LLF_LENGTH
 from ecgalarm.tables import (
@@ -167,6 +170,15 @@ def test_readme_degenerate_input_table_names_existing_tests():
                 found = [node for node in scope if getattr(node, "name", None) == name]
                 assert found, f"{path}::{qualname}"
                 scope = found[0].body
+    # Every other backticked name in the table is a subcommand or an attribute
+    # of the package or of one of its modules. File names hold a dot and
+    # message templates are not names, so neither is matched.
+    modules = [ecgalarm] + [importlib.import_module(f"ecgalarm.{m.name}")
+                            for m in pkgutil.iter_modules(ecgalarm.__path__)]
+    for name in set(re.findall(r"`([A-Za-z_]\w*)`", "\n".join(rows))):
+        if name in COMMANDS or name in ("null", "nan", "inf"):
+            continue
+        assert any(hasattr(module, name) for module in modules), name
 
 
 def _files_by_command(out: Path) -> dict[str, dict[str, bytes]]:

@@ -83,21 +83,21 @@ class TestConfusionMetrics:
     def test_perfect(self):
         y = np.array([1, 1, -1, -1])
         m = confusion_metrics(y, y)
-        assert (m.accuracy, m.sensitivity, m.specificity) == (1.0, 1.0, 1.0)
+        assert (m["accuracy"], m["sensitivity"], m["specificity"]) == (1.0, 1.0, 1.0)
 
     def test_mixed_confusion_counts(self):
         y_true = np.array([1] * 100 + [-1] * 100)
         y_pred = np.array([1] * 81 + [-1] * 19 + [-1] * 83 + [1] * 17)
         m = confusion_metrics(y_true, y_pred)
-        assert m.tp == 81 and m.fn == 19 and m.tn == 83 and m.fp == 17
-        assert m.sensitivity == pytest.approx(0.81)
-        assert m.specificity == pytest.approx(0.83)
-        assert m.accuracy == pytest.approx(0.82)
+        assert m["confusion"] == {"tp": 81, "fn": 19, "tn": 83, "fp": 17}
+        assert m["sensitivity"] == pytest.approx(0.81)
+        assert m["specificity"] == pytest.approx(0.83)
+        assert m["accuracy"] == pytest.approx(0.82)
 
     def test_all_negative_predictions(self):
         y_true = np.array([1, -1, 1, -1])
         y_pred = np.full(4, -1)
-        assert confusion_metrics(y_true, y_pred).sensitivity == 0.0
+        assert confusion_metrics(y_true, y_pred)["sensitivity"] == 0.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -106,9 +106,20 @@ class TestConfusionMetrics:
     def test_rate_over_empty_class_is_none(self):
         # No positives: sensitivity is undefined; no negatives: specificity.
         only_false = confusion_metrics(np.full(3, -1), np.array([1, -1, -1]))
-        assert only_false.sensitivity is None and only_false.specificity == 2 / 3
+        assert only_false["sensitivity"] is None and only_false["specificity"] == 2 / 3
         only_true = confusion_metrics(np.ones(3, dtype=int), np.array([1, 1, -1]))
-        assert only_true.specificity is None and only_true.sensitivity == 2 / 3
+        assert only_true["specificity"] is None and only_true["sensitivity"] == 2 / 3
+
+    @given(st.lists(st.tuples(*[st.sampled_from([TRUE_ALARM, FALSE_ALARM])] * 2), min_size=1))
+    def test_counts_and_rates_of_any_labels(self, pairs):
+        y_true, y_pred = np.array(pairs).T
+        m = confusion_metrics(y_true, y_pred)
+        assert sum(m["confusion"].values()) == len(y_true)
+        assert m["accuracy"] == (y_true == y_pred).mean()
+        assert (m["sensitivity"] is None) == (not np.any(y_true == TRUE_ALARM))
+        assert (m["specificity"] is None) == (not np.any(y_true == FALSE_ALARM))
+        for rate in ("accuracy", "sensitivity", "specificity"):
+            assert m[rate] is None or 0.0 <= m[rate] <= 1.0
 
 
 def _roc_loop(y_true, scores):
@@ -242,6 +253,17 @@ class TestRunCell:
         cell = run_cell(table, folds, "A", "BoostedTrees", 1)
         assert sum(cell["confusion"].values()) == len(table.records)
         assert len(cell["per_fold"]) == 4
+        assert set(cell) == {"scenario", "classifier", "accuracy", "sensitivity",
+                             "specificity", "auc", "confusion", "per_fold", "roc_points"}
+        # Each fold's entry holds the rates of the predictions on its own
+        # held-out rows, and no confusion counts.
+        for fold, entry in enumerate(cell["per_fold"]):
+            held = folds == fold
+            scores = _fold_scores(table, folds, "A", "BoostedTrees", fold, 1)
+            want = confusion_metrics(table.y[held], np.where(scores >= 0, 1, -1))
+            del want["confusion"]
+            assert set(entry) == {"fold", "n_test", "accuracy", "sensitivity", "specificity"}
+            assert entry == {"fold": fold, "n_test": int(held.sum()), **want}
 
     @pytest.mark.parametrize("classifier", CLASSIFIERS)
     def test_fold_scores_reproducible_from_train_only(self, classifier):
@@ -267,7 +289,7 @@ class TestRunCell:
         cell = run_cell(table, folds, "A", classifier, 2)
         fold0 = next(f for f in cell["per_fold"] if f["fold"] == 0)
         pred = np.where(scores >= 0, 1, -1)
-        assert fold0["accuracy"] == confusion_metrics(table.y[test], pred).accuracy
+        assert fold0["accuracy"] == confusion_metrics(table.y[test], pred)["accuracy"]
         # normalization comes from training rows only
         np.testing.assert_array_equal(model.col_min, table.X[train].min(axis=0))
         np.testing.assert_array_equal(model.col_max, table.X[train].max(axis=0))
