@@ -94,7 +94,7 @@ def _medians(X: np.ndarray, order: np.ndarray, assign: np.ndarray, clusters: np.
     return lo.T
 
 
-def _lloyd(X: np.ndarray, k: int, metric: str, rng: np.random.Generator, order):
+def _lloyd(X: np.ndarray, k: int, metric: str, rng: np.random.Generator, order) -> Clustering:
     centroids, costs = _plusplus_init(X, k, metric, rng)
     prev_assign = np.full(len(X), k)  # no cluster yet, so all move at first
     trace: list[float] = []
@@ -128,8 +128,7 @@ def _lloyd(X: np.ndarray, k: int, metric: str, rng: np.random.Generator, order):
         if moved.size == 0:
             break
         prev_assign = assign
-    sizes = np.bincount(assign, minlength=k)
-    return centroids, assign, sizes, trace
+    return Clustering(k, metric, centroids, assign, np.bincount(assign, minlength=k), trace)
 
 
 def kmeans(
@@ -142,9 +141,10 @@ def kmeans(
     """Cluster the rows of `matrix`; deterministic for a fixed seed.
 
     With fewer rows than clusters the effective k drops to the row count.
-    `restarts` runs independently seeded Lloyd passes and keeps the best
-    objective (first wins ties). A NaN or infinite entry raises
-    NonFiniteSignal naming its row and column.
+    `restarts` runs independently seeded Lloyd passes and keeps the first
+    with the least objective. A NaN or infinite entry raises NonFiniteSignal
+    naming its row and column; an unknown metric, k below 1 or restarts
+    below 1 raises ValueError.
     """
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim == 1:
@@ -161,22 +161,9 @@ def kmeans(
     k_eff = min(k, len(X))
     order = np.argsort(X.T, axis=1) if metric == "cityblock" else None  # restarts share it
 
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, r])
-        centroids, assign, sizes, trace = _lloyd(X, k_eff, metric, rng, order)
-        if best is None or trace[-1] < best[3][-1]:
-            best = (centroids, assign, sizes, trace)
-
-    centroids, assign, sizes, trace = best
-    return Clustering(
-        k=k_eff,
-        metric=metric,
-        centroids=centroids,
-        assignments=assign,
-        sizes=sizes,
-        objective_trace=trace,
-    )
+    runs = (_lloyd(X, k_eff, metric, np.random.default_rng([seed & 0xFFFFFFFF, r]), order)
+            for r in range(restarts))
+    return min(runs, key=lambda c: c.objective)  # min keeps the first of equal objectives
 
 
 def record_seed(global_seed: int, tag: str) -> int:

@@ -95,6 +95,9 @@ class TestKmeansBasics:
         assert result.k == 3
         assert sorted(result.sizes) == [1, 1, 1]
         assert result.objective == 0.0
+        # Every restart reaches 0, some with other labels: the first is kept.
+        tied = kmeans(X, 5, "sqeuclidean", seed=0, restarts=10)
+        np.testing.assert_array_equal(tied.assignments, result.assignments)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -103,6 +106,24 @@ class TestKmeansBasics:
     def test_zero_restarts_rejected(self):
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             kmeans(np.zeros((4, 2)), 2, "cityblock", restarts=0)
+
+    @pytest.mark.parametrize("metric, k, match", [
+        ("euclidean", 2, "metric must be one of"),
+        ("cityblock", 0, "k must be >= 1"),
+    ], ids=["unknown_metric", "zero_k"])
+    def test_invalid_metric_or_k_rejected(self, metric, k, match):
+        with pytest.raises(ValueError, match=match):
+            kmeans(np.zeros((4, 2)), k, metric)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_one_dimensional_matrix_is_one_column(self, metric):
+        x = np.random.default_rng(4).normal(size=30)
+        flat, column = (kmeans(m, 3, metric, seed=2, restarts=3) for m in (x, x[:, None]))
+        assert (flat.k, flat.metric, flat.objective_trace) == (column.k, column.metric,
+                                                              column.objective_trace)
+        for name in ("centroids", "assignments", "sizes"):
+            np.testing.assert_array_equal(getattr(flat, name), getattr(column, name))
+        assert flat.centroids.shape == (3, 1)
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

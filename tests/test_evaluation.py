@@ -78,6 +78,10 @@ class TestStratifiedFolds:
         with pytest.raises(ConfigError):
             stratified_folds([("ASY", TRUE_ALARM)] * 3, 5, seed=0)
 
+    def test_fewer_than_two_folds(self):
+        with pytest.raises(ConfigError, match="at least 2 folds"):
+            stratified_folds([("ASY", TRUE_ALARM)] * 3, 1, seed=0)
+
 
 class TestConfusionMetrics:
     def test_perfect(self):
@@ -102,6 +106,10 @@ class TestConfusionMetrics:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             confusion_metrics(np.array([]), np.array([]))
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="same length"):
+            confusion_metrics(np.array([1, -1, 1]), np.array([1, -1]))
 
     def test_rate_over_empty_class_is_none(self):
         # No positives: sensitivity is undefined; no negatives: specificity.

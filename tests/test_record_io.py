@@ -81,6 +81,14 @@ class TestParseHeader:
         with pytest.raises(ParseError):
             parse_header("r01 three 250\n")
 
+    @pytest.mark.parametrize("signal_lines, match", [
+        ("#Asystole\nx.mat 16 200 16 0 0 0 0 II\n", "header line 3: signal line after comment"),
+        ("x.mat\n", "header line 2: signal line needs file name and format"),
+    ], ids=["after_comment", "file_name_only"])
+    def test_malformed_signal_line_raises(self, signal_lines, match):
+        with pytest.raises(ParseError, match=match):
+            parse_header("x 1 250 100\n" + signal_lines)
+
     def test_nul_in_file_name_raises(self):
         # Opening such a path raises ValueError, which ingest does not skip.
         with pytest.raises(ParseError, match="NUL byte"):

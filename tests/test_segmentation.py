@@ -85,6 +85,11 @@ class TestDetectRPeaks:
     def test_flatline_empty(self):
         assert len(detect_r_peaks(np.zeros(int(300 * FS)))) == 0
 
+    def test_empty_signal_empty(self):
+        # bandpass would raise EmptySignal; the detector answers first.
+        peaks = detect_r_peaks(np.array([]))
+        assert peaks.shape == (0,) and peaks.dtype == np.int64
+
     @pytest.mark.parametrize("t_offset_ms, beats", [(260.0, 60), (300.0, 118)])
     def test_t_wave_gap(self, t_offset_ms, beats):
         # A tall, wide T wave whose candidate follows the QRS's within the
